@@ -181,8 +181,4 @@ struct ClusterResult {
 
 [[nodiscard]] ClusterResult run_cluster(const ClusterConfig& config);
 
-/// Sharded implementation behind ClusterConfig::shard.enabled; run_cluster
-/// dispatches here automatically — call directly only from tests.
-[[nodiscard]] ClusterResult run_cluster_sharded(const ClusterConfig& config);
-
 }  // namespace pbxcap::exp

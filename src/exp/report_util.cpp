@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#include "loadgen/caller.hpp"
-#include "loadgen/receiver.hpp"
-#include "net/link.hpp"
-#include "pbx/asterisk_pbx.hpp"
-#include "sim/simulator.hpp"
-
 namespace pbxcap::exp {
 
 Duration run_horizon(const loadgen::CallScenario& scenario, Duration drain) {
@@ -19,119 +13,10 @@ Duration run_horizon(const loadgen::CallScenario& scenario, Duration drain) {
          Duration::from_seconds(scenario.hold_time.to_seconds() * hold_tail_factor) + drain;
 }
 
-monitor::ExperimentReport build_report(const loadgen::CallScenario& scenario, std::uint64_t seed,
-                                       const loadgen::SipCaller& caller,
-                                       const loadgen::SipReceiver& receiver,
-                                       const std::vector<BackendSources>& backends,
-                                       const std::vector<const net::Link*>& links,
-                                       const sim::Simulator& simulator) {
-  return build_report(scenario, seed, caller, receiver, backends, links,
-                      simulator.events_processed());
-}
-
-monitor::ExperimentReport build_report(const loadgen::CallScenario& scenario, std::uint64_t seed,
-                                       const loadgen::SipCaller& caller,
-                                       const loadgen::SipReceiver& receiver,
-                                       const std::vector<BackendSources>& backends,
-                                       const std::vector<const net::Link*>& links,
-                                       std::uint64_t events_processed) {
-  const monitor::CallLog& log = caller.log();
-  monitor::ExperimentReport report;
-  report.offered_erlangs = scenario.offered_erlangs();
-  report.arrival_rate_per_s = scenario.arrival_rate_per_s;
-  report.hold_time = scenario.hold_time;
-  report.seed = seed;
-
-  report.calls_attempted = log.attempted();
-  report.calls_completed = log.completed();
-  report.calls_blocked = log.blocked();
-  report.calls_failed = log.failed();
-  report.blocking_probability = log.blocking_probability();
-  const TimePoint steady_from =
-      TimePoint::at(std::min(scenario.hold_time, scenario.placement_window));
-  report.blocking_probability_steady = log.blocking_probability_since(steady_from);
-  report.calls_attempted_steady = log.attempted_since(steady_from);
-
-  // CPU over the loaded steady interval: after the ramp (one hold time),
-  // until the placement window closes. When holds outlast the window (short
-  // smoke runs), fall back to the second half of the window so the interval
-  // is never empty.
-  Duration cpu_from_d = std::min(scenario.hold_time, scenario.placement_window);
-  if (cpu_from_d >= scenario.placement_window) {
-    cpu_from_d = Duration::nanos(scenario.placement_window.ns() / 2);
-  }
-  const TimePoint cpu_from = TimePoint::at(cpu_from_d);
-  const TimePoint cpu_to = TimePoint::at(scenario.placement_window);
-
-  report.sip_retransmissions =
-      caller.transactions().total_retransmissions() + receiver.transactions().total_retransmissions();
-  for (const BackendSources& backend : backends) {
-    if (backend.pbx != nullptr) {
-      const pbx::AsteriskPbx& pbx = *backend.pbx;
-      report.channels_configured += pbx.channels().capacity();
-      report.channels_peak += pbx.channels().peak();
-      report.cpu_utilization.merge(pbx.cpu().utilization(cpu_from, cpu_to));
-      report.rtp_relayed += pbx.rtp_relayed();
-      report.transcoded_bridges += pbx.transcoded_bridges();
-      report.transcoded_rtp += pbx.transcoded_rtp();
-      report.sip_retransmissions += pbx.transactions().total_retransmissions();
-      report.overload_rejections += pbx.overload_rejections();
-      report.sip_queue_dropped += pbx.sip_queue_dropped();
-      const pbx::AcdSubsystem& acd = pbx.acd();
-      if (acd.enabled()) {
-        for (std::size_t qi = 0; qi < acd.queue_count(); ++qi) {
-          const pbx::AcdQueueStats& qs = acd.stats(qi);
-          report.acd.offered += qs.offered;
-          report.acd.queued += qs.queued;
-          report.acd.served += qs.served;
-          report.acd.abandoned += qs.abandoned;
-          report.acd.timed_out += qs.timed_out;
-          report.acd.voicemail += qs.voicemail;
-          report.acd.blocked_full += qs.blocked_full;
-          report.acd.announcements += qs.announcements;
-          report.acd.serve_retries += qs.serve_retries;
-          report.acd.serve_failures += qs.serve_failures;
-          report.acd.wait_s.merge(qs.wait_s);
-          report.acd.wait_served_s.merge(qs.wait_served_s);
-          report.acd.busy_agent_s += qs.busy_agent_s;
-          report.acd.agents += static_cast<std::uint32_t>(acd.agent_count(qi));
-        }
-      }
-    }
-    if (backend.sip != nullptr) {
-      const monitor::SipCapture& sip = *backend.sip;
-      report.sip_total += sip.total();
-      report.sip_invite += sip.invites();
-      report.sip_100 += sip.trying_100();
-      report.sip_180 += sip.ringing_180();
-      report.sip_200 += sip.ok_200();
-      report.sip_ack += sip.acks();
-      report.sip_bye += sip.byes();
-      report.sip_errors += sip.errors();
-    }
-    if (backend.rtp != nullptr) report.rtp_packets_at_pbx += backend.rtp->packets_in();
-  }
-
-  report.mos = log.mos_summary();
-  report.setup_delay_ms = log.setup_delay_summary();
-  report.effective_loss = log.loss_summary();
-  report.jitter_ms = log.jitter_summary();
-
-  report.calls_retried = caller.retries();
-  report.retries_rerouted = caller.retries_rerouted();
-  report.codec_rejections_488 = receiver.rejected_488();
-  for (const net::Link* link : links) {
-    if (link == nullptr) continue;
-    for (const net::NodeId end : {link->endpoint_a(), link->endpoint_b()}) {
-      const net::LinkDirectionStats& stats = link->stats_from(end);
-      report.link_dropped_impairment += stats.dropped_impairment;
-      report.trunk_frames += stats.trunk_frames;
-      report.trunk_mini_frames += stats.trunk_mini_frames;
-    }
-  }
-
-  report.events_processed = events_processed;
-  return report;
+std::pair<TimePoint, TimePoint> cpu_interval(const loadgen::CallScenario& scenario) {
+  Duration from = std::min(scenario.hold_time, scenario.placement_window);
+  if (from >= scenario.placement_window) from = Duration::nanos(scenario.placement_window.ns() / 2);
+  return {TimePoint::at(from), TimePoint::at(scenario.placement_window)};
 }
 
 }  // namespace pbxcap::exp

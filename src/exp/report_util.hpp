@@ -1,34 +1,15 @@
-// Report population shared by run_testbed and run_cluster.
+// Run-length and steady-interval rules shared by every experiment.
 //
-// Both experiment paths must fill the same ExperimentReport the same way —
-// historically the cluster path re-derived a subset by hand and silently
-// left most fields zero (no CPU summary, no SIP census, no steady-state
-// blocking, ...). The horizon heuristic had the same duplication problem.
-// Everything either path derives from the run now lives here, once.
+// run_testbed and run_cluster must fill the same ExperimentReport the same
+// way; historically each path re-derived these by hand and drifted. The
+// report itself is built once, by the topology builder (exp/topology.cpp),
+// and the intervals it summarizes over live here.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "loadgen/scenario.hpp"
-#include "monitor/capture.hpp"
-#include "monitor/report.hpp"
-
-namespace pbxcap {
-namespace loadgen {
-class SipCaller;
-class SipReceiver;
-}  // namespace loadgen
-namespace net {
-class Link;
-}
-namespace pbx {
-class AsteriskPbx;
-}
-namespace sim {
-class Simulator;
-}
-}  // namespace pbxcap
+#include "util/time.hpp"
 
 namespace pbxcap::exp {
 
@@ -38,33 +19,10 @@ namespace pbxcap::exp {
 /// the caller-supplied drain for BYE handshakes and retransmission timers.
 [[nodiscard]] Duration run_horizon(const loadgen::CallScenario& scenario, Duration drain);
 
-/// One PBX's worth of observation sources. The captures may be null (the
-/// corresponding census fields then stay zero for that backend).
-struct BackendSources {
-  const pbx::AsteriskPbx* pbx{nullptr};
-  const monitor::SipCapture* sip{nullptr};
-  const monitor::RtpCapture* rtp{nullptr};
-};
-
-/// Builds the full ExperimentReport from a finished run: call outcomes and
-/// steady-state blocking from the caller's log, voice-quality summaries,
-/// per-backend channel/CPU/RTP observations (summed or merged over the
-/// fleet), the SIP message census, retransmission totals across all three
-/// transaction layers, fault/overload counters, impairment drops over
-/// `links`, and the DES event count. Call after finalize_remaining() and
-/// after merging receiver-heard quality into the log.
-[[nodiscard]] monitor::ExperimentReport build_report(
-    const loadgen::CallScenario& scenario, std::uint64_t seed,
-    const loadgen::SipCaller& caller, const loadgen::SipReceiver& receiver,
-    const std::vector<BackendSources>& backends, const std::vector<const net::Link*>& links,
-    const sim::Simulator& simulator);
-
-/// Same, but with the DES event count supplied directly — a sharded run has
-/// one simulator per shard and reports the sum.
-[[nodiscard]] monitor::ExperimentReport build_report(
-    const loadgen::CallScenario& scenario, std::uint64_t seed,
-    const loadgen::SipCaller& caller, const loadgen::SipReceiver& receiver,
-    const std::vector<BackendSources>& backends, const std::vector<const net::Link*>& links,
-    std::uint64_t events_processed);
+/// The loaded steady interval CPU utilization is summarized over: after the
+/// ramp (one hold time) until the placement window closes. When holds outlast
+/// the window (short smoke runs), the second half of the window, so the
+/// interval is never empty.
+[[nodiscard]] std::pair<TimePoint, TimePoint> cpu_interval(const loadgen::CallScenario& scenario);
 
 }  // namespace pbxcap::exp

@@ -1,96 +1,41 @@
 #include "exp/testbed.hpp"
 
 #include <algorithm>
-#include <optional>
 
-#include "exp/report_util.hpp"
-#include "fault/injector.hpp"
-#include "loadgen/caller.hpp"
-#include "loadgen/receiver.hpp"
-#include "monitor/capture.hpp"
-#include "net/network.hpp"
-#include "net/switch_node.hpp"
-#include "sim/simulator.hpp"
+#include "exp/topology.hpp"
 
 namespace pbxcap::exp {
 
 monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservations* wifi_out) {
-  sim::Simulator simulator;
-  sim::Random master{config.seed};
-  sim::Random impairment_rng = master.fork();
-  sim::Random arrival_rng = master.fork();
+  const Topology topology{.scenario = &config.scenario,
+                          .seed = config.seed,
+                          .drain = config.drain,
+                          .backends = {&config.pbx, 1},
+                          .client_link = config.client_link,
+                          .server_link = config.server_link,
+                          .uplink = config.pbx_link,
+                          .wifi_cell = config.wifi_cell ? &*config.wifi_cell : nullptr,
+                          .fluid = config.fluid,
+                          .faults = config.faults,
+                          .telemetry = config.telemetry,
+                          .trace = config.trace,
+                          .backends_first = true};
+  Experiment experiment{topology};
+  Experiment::Backend& backend = experiment.backend(0);
+  const pbx::AsteriskPbx& pbx = backend.pbx;
+  const monitor::SipCapture& sip_capture = *backend.sip;
 
-  net::Network network{simulator, impairment_rng};
-  sip::HostResolver resolver;
-  rtp::SsrcAllocator ssrcs;
-
-  net::SwitchNode lan_switch{"switch"};
-  pbx::AsteriskPbx pbx{config.pbx, simulator, resolver};
-  loadgen::SipCaller caller{"sipp-client.unb.br", config.pbx.host, simulator, resolver, ssrcs,
-                            config.scenario, arrival_rng};
-  loadgen::SipReceiver receiver{"sipp-server.unb.br", simulator, resolver, ssrcs,
-                                config.scenario};
-
-  net::WifiCell wifi_cell{"ap", config.wifi_cell.value_or(net::WifiCellConfig{})};
-
-  network.attach(lan_switch);
-  network.attach(pbx);
-  network.attach(caller);
-  network.attach(receiver);
-  net::Link* client_link = nullptr;
-  if (config.wifi_cell) {
-    // VoWiFi access: caller -> AP (radio) -> switch (wired uplink).
-    network.attach(wifi_cell);
-    client_link = &network.connect(caller, wifi_cell, config.client_link);
-    net::Link& uplink = network.connect(wifi_cell, lan_switch, {});
-    wifi_cell.set_uplink(uplink);
-    lan_switch.add_route(caller.id(), uplink);
-  } else {
-    client_link = &network.connect(caller, lan_switch, config.client_link);
-  }
-  net::Link& server_link = network.connect(receiver, lan_switch, config.server_link);
-  net::Link& pbx_link = network.connect(pbx, lan_switch, config.pbx_link);
-  pbx.bind();
-  caller.bind();
-  receiver.bind();
-
-  const bool fluid_on = config.fluid.enabled && !config.wifi_cell;
-  rtp::FluidConfig fluid_cfg = config.fluid;
-  fluid_cfg.enabled = fluid_on;
-  rtp::FluidEngine fluid_engine{simulator, fluid_cfg};
-  if (fluid_on) {
-    fluid_engine.watch_link(*client_link);
-    fluid_engine.watch_link(server_link);
-    fluid_engine.watch_link(pbx_link);
-    caller.set_fluid_engine(&fluid_engine);
-    receiver.set_fluid_engine(&fluid_engine);
-  }
-
-  // Dialplan: every recv-* extension terminates on the SIP server host, and
-  // so do the agent legs of ACD calls (the receiver plays every agent).
-  pbx.dialplan().add("recv-", receiver.sip_host());
-  pbx.dialplan().add("queue-", receiver.sip_host());
-  pbx.directory().allow_prefix("caller-");
-
-  monitor::SipCapture sip_capture{pbx.id()};
-  monitor::RtpCapture rtp_capture{pbx.id()};
-  sip_capture.attach(network);
-  rtp_capture.attach(network);
-  if (config.trace != nullptr) config.trace->attach(network);
-
-  telemetry::Telemetry* tel = config.telemetry;
-  if (tel != nullptr && tel->enabled()) {
-    pbx.set_telemetry(tel);
-    caller.set_telemetry(tel);
-    receiver.set_telemetry(tel);
-
-    // Per-second series. Probes capture locals of this frame; they only run
-    // while the simulator below is running, so the references stay valid.
+  telemetry::Telemetry* tel = experiment.hub().tel;
+  if (tel != nullptr) {
+    // Per-second series. Probes reference the experiment's objects, which
+    // outlive the sampler's run.
     auto& sampler = tel->sampler();
     const Duration period = tel->config().sample_period;
+    const loadgen::SipCaller& caller = experiment.caller();
+    const monitor::RtpCapture& rtp_capture = *backend.rtp;
     sampler.add_gauge("active_channels",
                       [&pbx] { return static_cast<double>(pbx.channels().in_use()); });
-    sampler.add_gauge("cpu_utilization", [&pbx, &simulator, period] {
+    sampler.add_gauge("cpu_utilization", [&pbx, &simulator = experiment.hub().sim, period] {
       // Utilization over the elapsed part of the last sample period.
       const TimePoint now = simulator.now();
       const Duration back = std::min(period, now - TimePoint::origin());
@@ -121,39 +66,11 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
       sampler.add_gauge("acd_queue_depth",
                         [&pbx] { return static_cast<double>(pbx.acd().total_depth()); });
     }
-    if (fluid_on) {
-      // Streams leave fluid mode `boundary_guard` before each tick so the
-      // guard window drains per-packet; the pre-sample flush is the safety
-      // net that keeps every row exact even if a boundary is missed.
-      fluid_engine.set_boundary_period(period);
-      sampler.set_pre_sample_hook([&fluid_engine] { fluid_engine.flush_all(); });
-    }
-    sampler.start(simulator, period);
-    if (tel->profiler() != nullptr) {
-      tel->profiler()->attach(simulator);
-      tel->profiler()->start_series(period);  // Chrome counter-track source
-    }
   }
 
-  std::optional<fault::FaultInjector> injector;
-  if (config.faults != nullptr && !config.faults->empty()) {
-    injector.emplace(simulator, *config.faults,
-                     fault::FaultTargets{client_link, &server_link, &pbx_link, &pbx});
-    if (fluid_on) {
-      injector->set_pre_apply([&fluid_engine] { fluid_engine.on_transient(); });
-    }
-    if (tel != nullptr && tel->enabled()) injector->set_tracer(tel->tracer());
-    injector->arm();
-  }
+  experiment.run();
 
-  fluid_engine.start();
-  caller.start();
-  simulator.run_until(TimePoint::at(run_horizon(config.scenario, config.drain)));
-  caller.finalize_remaining();
-
-  if (tel != nullptr && tel->enabled()) {
-    tel->sampler().stop();  // cancel the pending tick before the sim dies
-    if (tel->profiler() != nullptr) tel->profiler()->detach();
+  if (tel != nullptr) {
     // Mirror the NIC-tap message census and ring drop counts into the
     // registry so one Prometheus snapshot carries the full picture.
     auto& reg = tel->registry();
@@ -190,32 +107,18 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
         add("random_loss", fwd.dropped_random_loss + rev.dropped_random_loss);
         add("impairment", fwd.dropped_impairment + rev.dropped_impairment);
       };
-      if (client_link != nullptr) mirror("client", *client_link);
-      mirror("server", server_link);
-      mirror("pbx", pbx_link);
+      mirror("client", experiment.client_link());
+      mirror("server", experiment.server_link());
+      mirror("pbx", *backend.uplink);
     }
   }
 
-  // Merge receiver-side heard quality into the caller's per-call records.
-  for (auto& record : caller.log().records_mutable()) {
-    if (const auto* q = receiver.finished(record.call_index)) {
-      record.mos_callee_heard = q->mos;
-      record.loss_callee_heard = q->effective_loss;
-      record.jitter_callee_heard = q->jitter;
-      record.rtp_received_callee = q->rtp_received;
-    }
-  }
-
-  monitor::ExperimentReport report =
-      build_report(config.scenario, config.seed, caller, receiver,
-                   {{&pbx, &sip_capture, &rtp_capture}},
-                   {&server_link, &pbx_link, client_link}, simulator);
-
-  if (wifi_out != nullptr && config.wifi_cell) {
-    wifi_out->medium_utilization = wifi_cell.medium_utilization(simulator.now());
-    wifi_out->frames_forwarded = wifi_cell.frames_forwarded();
-    wifi_out->frames_dropped_queue = wifi_cell.frames_dropped_queue();
-    wifi_out->frames_dropped_radio = wifi_cell.frames_dropped_radio();
+  monitor::ExperimentReport report = experiment.report();
+  if (const net::WifiCell* cell = experiment.wifi_cell(); wifi_out != nullptr && cell != nullptr) {
+    wifi_out->medium_utilization = cell->medium_utilization(experiment.hub().sim.now());
+    wifi_out->frames_forwarded = cell->frames_forwarded();
+    wifi_out->frames_dropped_queue = cell->frames_dropped_queue();
+    wifi_out->frames_dropped_radio = cell->frames_dropped_radio();
   }
   return report;
 }

@@ -1,10 +1,11 @@
 // The Fig. 4 testbed, assembled: SIPp client host + SIPp server host +
 // Asterisk PBX behind one 10/100 switch, with capture taps on the PBX NIC.
 //
-// One Testbed::run() call is one experiment: build, offer calls for the
+// One run_testbed() call is one experiment: build, offer calls for the
 // placement window, drain, and return a merged ExperimentReport (the caller's
 // call log joined with the receiver-side heard quality, the PBX's channel/
-// CPU/CDR observations, and the Wireshark-style message census).
+// CPU/CDR observations, and the Wireshark-style message census). The graph is
+// the one-backend case of the shared topology builder (exp/topology.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Stand-in node for a host simulated by another shard.
 //
-// A sharded cluster run (exp/cluster_shard.cpp) keeps each shard's Network
+// A sharded cluster run (exp/topology.cpp) keeps each shard's Network
 // self-contained: every remote host a shard talks to is represented by a
 // PortalNode in the local id space. Portals that sit on a cross-shard link
 // get a Network::set_remote_sink and never receive locally; portals that
