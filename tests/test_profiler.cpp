@@ -244,6 +244,25 @@ TEST(ShardTraceTest, MergedTraceIsByteIdenticalForAnyWorkerCount) {
   EXPECT_NE(reference.find("dispatch"), std::string::npos);
 }
 
+TEST(ShardProfileTest, CounterTrackIsExportedAndByteIdenticalForAnyWorkerCount) {
+  std::string reference;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    telemetry::Config cfg = profiling_on();
+    cfg.tracing = false;
+    telemetry::Telemetry tel{cfg};
+    (void)exp::run_cluster(shard_config(&tel, threads, false));
+    ASSERT_NE(tel.profiler(), nullptr);
+    EXPECT_FALSE(tel.profiler()->series().empty());
+    const std::string track = telemetry::to_chrome_counter_trace(*tel.profiler());
+    if (reference.empty()) {
+      reference = track;
+    } else {
+      EXPECT_EQ(track, reference) << "threads=" << threads;
+    }
+  }
+  EXPECT_NE(reference.find("\"ph\":\"C\""), std::string::npos);
+}
+
 TEST(ShardProfileTest, ProfilingOffLeavesResultEmpty) {
   telemetry::Telemetry tel;  // default config: profiling off
   const exp::ClusterResult r = exp::run_cluster(shard_config(&tel, 2, false));
