@@ -124,7 +124,6 @@ class ShardExecutor {
 
   std::vector<ShardStats> stats_;
   std::vector<std::uint64_t> clamped_by_src_;  // single-writer like the channels
-  std::vector<std::uint64_t> events_base_;
 
   std::mutex error_mutex_;
   std::exception_ptr error_;
