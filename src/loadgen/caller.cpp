@@ -19,12 +19,6 @@ using sip::Message;
 using sip::Method;
 using sip::Sdp;
 
-SipCaller::SipCaller(std::string host, std::string pbx_host, sim::Simulator& simulator,
-                     sip::HostResolver& resolver, rtp::SsrcAllocator& ssrcs,
-                     CallScenario scenario, sim::Random rng)
-    : SipCaller{std::move(host), std::vector<std::string>{std::move(pbx_host)}, simulator,
-                resolver, ssrcs, scenario, rng} {}
-
 SipCaller::SipCaller(std::string host, std::vector<std::string> pbx_hosts,
                      sim::Simulator& simulator, sip::HostResolver& resolver,
                      rtp::SsrcAllocator& ssrcs, CallScenario scenario, sim::Random rng)

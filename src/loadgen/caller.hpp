@@ -34,13 +34,9 @@ namespace pbxcap::loadgen {
 
 class SipCaller final : public sip::SipEndpoint {
  public:
-  SipCaller(std::string host, std::string pbx_host, sim::Simulator& simulator,
-            sip::HostResolver& resolver, rtp::SsrcAllocator& ssrcs, CallScenario scenario,
-            sim::Random rng);
-
-  /// Cluster variant: calls are spread round-robin over several PBX hosts
-  /// (the paper's "increasing the number of servers" alternative, fronted
-  /// by DNS-style rotation).
+  /// Calls are spread round-robin over `pbx_hosts`: one host for the Fig. 4
+  /// testbed, several for the paper's "increasing the number of servers"
+  /// alternative fronted by DNS-style rotation.
   SipCaller(std::string host, std::vector<std::string> pbx_hosts, sim::Simulator& simulator,
             sip::HostResolver& resolver, rtp::SsrcAllocator& ssrcs, CallScenario scenario,
             sim::Random rng);
