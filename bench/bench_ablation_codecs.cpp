@@ -7,12 +7,12 @@
 // Usage: bench_ablation_codecs [--fast]
 
 #include <cstdio>
-#include <cstring>
 
 #include "exp/parallel.hpp"
 #include "exp/testbed.hpp"
 #include "media/emodel.hpp"
 #include "rtp/codec.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
   using namespace pbxcap;
 
   bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-  }
+  util::Flags{}.flag("--fast", fast).parse(argc, argv);
 
   std::printf("== Ablation A2: codec choice vs capacity and MOS%s ==\n\n",
               fast ? " (fast mode)" : "");

@@ -7,11 +7,11 @@
 // Usage: bench_ablation_cpu_share [--fast]
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "exp/parallel.hpp"
 #include "exp/testbed.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
   using namespace pbxcap;
 
   bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-  }
+  util::Flags{}.flag("--fast", fast).parse(argc, argv);
 
   std::printf("== Ablation A1: SIP vs RTP vs error-path CPU share%s ==\n\n",
               fast ? " (fast mode)" : "");

@@ -7,13 +7,13 @@
 // Usage: bench_ablation_models [--fast]
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "core/engset.hpp"
 #include "core/erlang_b.hpp"
 #include "exp/parallel.hpp"
 #include "exp/testbed.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   using erlang::Erlangs;
 
   bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-  }
+  util::Flags{}.flag("--fast", fast).parse(argc, argv);
 
   std::printf("== Ablation A3: Erlang-B vs Engset vs finite-population simulation%s ==\n\n",
               fast ? " (fast mode)" : "");

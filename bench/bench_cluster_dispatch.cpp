@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,7 @@
 #include "exp/cluster.hpp"
 #include "exp/parallel.hpp"
 #include "fault/plan.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -94,41 +94,17 @@ double goodput(const exp::ClusterResult& r, Duration window) {
   return static_cast<double>(r.report.calls_completed) / window.to_seconds();
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool fast = false;
   std::string json_out;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--json needs a value\n");
-        return 2;
-      }
-      json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace needs a value\n");
-        return 2;
-      }
-      trace_out = argv[++i];
-    }
-  }
+  util::Flags{}
+      .flag("--fast", fast)
+      .value("--json", json_out)
+      .value("--trace", trace_out)
+      .parse(argc, argv);
 
   const Duration window = Duration::seconds(fast ? 60 : 120);
   const std::vector<double> loads =
@@ -257,7 +233,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "FAIL: merged trace has no dispatch.failover instant\n");
         trace_ok = false;
       }
-      if (!write_file(trace_out, shard_crash.merged_trace)) trace_ok = false;
+      if (!util::write_file(trace_out, shard_crash.merged_trace)) trace_ok = false;
     }
   }
   std::printf(
@@ -317,7 +293,7 @@ int main(int argc, char** argv) {
                         s + 1 < shard_crash.shards.size() ? "," : "");
     }
     j += "    ]\n  }\n}\n";
-    if (!write_file(json_out, j)) return 1;
+    if (!util::write_file(json_out, j)) return 1;
   }
 
   // ---- acceptance ----

@@ -29,8 +29,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,6 +36,7 @@
 #include "exp/cluster.hpp"
 #include "exp/parallel.hpp"
 #include "telemetry/profiler.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -101,18 +100,6 @@ std::string fingerprint(const pbxcap::exp::ClusterResult& r) {
                 (unsigned long long)s.messages_in, (unsigned long long)s.messages_out);
   }
   return f;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
 }
 
 int run_shards(bool fast, unsigned threads_override, const std::string& json_out,
@@ -247,7 +234,7 @@ int run_shards(bool fast, unsigned threads_override, const std::string& json_out
   std::printf("  wall time             : %.2f s\n", fleet_wall);
   const bool fleet_ok = fr.report.calls_completed > 0 && fr.shards.size() == 51 &&
                         fr.shard_profiles.size() == 51;
-  if (!attr_json_out.empty() && !write_file(attr_json_out, attr_ref)) return 1;
+  if (!attr_json_out.empty() && !util::write_file(attr_json_out, attr_ref)) return 1;
 
   if (!json_out.empty()) {
     std::string j = "{\n  \"bench\": \"shard_scaling\",\n";
@@ -296,7 +283,7 @@ int run_shards(bool fast, unsigned threads_override, const std::string& json_out
     j += util::format("    \"hub_event_share\": %.6f, \"attribution_deterministic\": %s,\n",
                       hub_share, attr_identical ? "true" : "false");
     j += util::format("  \"fleet_wall_s\": %.3f\n  }\n}\n", fleet_wall);
-    if (!write_file(json_out, j)) return 1;
+    if (!util::write_file(json_out, j)) return 1;
   }
 
   if (!fleet_ok) {
@@ -316,33 +303,14 @@ int main(int argc, char** argv) {
   unsigned threads_override = 0;
   std::string json_out;
   std::string attr_json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--mega") == 0) {
-      mega = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--threads needs a value\n");
-        return 2;
-      }
-      threads_override = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--json needs a value\n");
-        return 2;
-      }
-      json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--attr-json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--attr-json needs a value\n");
-        return 2;
-      }
-      attr_json_out = argv[++i];
-    }
-  }
+  util::Flags{}
+      .flag("--fast", fast)
+      .flag("--mega", mega)
+      .flag("--shards", shards)
+      .value("--threads", threads_override)
+      .value("--json", json_out)
+      .value("--attr-json", attr_json_out)
+      .parse(argc, argv);
   if (shards) return run_shards(fast, threads_override, json_out, attr_json_out);
   if (mega) {
     run_mega();

@@ -18,14 +18,13 @@
 // 1/2/4/8 shard workers at both settings.
 //
 // Exit status is nonzero when any gate fails, so CI can run this binary
-// directly (the `codec-smoke` job does, with --fast).
+// directly (the `codec` row of tools/bench_gates.sh does, with --fast).
 //
 // Usage: bench_codec_capacity [--fast] [--json F]
 //   --fast : half-scale windows, trunk ablation at 1/4 workers only.
 //   --json : machine-readable results (capacity rows + trunk ratios).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "exp/testbed.hpp"
 #include "monitor/report.hpp"
 #include "rtp/codec.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -163,13 +163,7 @@ std::string digest(const pbxcap::exp::ClusterResult& r) {
 int main(int argc, char** argv) {
   bool fast = false;
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
-    }
-  }
+  pbxcap::util::Flags{}.flag("--fast", fast).value("--json", json_out).parse(argc, argv);
 
   bool ok = true;
 
@@ -300,14 +294,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(trunk.report.trunk_frames),
         static_cast<unsigned long long>(trunk.report.trunk_mini_frames),
         gate_identical ? "true" : "false", ok ? "true" : "false");
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_out.c_str());
+    if (!pbxcap::util::write_file(json_out, json)) return 1;
   }
 
   std::printf("\n%s\n", ok ? "ALL GATES PASS" : "GATE FAILURE");

@@ -16,7 +16,7 @@
 //     error, not a simulator bug.
 //
 // Every gate failure flips the exit status to nonzero, so CI runs this
-// binary directly (the `acd-smoke` job does, with --fast).
+// binary directly (the `acd` row of tools/bench_gates.sh does, with --fast).
 //
 // Usage: bench_erlang_c_queue [--fast] [--json F]
 //   --fast : short windows, one replication, reduced rho grid.
@@ -25,7 +25,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "exp/parallel.hpp"
 #include "exp/testbed.hpp"
 #include "monitor/report.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -119,13 +119,7 @@ const char* patience_name(pbx::PatienceModel m) {
 int main(int argc, char** argv) {
   bool fast = false;
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
-    }
-  }
+  util::Flags{}.flag("--fast", fast).value("--json", json_out).parse(argc, argv);
 
   std::printf("== Erlang-C / Erlang-A validation: ACD queue vs the analytic models%s ==\n",
               fast ? " (fast mode)" : "");
@@ -253,14 +247,7 @@ int main(int argc, char** argv) {
       json += ri + 1 < rows.size() ? "  ]},\n" : "  ]}\n";
     }
     json += "]\n";
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_out.c_str());
+    if (!util::write_file(json_out, json)) return 1;
   }
 
   std::printf("\n%s\n", ok ? "ALL GATES PASS" : "GATE FAILURE");

@@ -9,19 +9,17 @@
 //   --fast : fewer load points and a 45 s placement window.
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "exp/paper.hpp"
 #include "exp/sweep.hpp"
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace pbxcap;
 
   bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-  }
+  util::Flags{}.flag("--fast", fast).parse(argc, argv);
 
   exp::SweepConfig sweep;
   sweep.base.seed = 2025;

@@ -14,7 +14,7 @@
 //     path exists for).
 //
 // Exit status is nonzero when any gate fails, so CI can run this binary
-// directly (the `fluid-smoke` job does, with --fast).
+// directly (the `fluid` row of tools/bench_gates.sh does, with --fast).
 //
 // Usage: bench_fluid_ablation [--fast] [--json F]
 //   --fast : quarter-scale placement window (45 s), loads {120, 240} only.
@@ -23,12 +23,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "exp/testbed.hpp"
 #include "monitor/report.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -115,13 +115,7 @@ Comparison compare(const ExperimentReport& p, const ExperimentReport& h) {
 int main(int argc, char** argv) {
   bool fast = false;
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
-    }
-  }
+  pbxcap::util::Flags{}.flag("--fast", fast).value("--json", json_out).parse(argc, argv);
 
   const std::vector<double> loads = fast ? std::vector<double>{120, 240}
                                          : std::vector<double>{40, 120, 200, 240};
@@ -184,14 +178,7 @@ int main(int argc, char** argv) {
   json += "]\n";
 
   if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_out.c_str());
+    if (!pbxcap::util::write_file(json_out, json)) return 1;
   }
 
   std::printf("\n%s\n", ok ? "ALL GATES PASS" : "GATE FAILURE");

@@ -19,7 +19,6 @@
 //             re-runs — CI runs it twice and cmp's the files.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "monitor/report.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -68,20 +68,9 @@ exp::TestbedConfig make_config(double load_cps, bool control, Duration window,
   return config;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
-// The CI chaos-smoke scenario: a lossy access link, a momentary uplink
-// blackout, a processing stall, and a crash/restart — all mid-overload.
+// The CI chaos scenario (the `chaos` gate row): a lossy access link, a
+// momentary uplink blackout, a processing stall, and a crash/restart — all
+// mid-overload.
 constexpr const char* kChaosPlan =
     "# chaos smoke: lossy access + uplink blackout + stall + crash\n"
     "@5s  link client loss=0.05 jitter_mean=3ms jitter_stddev=1ms\n"
@@ -132,7 +121,7 @@ int run_chaos(const std::string& out_path) {
     std::fprintf(stderr, "chaos: degenerate run\n");
     return 1;
   }
-  return write_file(out_path, out) ? 0 : 1;
+  return util::write_file(out_path, out) ? 0 : 1;
 }
 
 }  // namespace
@@ -140,35 +129,11 @@ int run_chaos(const std::string& out_path) {
 int main(int argc, char** argv) {
   bool fast = false;
   std::string json_out, chaos_out;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_out = next("--json");
-    } else if (std::strcmp(argv[i], "--chaos") == 0) {
-      chaos_out = next("--chaos");
-    } else if (std::strcmp(argv[i], "--debug-series") == 0) {
-      // Undocumented: per-second series of one overloaded control-on run.
-      telemetry::Telemetry tel{{}};
-      exp::TestbedConfig config =
-          make_config(3.0 * kCapacityCps, true, Duration::seconds(60), 4200 + 13);
-      config.telemetry = &tel;
-      const auto r = exp::run_testbed(config);
-      std::printf("%s", tel.sampler().to_csv().c_str());
-      std::printf("completed=%llu blocked=%llu overload_503=%llu retries=%llu rtx=%llu\n",
-                  (unsigned long long)r.calls_completed, (unsigned long long)r.calls_blocked,
-                  (unsigned long long)r.overload_rejections, (unsigned long long)r.calls_retried,
-                  (unsigned long long)r.sip_retransmissions);
-      return 0;
-    }
-  }
+  util::Flags{}
+      .flag("--fast", fast)
+      .value("--json", json_out)
+      .value("--chaos", chaos_out)
+      .parse(argc, argv);
 
   if (!chaos_out.empty()) return run_chaos(chaos_out);
 
@@ -267,7 +232,7 @@ int main(int argc, char** argv) {
                           static_cast<unsigned long long>(reports[n + i].sip_retransmissions));
     });
     j += util::format("  \"goodput_on_worst_frac\": %.4f\n}\n", on_min_over / kCapacityCps);
-    if (!write_file(json_out, j)) return 1;
+    if (!util::write_file(json_out, j)) return 1;
   }
 
   // Acceptance: collapse visible without control; >= 80% of capacity with it.

@@ -23,7 +23,6 @@
 // a thread pool.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,46 +33,19 @@
 #include "monitor/report.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
-}  // namespace
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace pbxcap;
 
   bool fast = false;
   std::string metrics_out, series_out, trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_out = next("--metrics-out");
-    } else if (std::strcmp(argv[i], "--series-out") == 0) {
-      series_out = next("--series-out");
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_out = next("--trace-out");
-    }
-  }
+  util::Flags{}
+      .flag("--fast", fast)
+      .value("--metrics-out", metrics_out)
+      .value("--series-out", series_out)
+      .value("--trace-out", trace_out)
+      .parse(argc, argv);
 
   const std::vector<double> workloads{40, 80, 120, 160, 200, 240};
   const std::size_t replications = fast ? 1 : 3;
@@ -107,13 +79,14 @@ int main(int argc, char** argv) {
     const std::string text = std::string_view{metrics_out}.ends_with(".json")
                                  ? telemetry::to_json(tel.registry())
                                  : telemetry::to_prometheus(tel.registry());
-    exports_ok = write_file(metrics_out, text) && exports_ok;
+    exports_ok = util::write_file(metrics_out, text) && exports_ok;
   }
   if (!series_out.empty()) {
-    exports_ok = write_file(series_out, tel.sampler().to_csv()) && exports_ok;
+    exports_ok = util::write_file(series_out, tel.sampler().to_csv()) && exports_ok;
   }
   if (!trace_out.empty() && tel.tracer() != nullptr) {
-    exports_ok = write_file(trace_out, telemetry::to_chrome_trace(*tel.tracer())) && exports_ok;
+    exports_ok =
+        util::write_file(trace_out, telemetry::to_chrome_trace(*tel.tracer())) && exports_ok;
   }
   if (!exports_ok) return 1;
 

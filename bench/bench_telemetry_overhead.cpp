@@ -37,13 +37,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "exp/testbed.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -164,20 +163,17 @@ struct Row {
 int main(int argc, char** argv) {
   bool fast = false;
   std::string json_out;
-  int repeats_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) {
-      fast = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      repeats_override = std::atoi(argv[++i]);
-    }
-  }
+  unsigned repeats_override = 0;
+  util::Flags{}
+      .flag("--fast", fast)
+      .value("--json", json_out)
+      .value("--repeats", repeats_override)
+      .parse(argc, argv);
 
   const std::int64_t tick_events = fast ? 500'000 : 2'000'000;
   const Duration window = Duration::seconds(fast ? 15 : 45);
-  const int repeats = repeats_override > 0 ? repeats_override : (fast ? 2 : 3);
+  const int repeats =
+      repeats_override > 0 ? static_cast<int>(repeats_override) : (fast ? 2 : 3);
 
   std::printf("== telemetry overhead (best of %d interleaved rounds per variant) ==\n\n", repeats);
 
@@ -241,14 +237,7 @@ int main(int argc, char** argv) {
           rows[i].prof_overhead_pct());
     }
     out += "]}\n";
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_out.c_str());
+    if (!util::write_file(json_out, out)) return 1;
   }
   return 0;
 }

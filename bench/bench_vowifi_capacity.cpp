@@ -12,11 +12,11 @@
 // Usage: bench_vowifi_capacity [--fast]
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "exp/parallel.hpp"
 #include "exp/testbed.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -24,9 +24,7 @@ int main(int argc, char** argv) {
   using namespace pbxcap;
 
   bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-  }
+  util::Flags{}.flag("--fast", fast).parse(argc, argv);
 
   std::printf("== VoWiFi capacity: G.711 calls through one 802.11g cell%s ==\n\n",
               fast ? " (fast mode)" : "");

@@ -1,6 +1,11 @@
-// Unit tests for util: time types, strings, tables.
+// Unit tests for util: time types, strings, tables, flags, file writer.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
@@ -124,6 +129,86 @@ TEST(TextTable, CsvEscaping) {
   EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
   EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
   EXPECT_EQ(util::csv_escape("plain"), "plain");
+}
+
+struct BenchFlags {
+  bool fast{false};
+  std::string json;
+  unsigned threads{0};
+  util::Flags flags;
+  BenchFlags() { flags.flag("--fast", fast).value("--json", json).value("--threads", threads); }
+  BenchFlags(const BenchFlags&) = delete;  // `flags` points at this object's members
+  BenchFlags& operator=(const BenchFlags&) = delete;
+  std::string parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "bench_x");
+    return flags.try_parse(static_cast<int>(args.size()), args.data());
+  }
+};
+
+TEST(Flags, ParsesSwitchesValuesAndNumbers) {
+  BenchFlags b;
+  EXPECT_EQ(b.parse({"--json", "out.json", "--fast", "--threads", "4"}), "");
+  EXPECT_TRUE(b.fast);
+  EXPECT_EQ(b.json, "out.json");
+  EXPECT_EQ(b.threads, 4u);
+}
+
+TEST(Flags, NoArgumentsLeavesDefaults) {
+  BenchFlags b;
+  EXPECT_EQ(b.parse({}), "");
+  EXPECT_FALSE(b.fast);
+  EXPECT_EQ(b.json, "");
+  EXPECT_EQ(b.threads, 0u);
+}
+
+TEST(Flags, RejectsUnknownFlag) {
+  BenchFlags b;
+  EXPECT_EQ(b.parse({"--fsat"}), "unknown argument '--fsat'");
+  EXPECT_NE(BenchFlags{}.parse({"--fast", "extra"}), "");
+  EXPECT_FALSE(b.fast);
+}
+
+TEST(Flags, RejectsMissingValue) {
+  EXPECT_EQ(BenchFlags{}.parse({"--fast", "--json"}), "--json needs a value");
+  EXPECT_EQ(BenchFlags{}.parse({"--threads"}), "--threads needs a value");
+}
+
+TEST(Flags, RejectsMalformedNumbers) {
+  for (const char* bad : {"abc", "-1", "", "4x", "4294967296"}) {
+    BenchFlags b;
+    EXPECT_NE(b.parse({"--threads", bad}), "") << bad;
+    EXPECT_EQ(b.threads, 0u) << bad;
+  }
+  BenchFlags max;
+  EXPECT_EQ(max.parse({"--threads", "4294967295"}), "");
+  EXPECT_EQ(max.threads, 4294967295u);
+}
+
+TEST(Flags, ParseExitsTwoWithUsage) {
+  BenchFlags b;
+  const char* argv[] = {"build/bench/bench_x", "--fsat"};
+  EXPECT_EXIT(b.flags.parse(2, argv), ::testing::ExitedWithCode(2),
+              "unknown argument '--fsat'\nusage: bench_x \\[--fast\\] \\[--json PATH\\] "
+              "\\[--threads N\\]");
+}
+
+TEST(WriteFile, WritesContentExactly) {
+  const std::string path = ::testing::TempDir() + "pbxcap_write_file_test.txt";
+  ASSERT_TRUE(util::write_file(path, std::string_view{"a\0b\n", 4}));
+  std::ifstream in{path, std::ios::binary};
+  std::stringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), std::string("a\0b\n", 4));
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, FailsWhenCloseFails) {
+  // /dev/full accepts the buffered fwrite; the flush in fclose gets ENOSPC.
+  EXPECT_FALSE(util::write_file("/dev/full", "payload"));
+}
+
+TEST(WriteFile, FailsInMissingDirectory) {
+  EXPECT_FALSE(util::write_file(::testing::TempDir() + "no-such-dir/out.json", "{}"));
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +35,7 @@
 #include "telemetry/export.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -154,18 +154,6 @@ int cmd_mos(const std::vector<std::string>& args) {
   return 0;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
 int cmd_simulate(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   exp::TestbedConfig config;
@@ -236,13 +224,14 @@ int cmd_simulate(const std::vector<std::string>& args) {
     const std::string text = std::string_view{metrics_out}.ends_with(".json")
                                  ? telemetry::to_json(tel.registry())
                                  : telemetry::to_prometheus(tel.registry());
-    exports_ok = write_file(metrics_out, text) && exports_ok;
+    exports_ok = util::write_file(metrics_out, text) && exports_ok;
   }
   if (!series_out.empty()) {
-    exports_ok = write_file(series_out, tel.sampler().to_csv()) && exports_ok;
+    exports_ok = util::write_file(series_out, tel.sampler().to_csv()) && exports_ok;
   }
   if (!trace_out.empty() && tel.tracer() != nullptr) {
-    exports_ok = write_file(trace_out, telemetry::to_chrome_trace(*tel.tracer())) && exports_ok;
+    exports_ok =
+        util::write_file(trace_out, telemetry::to_chrome_trace(*tel.tracer())) && exports_ok;
   }
   if (!exports_ok) return 1;
   std::printf("attempted %llu | completed %llu | blocked %llu (%.1f%%) | failed %llu\n",
@@ -323,11 +312,11 @@ int cmd_profile(const std::vector<std::string>& args) {
   std::printf("%s", telemetry::top_table(data, top_n).c_str());
   bool exports_ok = true;
   if (!json_out.empty()) {
-    exports_ok = write_file(json_out, telemetry::to_json(data, timing)) && exports_ok;
+    exports_ok = util::write_file(json_out, telemetry::to_json(data, timing)) && exports_ok;
   }
   if (!counters_out.empty()) {
     exports_ok =
-        write_file(counters_out, telemetry::to_chrome_counter_trace(*tel.profiler())) &&
+        util::write_file(counters_out, telemetry::to_chrome_counter_trace(*tel.profiler())) &&
         exports_ok;
   }
   return exports_ok ? 0 : 1;
