@@ -33,7 +33,7 @@ Shares decompose(const pbxcap::monitor::ExperimentReport& r,
   s.sip_s = static_cast<double>(r.sip_total) * cfg.cost_per_sip_message.to_seconds();
   s.rtp_s = static_cast<double>(r.rtp_packets_at_pbx) * cfg.cost_per_rtp_packet.to_seconds();
   s.err_s = static_cast<double>(r.calls_blocked + r.calls_failed) *
-            cfg.cost_per_error_event.to_seconds();
+            pbxcap::pbx::kCostPerErrorEvent.to_seconds();
   return s;
 }
 

@@ -97,7 +97,7 @@ double self_scheduling_events_per_s(std::int64_t events, telemetry::Telemetry* t
   double best = 0.0;
   for (int rep = 0; rep < repeats; ++rep) {
     telemetry::Counter* counter = nullptr;
-    if (tel != nullptr && tel->enabled()) {
+    if (tel != nullptr) {
       counter = &tel->registry().counter("bench_ticks_total", {{"rep", util::format("%d", rep)}},
                                          "Self-scheduling tick count");
     }

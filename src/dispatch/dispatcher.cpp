@@ -4,13 +4,25 @@
 
 #include "sim/profile.hpp"
 
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::dispatch {
 
 using sip::Message;
 using sip::Method;
+
+namespace {
+
+// Active-probe and circuit-breaker parameters. The probe deadline sits far
+// below SIP Timer F so a dead backend is detected in seconds, not
+// half-minutes.
+constexpr Duration kProbePeriod = Duration::seconds(1);
+constexpr Duration kProbeTimeout = Duration::millis(500);
+constexpr std::uint32_t kFailThreshold = 3;   // consecutive failures -> open
+constexpr Duration kOpenCooldown = Duration::seconds(2);  // open -> half-open probing
+constexpr std::uint32_t kCloseThreshold = 2;  // consecutive half-open successes -> closed
+
+}  // namespace
 
 const char* to_string(Policy policy) noexcept {
   switch (policy) {
@@ -49,10 +61,10 @@ Dispatcher::Dispatcher(std::string host, std::vector<BackendConfig> backends,
 }
 
 void Dispatcher::start() {
-  if (started_ || !config_.health.enabled) return;
+  if (started_) return;
   started_ = true;
   const sim::CategoryScope cat_scope{transactions().simulator(), sim::Category::kDispatch};
-  transactions().simulator().schedule_in(config_.health.probe_period, [this] { probe_tick(); });
+  transactions().simulator().schedule_in(kProbePeriod, [this] { probe_tick(); });
 }
 
 // ----------------------------------------------------------------- routing --
@@ -176,9 +188,8 @@ void Dispatcher::on_reject_503(const std::string& host, Duration retry_after) {
   Backend* b = by_host(host);
   if (b == nullptr) return;
   ++b->rejections_503;
-  Duration bench = retry_after > Duration::zero() ? retry_after : config_.default_backoff;
-  if (bench > Duration::zero()) {
-    const TimePoint until = transactions().simulator().now() + bench;
+  if (retry_after > Duration::zero()) {
+    const TimePoint until = transactions().simulator().now() + retry_after;
     if (until > b->benched_until) b->benched_until = until;
   }
 }
@@ -204,7 +215,7 @@ void Dispatcher::probe_tick() {
     if (!b.probe_pending) send_probe(i);
   }
   const sim::CategoryScope cat_scope{transactions().simulator(), sim::Category::kDispatch};
-  transactions().simulator().schedule_in(config_.health.probe_period, [this] { probe_tick(); });
+  transactions().simulator().schedule_in(kProbePeriod, [this] { probe_tick(); });
 }
 
 void Dispatcher::send_probe(std::size_t i) {
@@ -233,7 +244,7 @@ void Dispatcher::send_probe(std::size_t i) {
   // now + probe_timeout counts as a failure even though the transaction
   // keeps retransmitting underneath.
   const sim::CategoryScope cat_scope{transactions().simulator(), sim::Category::kDispatch};
-  transactions().simulator().schedule_in(config_.health.probe_timeout, [this, i, seq] {
+  transactions().simulator().schedule_in(kProbeTimeout, [this, i, seq] {
     on_probe_result(i, seq, false);
   });
 }
@@ -256,33 +267,24 @@ void Dispatcher::record_failure(Backend& backend) {
   if (backend.circuit == CircuitState::kHalfOpen) {
     // A failed trial re-opens immediately and restarts the cooldown.
     backend.circuit = CircuitState::kOpen;
-    backend.half_open_at = transactions().simulator().now() + config_.health.open_cooldown;
+    backend.half_open_at = transactions().simulator().now() + kOpenCooldown;
     return;
   }
   if (backend.circuit == CircuitState::kClosed &&
-      ++backend.consecutive_failures >= config_.health.fail_threshold) {
+      ++backend.consecutive_failures >= kFailThreshold) {
     backend.circuit = CircuitState::kOpen;
-    backend.half_open_at = transactions().simulator().now() + config_.health.open_cooldown;
+    backend.half_open_at = transactions().simulator().now() + kOpenCooldown;
     ++backend.circuit_opens;
     ++circuit_opens_;
-    util::log_debug("dispatch",
-                    util::format("t=%.3fs circuit OPEN for %s",
-                                 transactions().simulator().now().to_seconds(),
-                                 backend.cfg.host.c_str()));
   }
 }
 
 void Dispatcher::record_success(Backend& backend) {
   backend.consecutive_failures = 0;
-  if (backend.circuit == CircuitState::kHalfOpen) {
-    if (++backend.consecutive_successes >= config_.health.close_threshold) {
-      backend.circuit = CircuitState::kClosed;
-      backend.consecutive_successes = 0;
-      util::log_debug("dispatch",
-                      util::format("t=%.3fs circuit CLOSED for %s",
-                                   transactions().simulator().now().to_seconds(),
-                                   backend.cfg.host.c_str()));
-    }
+  if (backend.circuit == CircuitState::kHalfOpen &&
+      ++backend.consecutive_successes >= kCloseThreshold) {
+    backend.circuit = CircuitState::kClosed;
+    backend.consecutive_successes = 0;
   }
 }
 

@@ -12,9 +12,9 @@
 //     hammered by the very next arrival;
 //   * active health checks: periodic SIP OPTIONS probes with a short
 //     dispatcher-side timeout (not Timer F) drive a per-backend circuit
-//     breaker — closed -> open after `fail_threshold` consecutive failures,
-//     open -> half-open probing after `open_cooldown`, half-open -> closed
-//     after `close_threshold` consecutive successes. INVITE timeouts
+//     breaker — closed -> open after 3 consecutive failures, open ->
+//     half-open probing after 2 s, half-open -> closed after 2 consecutive
+//     successes. INVITE timeouts
 //     reported by the caller bank count as failures too, so a crashed
 //     backend is ejected even between probe ticks.
 //
@@ -46,25 +46,8 @@ enum class CircuitState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
 [[nodiscard]] const char* to_string(CircuitState state) noexcept;
 
-/// Active-probe and circuit-breaker parameters.
-struct HealthConfig {
-  bool enabled{true};
-  Duration probe_period{Duration::seconds(1)};
-  /// Dispatcher-side probe deadline; far below SIP Timer F so a dead
-  /// backend is detected in seconds, not half-minutes.
-  Duration probe_timeout{Duration::millis(500)};
-  std::uint32_t fail_threshold{3};   // consecutive failures -> open
-  Duration open_cooldown{Duration::seconds(2)};  // open -> half-open probing
-  std::uint32_t close_threshold{2};  // consecutive half-open successes -> closed
-};
-
 struct DispatcherConfig {
   Policy policy{Policy::kRoundRobin};
-  HealthConfig health{};
-  /// Bench time for a 503 whose Retry-After header is absent or unusable.
-  /// Zero = plain 503s do not bench the backend (they usually mean "this
-  /// call lost the race for the last channel", not "the box is down").
-  Duration default_backoff{Duration::zero()};
 };
 
 /// One fleet member as the dispatcher sees it.
@@ -92,7 +75,7 @@ class Dispatcher final : public sip::SipEndpoint {
              sim::Simulator& simulator, sip::HostResolver& resolver);
 
   /// Starts the OPTIONS probe loop (requires the node to be attached and
-  /// bound). Without health checks enabled this is a no-op.
+  /// bound).
   void start();
 
   /// Chooses a backend for a new call and claims one occupancy slot on it.
@@ -118,7 +101,9 @@ class Dispatcher final : public sip::SipEndpoint {
   void on_call_admitted(const std::string& host);
 
   /// The backend shed or rejected an INVITE with 503. `retry_after` > 0
-  /// benches the backend until now + retry_after (RFC 6357 client duty).
+  /// benches the backend until now + retry_after (RFC 6357 client duty); a
+  /// plain 503 does not bench it (it usually means "this call lost the race
+  /// for the last channel", not "the box is down").
   void on_reject_503(const std::string& host, Duration retry_after);
 
   /// The INVITE transaction timed out — strong evidence the backend is

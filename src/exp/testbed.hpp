@@ -46,7 +46,7 @@ struct TestbedConfig {
   /// Optional capture: when non-null, attached to the network before the
   /// run so callers can dump CSV traces or Fig.-2-style SIP ladders.
   monitor::PacketTrace* trace{nullptr};
-  /// Optional telemetry sink: when non-null and enabled, every endpoint is
+  /// Optional telemetry sink: when non-null, every endpoint is
   /// instrumented, the sim-time sampler records per-second series (active
   /// channels, CPU, blocking, SIP/RTP rates), and call-lifecycle spans land
   /// in the tracer. The Telemetry instance is owned by the caller and is not

@@ -4,8 +4,6 @@
 #include "sim/profile.hpp"
 #include "pbx/asterisk_pbx.hpp"
 #include "telemetry/span.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace pbxcap::fault {
 
@@ -65,8 +63,6 @@ void FaultInjector::apply(const FaultEvent& event) {
     tracer_->instant(tracer_->name_id(std::string{"fault."} + to_string(event.kind)),
                      fault_track_, simulator_.now());
   }
-  util::log_debug("fault", util::format("t=%.3fs applied %s", simulator_.now().to_seconds(),
-                                        to_string(event.kind)));
 }
 
 }  // namespace pbxcap::fault

@@ -10,7 +10,6 @@
 #include "media/emodel.hpp"
 #include "rtp/fluid.hpp"
 #include "sip/sdp.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::loadgen {
@@ -18,6 +17,16 @@ namespace pbxcap::loadgen {
 using sip::Message;
 using sip::Method;
 using sip::Sdp;
+
+namespace {
+
+// 503 retry budget (see RetryPolicy): total INVITEs per call, first
+// included, and the exponential backoff's growth factor and cap.
+constexpr std::uint32_t kRetryMaxAttempts = 4;
+constexpr double kRetryMultiplier = 2.0;
+constexpr Duration kRetryMaxBackoff = Duration::seconds(16);
+
+}  // namespace
 
 SipCaller::SipCaller(std::string host, std::vector<std::string> pbx_hosts,
                      sim::Simulator& simulator, sip::HostResolver& resolver,
@@ -42,7 +51,7 @@ void SipCaller::set_telemetry(telemetry::Telemetry* tel) {
       tm_rtp_sent_ = nullptr;
   tm_setup_delay_ms_ = tm_mos_ = nullptr;
   tracer_ = nullptr;
-  if (tel == nullptr || !tel->enabled()) return;
+  if (tel == nullptr) return;
   tracer_ = tel->tracer();
   if (tracer_ != nullptr) {
     jn_pick_ = tracer_->name_id("dispatch.pick");
@@ -128,7 +137,7 @@ void SipCaller::place_call() {
   auto call = std::make_unique<Call>();
   call->index = index;
   call->offered_at = network()->simulator().now();
-  call->hold = draw_hold_time(rng_, scenario_.hold_model, scenario_.hold_time, scenario_.hold_cv);
+  call->hold = draw_hold_time(rng_, scenario_.hold_model, scenario_.hold_time);
   call->codec = draw_codec();
   call->local_ssrc = ssrcs_.allocate();
   // ACD traffic class. Draw only when mixing (fraction in (0,1)): default
@@ -139,7 +148,7 @@ void SipCaller::place_call() {
     call->acd = rng_.chance(scenario_.acd.fraction);
   }
   call->rx = rtp::RtpReceiverStats{call->codec.sample_rate_hz};
-  call->jbuf = rtp::JitterBuffer{call->codec, scenario_.jitter_buffer};
+  call->jbuf = rtp::JitterBuffer{call->codec};
   if (tracer_ != nullptr) {
     // One track per call: every routing decision, attempt, and media
     // segment of this call's journey lands on the same Perfetto row.
@@ -316,7 +325,7 @@ void SipCaller::on_invite_response(std::uint64_t index, const Message& resp) {
           if (const auto negotiated = rtp::codec_by_payload_type(pt)) {
             call->codec = *negotiated;
             call->rx = rtp::RtpReceiverStats{negotiated->sample_rate_hz};
-            call->jbuf = rtp::JitterBuffer{*negotiated, scenario_.jitter_buffer};
+            call->jbuf = rtp::JitterBuffer{*negotiated};
           }
         }
       }
@@ -348,13 +357,13 @@ void SipCaller::on_invite_response(std::uint64_t index, const Message& resp) {
   // honouring the server's Retry-After hint for the base delay (the client
   // half of RFC 6357-style overload control).
   if (code == sip::status::kServiceUnavailable && scenario_.retry.enabled &&
-      call->attempt < scenario_.retry.max_attempts &&
+      call->attempt < kRetryMaxAttempts &&
       network()->simulator().now() < TimePoint::at(scenario_.placement_window)) {
     const Duration base = retry_after > Duration::zero() ? retry_after : scenario_.retry.base_backoff;
     double delay_s =
         base.to_seconds() *
-        std::pow(scenario_.retry.multiplier, static_cast<double>(call->attempt - 1));
-    delay_s = std::min(delay_s, scenario_.retry.max_backoff.to_seconds());
+        std::pow(kRetryMultiplier, static_cast<double>(call->attempt - 1));
+    delay_s = std::min(delay_s, kRetryMaxBackoff.to_seconds());
     delay_s *= 1.0 + 0.1 * rng_.uniform();  // de-synchronise the herd
     schedule_retry(index, Duration::from_seconds(delay_s));
     return;
@@ -376,7 +385,7 @@ void SipCaller::on_invite_timeout(std::uint64_t index) {
     // the in-flight-INVITE half of failover (the probe loop only protects
     // calls that have not been routed yet).
     dispatcher_->on_invite_timeout(call->pbx_host);
-    if (scenario_.retry.enabled && call->attempt < scenario_.retry.max_attempts) {
+    if (scenario_.retry.enabled && call->attempt < kRetryMaxAttempts) {
       dispatcher_->release(call->pbx_host);
       const std::string* host = dispatcher_->repick(call->pbx_host);
       if (host != nullptr) {
@@ -432,7 +441,6 @@ void SipCaller::start_media(Call& call) {
     call.rtcp = std::make_unique<rtp::RtcpSession>(
         network()->simulator(), rng_.fork(), call.local_ssrc, call.codec.sample_rate_hz,
         [this, pbx_node](const rtp::RtcpPayload& payload, std::uint32_t bytes) {
-          ++rtcp_sent_;
           net::Packet pkt;
           pkt.dst = pbx_node;
           pkt.kind = net::PacketKind::kRtcp;
@@ -528,10 +536,7 @@ void SipCaller::finish(std::uint64_t index, monitor::CallOutcome outcome) {
   if (call.retry_timer != 0) network()->simulator().cancel(call.retry_timer);
   if (call.remote_ssrc != 0) by_remote_ssrc_.erase(call.remote_ssrc);
   if (call.sender != nullptr) call.sender->stop();
-  if (call.rtcp != nullptr) {
-    call.rtcp->stop();
-    if (call.rtcp->rtt() > Duration::zero()) rtcp_rtt_ms_.add(call.rtcp->rtt().to_millis());
-  }
+  if (call.rtcp != nullptr) call.rtcp->stop();
   calls_.erase(it);
 
   if (scenario_.finite_population > 0) user_became_idle();
@@ -578,7 +583,6 @@ void SipCaller::on_receive(const net::Packet& pkt) {
     if (const auto* rtcp = pkt.payload_as<rtp::RtcpPayload>()) {
       const auto it = by_remote_ssrc_.find(rtcp->routing_ssrc());
       if (it != by_remote_ssrc_.end() && it->second->rtcp != nullptr) {
-        ++rtcp_received_;
         it->second->rtcp->on_report(*rtcp, network()->simulator().now());
       }
     }

@@ -67,10 +67,6 @@ class SipCaller final : public sip::SipEndpoint {
 
   [[nodiscard]] monitor::CallLog& log() noexcept { return log_; }
   [[nodiscard]] const monitor::CallLog& log() const noexcept { return log_; }
-  [[nodiscard]] std::uint64_t rtcp_reports_sent() const noexcept { return rtcp_sent_; }
-  [[nodiscard]] std::uint64_t rtcp_reports_received() const noexcept { return rtcp_received_; }
-  /// Mean smoothed RTCP round-trip across finished calls (zero without RTCP).
-  [[nodiscard]] const stats::Summary& rtcp_rtt_ms() const noexcept { return rtcp_rtt_ms_; }
   [[nodiscard]] std::uint64_t calls_offered() const noexcept { return next_call_index_; }
   [[nodiscard]] std::size_t active_calls() const noexcept { return calls_.size(); }
   /// 503-triggered INVITE re-attempts (scenario_.retry must be enabled).
@@ -146,9 +142,6 @@ class SipCaller final : public sip::SipEndpoint {
   std::uint64_t retries_rerouted_{0};
   std::uint64_t failovers_{0};
   std::uint64_t dispatch_rejected_{0};
-  std::uint64_t rtcp_sent_{0};
-  std::uint64_t rtcp_received_{0};
-  stats::Summary rtcp_rtt_ms_;
   std::uint32_t idle_users_{0};  // finite mode
   sim::EventId arrival_timer_{0};
   bool started_{false};
@@ -157,7 +150,7 @@ class SipCaller final : public sip::SipEndpoint {
   /// Records an instant on `call`'s journey track; no-op without tracing.
   void journey_instant(Call& call, std::uint32_t name, const std::string* detail = nullptr);
 
-  // Telemetry handles; null when telemetry is absent or disabled.
+  // Telemetry handles; null when telemetry is absent.
   telemetry::SpanTracer* tracer_{nullptr};
   std::uint32_t jn_pick_{0};
   std::uint32_t jn_repick_{0};

@@ -3,7 +3,6 @@
 #include "media/emodel.hpp"
 #include "sim/profile.hpp"
 #include "rtp/fluid.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::loadgen {
@@ -107,7 +106,7 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
       .sender = nullptr,
       .rtcp = nullptr,
       .rx = rtp::RtpReceiverStats{codec->sample_rate_hz},
-      .jbuf = rtp::JitterBuffer{*codec, scenario_.jitter_buffer},
+      .jbuf = rtp::JitterBuffer{*codec},
       .transit_s = {},
   });
 
@@ -134,7 +133,7 @@ void SipReceiver::set_telemetry(telemetry::Telemetry* tel) {
   sip::SipEndpoint::set_telemetry(tel);
   tm_answered_ = tm_rejected_488_ = tm_rtp_sent_ = nullptr;
   tracer_ = nullptr;
-  if (tel == nullptr || !tel->enabled()) return;
+  if (tel == nullptr) return;
   tracer_ = tel->tracer();
   auto& reg = tel->registry();
   tm_answered_ = &reg.counter("pbxcap_receiver_calls_answered_total", {},

@@ -102,7 +102,7 @@ class SipReceiver final : public sip::SipEndpoint {
   std::uint64_t rejected_488_{0};
   sim::Random rtcp_rng_{0xACE5};
 
-  // Telemetry handles; null when telemetry is absent or disabled.
+  // Telemetry handles; null when telemetry is absent.
   telemetry::SpanTracer* tracer_{nullptr};
   telemetry::Counter* tm_answered_{nullptr};
   telemetry::Counter* tm_rejected_488_{nullptr};

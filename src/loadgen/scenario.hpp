@@ -10,24 +10,20 @@
 #include <vector>
 
 #include "rtp/codec.hpp"
-#include "rtp/jitter_buffer.hpp"
 #include "sim/random.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::loadgen {
 
 /// Caller reaction to 503 Service Unavailable: exponential backoff with a
-/// retry budget (the client half of SIP overload control). The server's
-/// Retry-After header, when present, replaces `base_backoff` as the first
-/// delay; each further attempt doubles (times `multiplier`) up to
-/// `max_backoff`, with up to +10 % deterministic jitter so a cohort of
-/// callers rejected together does not return as one thundering herd.
+/// retry budget of 4 INVITEs per call, first included (the client half of
+/// SIP overload control). The server's Retry-After header, when present,
+/// replaces `base_backoff` as the first delay; each further attempt doubles
+/// up to 16 s, with up to +10 % deterministic jitter so a cohort of callers
+/// rejected together does not return as one thundering herd.
 struct RetryPolicy {
   bool enabled{false};
-  std::uint32_t max_attempts{4};  // total INVITEs per call, first included
   Duration base_backoff{Duration::seconds(2)};
-  double multiplier{2.0};
-  Duration max_backoff{Duration::seconds(16)};
 };
 
 struct CallScenario {
@@ -39,7 +35,6 @@ struct CallScenario {
   /// Mean call duration h.
   Duration hold_time{Duration::seconds(120)};
   sim::HoldTimeModel hold_model{sim::HoldTimeModel::kDeterministic};
-  double hold_cv{1.0};  // lognormal only
   /// Voice codec for the media streams (paper: G.711 ulaw). When
   /// `codec_mix` is non-empty this is only the fallback for calls placed
   /// before the mix was configured — see below.
@@ -65,8 +60,6 @@ struct CallScenario {
   std::vector<std::uint8_t> receiver_payload_types{};
   /// Callee behaviour: delay between 180 Ringing and 200 OK.
   Duration answer_delay{Duration::millis(200)};
-  /// Receiver-side playout buffer.
-  rtp::JitterBufferConfig jitter_buffer{};
   /// Exchange RTCP sender/receiver reports alongside the media (off by
   /// default to keep Table I's RTP census identical to the paper's).
   bool rtcp{false};

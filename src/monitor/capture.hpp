@@ -12,7 +12,6 @@
 #include "net/network.hpp"
 #include "sip/message.hpp"
 #include "stats/counter.hpp"
-#include "stats/rate_meter.hpp"
 
 namespace pbxcap::monitor {
 
@@ -46,7 +45,7 @@ class SipCapture {
   std::uint64_t errors_{0};
 };
 
-/// Counts RTP packets and bytes entering one node (PBX ingress = the paper's
+/// Counts RTP packets entering one node (PBX ingress = the paper's
 /// per-experiment RTP message count).
 class RtpCapture {
  public:
@@ -55,16 +54,10 @@ class RtpCapture {
   void attach(net::Network& network);
 
   [[nodiscard]] std::uint64_t packets_in() const noexcept { return packets_in_; }
-  [[nodiscard]] std::uint64_t packets_out() const noexcept { return packets_out_; }
-  [[nodiscard]] std::uint64_t bytes_in() const noexcept { return bytes_in_; }
-  [[nodiscard]] const stats::RateMeter& ingress_rate() const noexcept { return ingress_rate_; }
 
  private:
   net::NodeId node_;
   std::uint64_t packets_in_{0};
-  std::uint64_t packets_out_{0};
-  std::uint64_t bytes_in_{0};
-  stats::RateMeter ingress_rate_;
 };
 
 }  // namespace pbxcap::monitor

@@ -2,8 +2,6 @@
 
 #include "net/link.hpp"
 #include "net/network.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace pbxcap::net {
 
@@ -32,7 +30,6 @@ void SwitchNode::on_receive(const Packet& pkt) {
   Link* out = route_for(pkt.dst);
   if (out == nullptr) {
     ++dropped_no_route_;
-    util::log_debug("switch", util::format("no route to node %u", pkt.dst));
     return;
   }
   forwarded_ += pkt.batch;

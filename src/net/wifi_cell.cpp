@@ -7,6 +7,12 @@
 #include "sim/profile.hpp"
 
 namespace pbxcap::net {
+namespace {
+
+constexpr Duration kSlotTime = Duration::micros(9);  // 802.11g
+constexpr std::uint32_t kCwMin = 15;                 // contention window (slots)
+
+}  // namespace
 
 void WifiCell::add_route(NodeId dst, Link& via) {
   if (!via.attaches(id())) throw std::logic_error{"WifiCell::add_route: link not attached"};
@@ -58,13 +64,13 @@ void WifiCell::on_receive(const Packet& pkt) {
     return;
   }
 
-  // Contention: expected backoff is cw_min/2 slots when idle, and doubles
+  // Contention: expected backoff is CWmin/2 slots when idle, and doubles
   // (bounded) as the backlog deepens — a coarse DCF stand-in that preserves
   // the key behaviour: per-frame cost rises under load.
   const double cw_factor = std::min(4.0, 1.0 + static_cast<double>(backlog_) / 8.0);
-  const double mean_backoff_slots = static_cast<double>(config_.cw_min) / 2.0 * cw_factor;
+  const double mean_backoff_slots = static_cast<double>(kCwMin) / 2.0 * cw_factor;
   const Duration backoff = Duration::from_seconds(
-      mean_backoff_slots * config_.slot_time.to_seconds() *
+      mean_backoff_slots * kSlotTime.to_seconds() *
       network()->impairment_rng().uniform(0.5, 1.5));
   const Duration occupancy = frame_airtime(pkt.size_bytes) + backoff;
 

@@ -23,8 +23,6 @@ class Link;
 struct WifiCellConfig {
   double phy_rate_bps{54e6};                    // 802.11g data rate
   Duration per_frame_overhead{Duration::micros(130)};  // DIFS+preamble+SIFS+ACK
-  Duration slot_time{Duration::micros(9)};
-  std::uint32_t cw_min{15};                     // contention window (slots)
   double frame_error_rate{0.01};                // radio loss after retries
   std::uint32_t queue_limit_frames{128};
 };

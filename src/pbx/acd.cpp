@@ -387,7 +387,7 @@ void AcdSubsystem::crash(const std::function<void(std::size_t cdr)>& close_cdr) 
 
 void AcdSubsystem::set_telemetry(telemetry::Telemetry* telemetry) {
   for (auto& qp : queues_) qp->tm = QueueTelemetry{};
-  if (telemetry == nullptr || !telemetry->enabled() || !enabled()) return;
+  if (telemetry == nullptr || !enabled()) return;
   auto& reg = telemetry->registry();
   for (std::size_t qi = 0; qi < queues_.size(); ++qi) {
     Queue& q = *queues_[qi];

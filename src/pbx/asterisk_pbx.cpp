@@ -7,7 +7,6 @@
 #include "rtp/codec.hpp"
 #include "rtp/packet.hpp"
 #include "rtp/rtcp.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::pbx {
@@ -15,6 +14,13 @@ namespace pbxcap::pbx {
 using sip::Message;
 using sip::Method;
 using sip::Sdp;
+
+namespace {
+
+// kQueueWhenBusy: a queued caller reneges after this long.
+constexpr Duration kQueueTimeout = Duration::seconds(60);
+
+}  // namespace
 
 AsteriskPbx::AsteriskPbx(PbxConfig config, sim::Simulator& simulator,
                          sip::HostResolver& resolver)
@@ -63,7 +69,7 @@ void AsteriskPbx::set_telemetry(telemetry::Telemetry* tel) {
   tm_active_channels_ = nullptr;
   tracer_ = nullptr;
   acd_.set_telemetry(tel);  // nulls its own handles on a disabled registry
-  if (tel == nullptr || !tel->enabled()) return;
+  if (tel == nullptr) return;
   auto& reg = tel->registry();
   tm_invites_ = &reg.counter("pbxcap_pbx_invites_total", {},
                              "INVITEs reaching the PBX admission path");
@@ -218,7 +224,12 @@ bool AsteriskPbx::overload_gate_rejects(const Message& msg, TimePoint now) const
     return false;
   }
   if (sip_backlog_ > oc.queue_threshold) return true;
-  if (oc.shed_when_channels_full && channels_.available() == 0) return true;
+  // Also shed while the channel pool is exhausted. This is the RFC 6357 cost
+  // argument in miniature: a doomed INVITE that reaches the worker pays
+  // service_time + reject_penalty for nothing, while the gate's stateless 503
+  // is free — and Retry-After turns the excess demand into a paced retry
+  // stream that refills channels as they free up.
+  if (channels_.available() == 0) return true;
   return oc.cpu_threshold < 1.0 && cpu_.utilization_at(now) >= oc.cpu_threshold;
 }
 
@@ -316,7 +327,7 @@ void AsteriskPbx::handle_invite(const Message& req, sip::ServerTransaction& txn)
     }
     admit_invite(req, txn);
   };
-  if (config_.auth_lookup_latency && directory_.lookup_latency() > Duration::zero()) {
+  if (directory_.lookup_latency() > Duration::zero()) {
     const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kPbx};
     network()->simulator().schedule_in(directory_.lookup_latency(), proceed);
   } else {
@@ -520,13 +531,11 @@ void AsteriskPbx::enqueue_call(const Message& req, sip::ServerTransaction& txn,
     return;
   }
 
-  ++queued_total_;
   if (tm_queued_ != nullptr) tm_queued_->add();
   auto queued = std::make_unique<AcdWaitQueue::Entry>();
   queued->invite = req;
   queued->txn = &txn;
   queued->cdr = cdr;
-  queued->enqueued_at = now;
   AcdWaitQueue::Entry& entry = queue_.push_back(std::move(queued));
 
   // 182 Queued keeps the caller's INVITE transaction in Proceeding while it
@@ -538,11 +547,9 @@ void AsteriskPbx::enqueue_call(const Message& req, sip::ServerTransaction& txn,
   AcdWaitQueue::Entry* raw = &entry;
   const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kPbx};
   raw->max_wait_event =
-      network()->simulator().schedule_in(config_.queue_timeout, [this, raw] {
+      network()->simulator().schedule_in(kQueueTimeout, [this, raw] {
         raw->max_wait_event = 0;
-        ++queue_timeouts_;
         if (tm_queue_timeouts_ != nullptr) tm_queue_timeouts_->add();
-        queue_wait_s_.add(config_.queue_timeout.to_seconds());
         cdrs_.close(raw->cdr, Disposition::kCongestion, network()->simulator().now());
         reject(raw->invite, *raw->txn, sip::status::kServiceUnavailable);
         queue_.mark_dead(*raw);  // may compact and free the entry — last use
@@ -563,14 +570,10 @@ void AsteriskPbx::serve_queue() {
     }
     network()->simulator().cancel(queued->max_wait_event);
     queued->max_wait_event = 0;
-    ++queue_served_;
     if (tm_queue_served_ != nullptr) tm_queue_served_->add();
-    queue_wait_s_.add((network()->simulator().now() - queued->enqueued_at).to_seconds());
     start_bridge(queued->invite, *queued->txn, queued->cdr);
   }
 }
-
-std::size_t AsteriskPbx::queue_depth() const noexcept { return queue_.live_count(); }
 
 AcdSubsystem::ServeOutcome AsteriskPbx::acd_serve(const Message& req,
                                                   sip::ServerTransaction& txn, std::size_t cdr,
@@ -686,7 +689,7 @@ void AsteriskPbx::on_leg_b_response(std::size_t bridge_idx, const Message& resp)
       // this bridge then pays decode+encode CPU and is re-framed to the
       // out-leg codec's wire size. Single-codec offers always match, so
       // classic scenarios never engage this path.
-      if (config_.transcode && !answer->audio.payload_types.empty()) {
+      if (!answer->audio.payload_types.empty()) {
         const std::uint8_t pt_b = answer->audio.payload_types.front();
         if (pt_b != bridge.pt_offer_a) {
           const auto codec_a = rtp::codec_by_payload_type(bridge.pt_offer_a);

@@ -63,12 +63,6 @@ struct OverloadControlConfig {
   /// Additional trigger on the CPU model's current-bucket utilization;
   /// >= 1.0 disables the CPU trigger.
   double cpu_threshold{1.0};
-  /// Also shed INVITEs while the channel pool is exhausted. This is the
-  /// RFC 6357 cost argument in miniature: a doomed INVITE that reaches the
-  /// worker pays service_time + reject_penalty for nothing, while the gate's
-  /// stateless 503 is free — and Retry-After turns the excess demand into a
-  /// paced retry stream that refills channels as they free up.
-  bool shed_when_channels_full{true};
   /// Advertised in the 503's Retry-After header (integer seconds on the wire).
   Duration retry_after{Duration::seconds(2)};
 };
@@ -78,22 +72,13 @@ struct PbxConfig {
   std::uint32_t max_channels{165};  // fitted capacity of the paper's server
   CpuModelConfig cpu{};
   bool require_auth{false};          // LDAP-style lookup before admitting
-  bool auth_lookup_latency{true};    // apply Directory latency when checking
   std::vector<std::uint8_t> allowed_payload_types{0, 8};  // PCMU, PCMA
-  /// Answer leg A with the caller's first allowed codec even when the callee
-  /// answered a different one, transcoding between the legs (Asterisk's
-  /// translator path). Each relayed frame on a mismatched bridge then pays
-  /// the two codecs' per-frame transcode_cost per direction in the CPU
-  /// model. When false the callee's answer is relayed verbatim and the
-  /// caller re-negotiates itself (no transcoding, pre-codec-tier behaviour).
-  bool transcode{true};
   /// Admission strategy: hard channel pool (paper), predictive Erlang CAC
   /// (paper reference [8]), or queue-when-busy (the Erlang-C system).
   AdmissionPolicy admission{AdmissionPolicy::kChannelPool};
   PredictiveCacConfig cac{};
   /// kQueueWhenBusy parameters.
   std::uint32_t max_queue_length{64};
-  Duration queue_timeout{Duration::seconds(60)};  // caller reneges after this
   /// ACD queues (callers dialing "queue-<name>" are routed here).
   AcdConfig acd{};
   /// PBX-side RTP anchor port range (even ports, tracked while in use).
@@ -146,13 +131,9 @@ class AsteriskPbx final : public sip::SipEndpoint {
   /// Predictive-CAC state (meaningful under kErlangPredictive).
   [[nodiscard]] const ErlangPredictiveCac& cac() const noexcept { return cac_; }
 
-  // kQueueWhenBusy observations (the Erlang-C quantities).
-  [[nodiscard]] std::uint64_t calls_queued() const noexcept { return queued_total_; }
-  [[nodiscard]] std::uint64_t queue_served() const noexcept { return queue_served_; }
-  [[nodiscard]] std::uint64_t queue_timeouts() const noexcept { return queue_timeouts_; }
-  /// Waiting time (seconds) of calls that left the queue, served or not.
-  [[nodiscard]] const stats::Summary& queue_wait_s() const noexcept { return queue_wait_s_; }
-  [[nodiscard]] std::size_t queue_depth() const noexcept;
+  // The voicemail, stall and dead-window counters have no reader yet: they
+  // are the named outcome and drop reasons the post-run conservation check
+  // (ROADMAP item 4(a)) will balance.
 
   /// Callers answered by the one-way-RTP voicemail leg (ACD overflow).
   [[nodiscard]] std::uint64_t voicemail_calls() const noexcept { return voicemail_calls_; }
@@ -291,10 +272,6 @@ class AsteriskPbx final : public sip::SipEndpoint {
   /// kQueueWhenBusy wait line (shares the ACD's race-safe queue type; the
   /// entries' max_wait_event doubles as the renege timer).
   AcdWaitQueue queue_;
-  std::uint64_t queued_total_{0};
-  std::uint64_t queue_served_{0};
-  std::uint64_t queue_timeouts_{0};
-  stats::Summary queue_wait_s_;
   MediaPortAllocator media_ports_;
   AcdSubsystem acd_;
   std::uint64_t voicemail_calls_{0};
@@ -328,7 +305,7 @@ class AsteriskPbx final : public sip::SipEndpoint {
   std::uint64_t dropped_dead_{0};
   std::uint64_t rtp_dropped_stall_{0};
 
-  // Telemetry handles; null when telemetry is absent or disabled.
+  // Telemetry handles; null when telemetry is absent.
   telemetry::Counter* tm_invites_{nullptr};
   telemetry::Counter* tm_blocked_policy_{nullptr};
   telemetry::Counter* tm_blocked_cac_{nullptr};

@@ -25,7 +25,6 @@ void CpuModel::deposit(TimePoint at, Duration work) {
   const std::size_t idx = bucket_of(at);
   if (idx >= buckets_.size()) buckets_.resize(idx + 1, Duration::zero());
   buckets_[idx] += work;
-  total_work_ += work;
 }
 
 void CpuModel::on_rtp_packets(TimePoint first, Duration spacing, std::uint32_t count,
@@ -60,7 +59,6 @@ void CpuModel::on_rtp_packets(TimePoint first, Duration spacing, std::uint32_t c
     const Duration work = per_packet * in_bucket;
     if (idx >= buckets_.size()) buckets_.resize(idx + 1, Duration::zero());
     buckets_[idx] += work;
-    total_work_ += work;
     done += static_cast<std::uint32_t>(in_bucket);
     t = t + spacing * in_bucket;
   }

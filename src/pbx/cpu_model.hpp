@@ -17,11 +17,13 @@
 
 namespace pbxcap::pbx {
 
+/// Work deposited per rejection/error-path event.
+inline constexpr Duration kCostPerErrorEvent = Duration::millis(30);
+
 struct CpuModelConfig {
   double base_utilization{0.05};            // OS + Asterisk housekeeping
   Duration cost_per_sip_message{Duration::micros(450)};
   Duration cost_per_rtp_packet{Duration::micros(24)};   // relay: rx + bridge + tx
-  Duration cost_per_error_event{Duration::millis(30)};  // rejection/error path
   /// Degradation mode: once the current bucket's utilization crosses
   /// `overload_threshold`, each further unit of work costs
   /// `overload_multiplier` times as much (cache thrash, lock convoys, paging
@@ -43,7 +45,7 @@ class CpuModel {
   void on_rtp_packet(TimePoint at, Duration extra) {
     deposit(at, config_.cost_per_rtp_packet + extra);
   }
-  void on_error_event(TimePoint at) { deposit(at, config_.cost_per_error_event); }
+  void on_error_event(TimePoint at) { deposit(at, kCostPerErrorEvent); }
 
   /// Deposits the relay cost (plus the optional per-packet transcode
   /// surcharge) of `count` RTP packets arriving at `first + i * spacing` in
@@ -62,7 +64,6 @@ class CpuModel {
   [[nodiscard]] double utilization_at(TimePoint at) const;
 
   [[nodiscard]] const CpuModelConfig& config() const noexcept { return config_; }
-  [[nodiscard]] Duration total_work() const noexcept { return total_work_; }
   /// Deposits inflated by the overload multiplier (degradation diagnostics).
   [[nodiscard]] std::uint64_t overload_inflations() const noexcept {
     return overload_inflations_;
@@ -75,7 +76,6 @@ class CpuModel {
   CpuModelConfig config_;
   Duration bucket_width_;
   std::vector<Duration> buckets_;  // work per bucket, grown on demand
-  Duration total_work_{Duration::zero()};
   std::uint64_t overload_inflations_{0};
 };
 

@@ -7,6 +7,18 @@
 #include "rtp/stream.hpp"
 
 namespace pbxcap::rtp {
+namespace {
+
+// A watched link direction whose backlog exceeds this fraction of its queue
+// limit is near saturation: streams stay per-packet (the paper's interesting
+// regime is exactly the one we must not approximate).
+constexpr double kBacklogThreshold = 0.25;
+// Streams return to per-packet this long before each sampling boundary so
+// packets in flight at the boundary drain exactly. Must exceed the
+// end-to-end media path latency.
+constexpr Duration kBoundaryGuard = Duration::millis(1);
+
+}  // namespace
 
 void FluidEngine::watch_link(net::Link& link) {
   links_.push_back(&link);
@@ -43,7 +55,7 @@ void FluidEngine::arm_boundary() {
   if (!config_.enabled || boundary_period_ <= Duration::zero()) return;
   const std::int64_t period = boundary_period_.ns();
   const std::int64_t guard =
-      std::clamp<std::int64_t>(config_.boundary_guard.ns(), 1, period - 1);
+      std::clamp<std::int64_t>(kBoundaryGuard.ns(), 1, period - 1);
   // First boundary whose pre-flush instant is strictly in the future.
   const std::int64_t k = (simulator_.now().ns() + guard) / period + 1;
   const TimePoint fire = TimePoint::at(Duration::nanos(k * period - guard));
@@ -66,9 +78,9 @@ bool FluidEngine::eligible() const {
     }
     const auto limit = static_cast<double>(cfg.queue_limit_packets);
     if (static_cast<double>(link->backlog_from(link->endpoint_a())) >
-            config_.backlog_threshold * limit ||
+            kBacklogThreshold * limit ||
         static_cast<double>(link->backlog_from(link->endpoint_b())) >
-            config_.backlog_threshold * limit) {
+            kBacklogThreshold * limit) {
       return false;
     }
   }
@@ -88,10 +100,7 @@ std::uint64_t FluidEngine::flush_stream(std::uint32_t ssrc) {
   const auto it = streams_.find(ssrc);
   if (it == streams_.end()) return 0;
   const std::uint64_t n = it->second->flush_fluid(simulator_.now());
-  if (n > 0) {
-    ++flushes_;
-    batched_packets_ += n;
-  }
+  if (n > 0) ++flushes_;
   return n;
 }
 
@@ -105,10 +114,7 @@ std::uint64_t FluidEngine::flush_all() {
   const TimePoint now = simulator_.now();
   std::uint64_t total = 0;
   for (RtpSender* sender : snapshot) total += sender->flush_fluid(now);
-  if (total > 0) {
-    ++flushes_;
-    batched_packets_ += total;
-  }
+  if (total > 0) ++flushes_;
   return total;
 }
 
@@ -118,8 +124,7 @@ void FluidEngine::exit_stream(std::uint32_t ssrc) {
   RtpSender* sender = it->second;
   streams_.erase(it);
   const TimePoint now = simulator_.now();
-  const std::uint64_t n = sender->flush_fluid(now);
-  if (n > 0) batched_packets_ += n;
+  sender->flush_fluid(now);
   ++flushes_;
   sender->exit_fluid();
   sender->hold_packet_mode_until(now + config_.dwell);
@@ -132,12 +137,10 @@ void FluidEngine::suspend_until(TimePoint resume) {
     for (const auto& [ssrc, sender] : streams_) snapshot.push_back(sender);
     streams_.clear();
     const TimePoint now = simulator_.now();
-    std::uint64_t total = 0;
     for (RtpSender* sender : snapshot) {
-      total += sender->flush_fluid(now);
+      sender->flush_fluid(now);
       sender->exit_fluid();
     }
-    if (total > 0) batched_packets_ += total;
     ++flushes_;
   }
   resume_at_ = std::max(resume_at_, resume);

@@ -21,7 +21,7 @@
 //        +--- dwell + boundary guard hold re-entry (resume_at_)
 //
 // Flush triggers: (1) RtcpSession pre-report hook (per-SSRC, stays fluid);
-// (2) pre-boundary flush `boundary_guard` before each telemetry sampling
+// (2) pre-boundary flush kBoundaryGuard before each telemetry sampling
 // tick (suspends until the boundary so in-flight packets drain exactly);
 // (3) fault transients — Link::apply_impairment pre-change listener and
 // FaultInjector pre-apply hook (suspend for `dwell`); (4) the max-segment
@@ -42,19 +42,11 @@ class RtpSender;
 
 struct FluidConfig {
   bool enabled{false};
-  /// A watched link direction whose backlog exceeds this fraction of its
-  /// queue limit is near saturation: streams stay per-packet (the paper's
-  /// interesting regime is exactly the one we must not approximate).
-  double backlog_threshold{0.25};
   /// Hold in per-packet mode after a transient (impairment edit, fault
   /// event) before streams may coast again.
   Duration dwell{Duration::millis(200)};
   /// Longest closed-form span; coasting streams flush at least this often.
   Duration max_segment{Duration::seconds(10)};
-  /// Streams return to per-packet this long before each sampling boundary
-  /// so packets in flight at the boundary drain exactly. Must exceed the
-  /// end-to-end media path latency.
-  Duration boundary_guard{Duration::millis(1)};
 };
 
 /// Registry and policy for coasting RTP streams. One engine per experiment;
@@ -120,7 +112,6 @@ class FluidEngine {
   [[nodiscard]] std::size_t active_streams() const noexcept { return streams_.size(); }
   [[nodiscard]] std::uint64_t segments_entered() const noexcept { return segments_; }
   [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
-  [[nodiscard]] std::uint64_t batched_packets() const noexcept { return batched_packets_; }
   [[nodiscard]] std::uint64_t transients() const noexcept { return transients_; }
   [[nodiscard]] TimePoint resume_at() const noexcept { return resume_at_; }
 
@@ -138,7 +129,6 @@ class FluidEngine {
   sim::EventId segment_event_{0};
   std::uint64_t segments_{0};
   std::uint64_t flushes_{0};
-  std::uint64_t batched_packets_{0};
   std::uint64_t transients_{0};
 };
 

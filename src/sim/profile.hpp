@@ -93,14 +93,19 @@ struct CategoryStats {
 /// Simulator::set_profile(); read or merge after (or between) run calls.
 ///
 /// Layout matters: every fire increments one entry of `counts`, so the whole
-/// per-fire working set (counts + sample countdown) is kept to ~2 cache
-/// lines. The 216-byte-per-category sampled-latency stats are only touched
-/// on every sample_period-th fire and live separately in `timing`.
+/// per-fire working set (`counts`) is kept to 2 cache lines. The
+/// 216-byte-per-category sampled-latency stats are only touched on every
+/// kSamplePeriod-th fire and live separately in `timing`.
 struct ExecProfile {
-  // Room for the builtin categories plus a few experiment-defined extras
-  // (telemetry::Profiler hands out dynamic ids above kCategoryCount).
+  // Room for the builtin categories, rounded up to the power of two the
+  // category mask in Simulator::invoke_profiled needs.
   static constexpr std::size_t kMaxCategories = 16;
-  static constexpr std::uint32_t kDefaultSamplePeriod = 256;
+  // Every kSamplePeriod-th fire of a category is wall-clocked. The fire path
+  // tests the just-incremented counts[cat] against kSampleMask, so sampling
+  // adds no state of its own (no countdown load/store on the unsampled
+  // 255-out-of-256).
+  static constexpr std::uint32_t kSamplePeriod = 256;
+  static constexpr std::uint32_t kSampleMask = kSamplePeriod - 1;
 
   /// Sampled-latency accumulators; `events` inside these stays 0 (the
   /// authoritative count is counts[cat] — stats() folds them together).
@@ -111,21 +116,7 @@ struct ExecProfile {
   };
 
   std::array<std::uint64_t, kMaxCategories> counts{};  // hot: one ++ per fire
-  /// sample_period - 1 for a power-of-two period: the fire path tests the
-  /// just-incremented counts[cat] against this, so sampling adds no state
-  /// of its own (no countdown load/store on the unsampled 255-out-of-256).
-  std::uint32_t sample_mask{kDefaultSamplePeriod - 1};
   std::array<Timing, kMaxCategories> timing{};  // cold: sampled fires only
-
-  /// Rounds `period` up to a power of two (the mask trick above needs one);
-  /// 0 means sample every fire.
-  void set_sample_period(std::uint32_t period) noexcept {
-    std::uint32_t pow2 = 1;
-    while (pow2 < period && pow2 < (std::uint32_t{1} << 31)) pow2 <<= 1;
-    sample_mask = pow2 - 1;
-  }
-
-  [[nodiscard]] std::uint32_t sample_period() const noexcept { return sample_mask + 1; }
 
   /// Sum of per-category event counts; equals the owning simulator's
   /// events_processed() delta over the attached interval.

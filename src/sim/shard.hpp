@@ -38,13 +38,10 @@ class ShardChannel {
  public:
   void push(std::int64_t at_ns, Callback deliver) {
     q_.push_back(ShardMessage{at_ns, std::move(deliver)});
-    ++pushed_;
   }
 
   [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
-  /// Messages pushed over the channel's lifetime (deterministic per seed).
-  [[nodiscard]] std::uint64_t total_pushed() const noexcept { return pushed_; }
 
   /// Moves every queued message out, in push (FIFO) order.
   [[nodiscard]] std::vector<ShardMessage> drain() {
@@ -55,7 +52,6 @@ class ShardChannel {
 
  private:
   std::vector<ShardMessage> q_;
-  std::uint64_t pushed_{0};
 };
 
 }  // namespace pbxcap::sim

@@ -175,7 +175,7 @@ void Simulator::invoke_profiled(Node& node) {
   const auto cat = static_cast<std::uint8_t>(node.cat & (ExecProfile::kMaxCategories - 1));
   current_cat_ = cat;  // events the callback schedules inherit its category
   const std::uint64_t fired = ++prof.counts[cat];
-  if ((fired & prof.sample_mask) != 0) [[likely]] {
+  if ((fired & ExecProfile::kSampleMask) != 0) [[likely]] {
     node.cb.invoke_and_reset();
     return;
   }

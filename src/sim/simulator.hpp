@@ -235,7 +235,7 @@ class Simulator {
   /// Pop bookkeeping done: runs the node's callback at time `at`.
   void finish_fire(std::int64_t at, std::uint32_t idx);
   /// finish_fire's callback invocation with a profile attached: counts the
-  /// category and brackets every sample_period-th callback with clock reads.
+  /// category and brackets every kSamplePeriod-th callback with clock reads.
   void invoke_profiled(Node& node);
 
   /// Slow scheduling path: level-1 placement, window resync, far-future heap.

@@ -22,7 +22,7 @@ void SipEndpoint::bind() {
 void SipEndpoint::set_telemetry(telemetry::Telemetry* tel) {
   layer_.set_telemetry(tel);
   tm_sent_ = tm_received_ = nullptr;
-  if (tel == nullptr || !tel->enabled()) return;
+  if (tel == nullptr) return;
   auto& reg = tel->registry();
   tm_sent_ = &reg.counter("pbxcap_sip_messages_total", {{"host", host_}, {"direction", "tx"}},
                           "SIP messages sent/received at each endpoint");

@@ -53,10 +53,10 @@ class SipEndpoint : public net::Node, public Transport {
   [[nodiscard]] HostResolver& resolver() noexcept { return resolver_; }
 
   /// Registers this endpoint's metrics/spans with `tel` and forwards the
-  /// sink to the transaction layer. Passing nullptr (or a Telemetry with
-  /// enabled == false) detaches: every instrumentation site then costs one
-  /// predictable null-handle branch. Derived endpoints extend this to
-  /// register their own handles and must call the base implementation.
+  /// sink to the transaction layer. Passing nullptr detaches: every
+  /// instrumentation site then costs one predictable null-handle branch.
+  /// Derived endpoints extend this to register their own handles and must
+  /// call the base implementation.
   virtual void set_telemetry(telemetry::Telemetry* tel);
 
   [[nodiscard]] std::uint64_t sip_messages_sent() const noexcept { return sent_; }

@@ -11,6 +11,13 @@
 namespace pbxcap::sip {
 namespace {
 
+// RFC 3261 timer baseline values; B, F and H are 64*T1, D is 32 s.
+constexpr Duration kT1 = Duration::millis(500);
+constexpr Duration kT2 = Duration::seconds(4);
+constexpr Duration kT4 = Duration::seconds(5);
+constexpr Duration kTimer64T1 = kT1 * 64;
+constexpr Duration kTimerD = Duration::seconds(32);
+
 /// Interns a "uac:INVITE"-style span name (side prefix + method).
 std::uint32_t txn_span_name(telemetry::SpanTracer& tracer, const char* side, Method method) {
   return tracer.name_id(std::string{side} + std::string{to_string(method)});
@@ -21,11 +28,8 @@ std::uint32_t txn_span_name(telemetry::SpanTracer& tracer, const char* side, Met
 // ---------------------------------------------------------------- layer ----
 
 TransactionLayer::TransactionLayer(sim::Simulator& simulator, Transport& transport,
-                                   std::string local_host, TimerConfig timers)
-    : simulator_{simulator},
-      transport_{transport},
-      local_host_{std::move(local_host)},
-      timers_{timers} {}
+                                   std::string local_host)
+    : simulator_{simulator}, transport_{transport}, local_host_{std::move(local_host)} {}
 
 std::string TransactionLayer::new_branch() {
   return util::format("z9hG4bK-%s-%llu", local_host_.c_str(),
@@ -60,7 +64,7 @@ void TransactionLayer::reset() {
 void TransactionLayer::set_telemetry(telemetry::Telemetry* tel) {
   tm_client_started_ = tm_server_started_ = tm_retransmissions_ = tm_timeouts_ = nullptr;
   tracer_ = nullptr;
-  if (tel == nullptr || !tel->enabled()) return;
+  if (tel == nullptr) return;
   auto& reg = tel->registry();
   tm_client_started_ =
       &reg.counter("pbxcap_sip_transactions_total", {{"host", local_host_}, {"side", "client"}},
@@ -147,7 +151,7 @@ ClientTransaction::ClientTransaction(TransactionLayer& layer, Message request, n
       state_{request_.cseq().method == Method::kInvite ? State::kCalling : State::kTrying},
       on_response_{std::move(on_response)},
       on_timeout_{std::move(on_timeout)},
-      retransmit_interval_{layer.timers().t1} {}
+      retransmit_interval_{kT1} {}
 
 void ClientTransaction::start() {
   layer_.transport().send_sip(request_, dst_);
@@ -165,9 +169,7 @@ void ClientTransaction::start() {
                 "SIP timer closures must stay on the allocation-free SBO path");
   const sim::CategoryScope cat_scope{sim, sim::Category::kSip};
   retransmit_timer_ = sim.schedule_in(retransmit_interval_, std::move(rearm));
-  const Duration overall =
-      method() == Method::kInvite ? layer_.timers().timer_b() : layer_.timers().timer_f();
-  timeout_timer_ = sim.schedule_in(overall, [this] { fire_timeout(); });
+  timeout_timer_ = sim.schedule_in(kTimer64T1, [this] { fire_timeout(); });  // timer B or F
 }
 
 void ClientTransaction::retransmit() {
@@ -186,10 +188,10 @@ void ClientTransaction::retransmit() {
     // Timer A doubles unboundedly until Timer B ends the transaction.
     retransmit_interval_ = retransmit_interval_ * 2;
   } else if (state_ == State::kProceeding) {
-    retransmit_interval_ = layer_.timers().t2;
+    retransmit_interval_ = kT2;
   } else {
     // Timer E doubles capped at T2.
-    retransmit_interval_ = std::min(retransmit_interval_ * 2, layer_.timers().t2);
+    retransmit_interval_ = std::min(retransmit_interval_ * 2, kT2);
   }
   const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
   retransmit_timer_ = layer_.simulator().schedule_in(retransmit_interval_, [this] { retransmit(); });
@@ -257,7 +259,7 @@ void ClientTransaction::handle_response(const Message& response) {
     layer_.simulator().cancel(timeout_timer_);
     const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
     timeout_timer_ =
-        layer_.simulator().schedule_in(layer_.timers().timer_d(), [this] { terminate(); });
+        layer_.simulator().schedule_in(kTimerD, [this] { terminate(); });
     return;
   }
   if (method() != Method::kInvite) {
@@ -266,7 +268,7 @@ void ClientTransaction::handle_response(const Message& response) {
     layer_.simulator().cancel(retransmit_timer_);
     layer_.simulator().cancel(timeout_timer_);
     const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
-    timeout_timer_ = layer_.simulator().schedule_in(layer_.timers().t4, [this] { terminate(); });
+    timeout_timer_ = layer_.simulator().schedule_in(kT4, [this] { terminate(); });
     return;
   }
   // INVITE 2xx: the transaction ends at once; the TU/dialog layer ACKs.
@@ -296,7 +298,7 @@ ServerTransaction::ServerTransaction(TransactionLayer& layer, const Message& req
       method_{request.method()},
       peer_{peer},
       state_{method_ == Method::kInvite ? State::kProceeding : State::kTrying},
-      retransmit_interval_{layer.timers().t1} {
+      retransmit_interval_{kT1} {
   if (layer_.tracer_ != nullptr) {
     auto& tracer = *layer_.tracer_;
     span_ = tracer.begin(txn_span_name(tracer, "uas:", method_),
@@ -332,7 +334,7 @@ void ServerTransaction::respond(const Message& response) {
     retransmit_timer_ =
         layer_.simulator().schedule_in(retransmit_interval_, [this] { retransmit_response(); });
     timeout_timer_ =
-        layer_.simulator().schedule_in(layer_.timers().timer_h(), [this] { terminate(); });
+        layer_.simulator().schedule_in(kTimer64T1, [this] { terminate(); });
     return;
   }
   // Non-INVITE final: timer J absorbs request retransmissions.
@@ -340,7 +342,7 @@ void ServerTransaction::respond(const Message& response) {
   {
     const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
     timeout_timer_ =
-        layer_.simulator().schedule_in(layer_.timers().timer_f(), [this] { terminate(); });
+        layer_.simulator().schedule_in(kTimer64T1, [this] { terminate(); });
   }
 }
 
@@ -349,7 +351,7 @@ void ServerTransaction::retransmit_response() {
   layer_.note_retransmission();
   layer_.transport().send_sip(*last_response_, peer_);
   retransmit_interval_ = retransmit_interval_ * 2;
-  if (retransmit_interval_ > layer_.timers().t2) retransmit_interval_ = layer_.timers().t2;
+  if (retransmit_interval_ > kT2) retransmit_interval_ = kT2;
   const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
   retransmit_timer_ =
       layer_.simulator().schedule_in(retransmit_interval_, [this] { retransmit_response(); });
@@ -370,7 +372,7 @@ void ServerTransaction::handle_ack() {
   layer_.simulator().cancel(retransmit_timer_);
   layer_.simulator().cancel(timeout_timer_);
   const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
-  timeout_timer_ = layer_.simulator().schedule_in(layer_.timers().t4, [this] { terminate(); });
+  timeout_timer_ = layer_.simulator().schedule_in(kT4, [this] { terminate(); });
 }
 
 void ServerTransaction::terminate() {

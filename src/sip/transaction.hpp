@@ -22,18 +22,6 @@
 
 namespace pbxcap::sip {
 
-/// RFC 3261 timer baseline values.
-struct TimerConfig {
-  Duration t1{Duration::millis(500)};
-  Duration t2{Duration::seconds(4)};
-  Duration t4{Duration::seconds(5)};
-
-  [[nodiscard]] Duration timer_b() const noexcept { return t1 * 64; }
-  [[nodiscard]] Duration timer_d() const noexcept { return Duration::seconds(32); }
-  [[nodiscard]] Duration timer_f() const noexcept { return t1 * 64; }
-  [[nodiscard]] Duration timer_h() const noexcept { return t1 * 64; }
-};
-
 /// Supplies the wire: the endpoint wraps the message into a net::Packet.
 class Transport {
  public:
@@ -124,8 +112,7 @@ class ServerTransaction {
 /// Per-endpoint transaction manager.
 class TransactionLayer {
  public:
-  TransactionLayer(sim::Simulator& simulator, Transport& transport, std::string local_host,
-                   TimerConfig timers = {});
+  TransactionLayer(sim::Simulator& simulator, Transport& transport, std::string local_host);
 
   TransactionLayer(const TransactionLayer&) = delete;
   TransactionLayer& operator=(const TransactionLayer&) = delete;
@@ -168,7 +155,6 @@ class TransactionLayer {
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
   [[nodiscard]] Transport& transport() noexcept { return transport_; }
-  [[nodiscard]] const TimerConfig& timers() const noexcept { return timers_; }
   [[nodiscard]] const std::string& local_host() const noexcept { return local_host_; }
 
   [[nodiscard]] std::size_t active_client_transactions() const noexcept { return clients_.size(); }
@@ -180,7 +166,7 @@ class TransactionLayer {
   }
 
   /// Registers transaction counters and per-transaction span tracing.
-  /// nullptr (or a disabled Telemetry) clears every handle, so each
+  /// nullptr clears every handle, so each
   /// instrumentation site is a single predictable null-pointer branch.
   void set_telemetry(telemetry::Telemetry* tel);
 
@@ -195,13 +181,12 @@ class TransactionLayer {
   sim::Simulator& simulator_;
   Transport& transport_;
   std::string local_host_;
-  TimerConfig timers_;
   std::unordered_map<std::string, std::unique_ptr<ClientTransaction>> clients_;
   std::unordered_map<std::string, std::unique_ptr<ServerTransaction>> servers_;
   std::uint64_t branch_counter_{0};
   std::uint64_t retransmissions_{0};
 
-  // Telemetry handles; null when telemetry is absent or disabled.
+  // Telemetry handles; null when telemetry is absent.
   telemetry::Counter* tm_client_started_{nullptr};
   telemetry::Counter* tm_server_started_{nullptr};
   telemetry::Counter* tm_retransmissions_{nullptr};

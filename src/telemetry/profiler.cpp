@@ -7,14 +7,6 @@
 
 namespace pbxcap::telemetry {
 
-Profiler::Profiler(std::uint32_t sample_period) {
-  profile_.set_sample_period(sample_period);
-  names_.reserve(sim::ExecProfile::kMaxCategories);
-  for (std::size_t cat = 0; cat < sim::kCategoryCount; ++cat) {
-    names_.emplace_back(sim::category_name(static_cast<std::uint8_t>(cat)));
-  }
-}
-
 void Profiler::attach(sim::Simulator& simulator) {
   if (simulator_ != nullptr) throw std::logic_error{"Profiler: already attached"};
   simulator_ = &simulator;
@@ -28,14 +20,6 @@ void Profiler::detach() {
   simulator_->set_profile(nullptr);
   latched_processed_ += simulator_->events_processed() - attached_processed_;
   simulator_ = nullptr;
-}
-
-std::uint8_t Profiler::register_category(std::string name) {
-  if (names_.size() >= sim::ExecProfile::kMaxCategories) {
-    throw std::length_error{"Profiler: category table full"};
-  }
-  names_.push_back(std::move(name));
-  return static_cast<std::uint8_t>(names_.size() - 1);
 }
 
 void Profiler::start_series(Duration period) {
@@ -74,9 +58,10 @@ void Profiler::tick() {
 
 ProfileData Profiler::snapshot() const {
   ProfileData data;
-  data.categories.reserve(names_.size());
-  for (std::size_t cat = 0; cat < names_.size(); ++cat) {
-    data.categories.push_back(ProfileData::Category{names_[cat], profile_.stats(cat)});
+  data.categories.reserve(sim::kCategoryCount);
+  for (std::size_t cat = 0; cat < sim::kCategoryCount; ++cat) {
+    data.categories.push_back(ProfileData::Category{
+        sim::category_name(static_cast<std::uint8_t>(cat)), profile_.stats(cat)});
   }
   data.events_processed = latched_processed_;
   if (simulator_ != nullptr) {
@@ -153,7 +138,7 @@ std::string to_chrome_counter_trace(const Profiler& profiler) {
       out += util::format(
           ",\n{\"ph\":\"C\",\"pid\":1,\"name\":\"events/s\",\"ts\":%.3f,\"args\":{\"%s\":%.1f}}",
           static_cast<double>(row.at_ns) / 1e3,
-          profiler.category_name(static_cast<std::uint8_t>(cat)).c_str(), per_s);
+          sim::category_name(static_cast<std::uint8_t>(cat)), per_s);
     }
   }
   out += "\n]}\n";

@@ -1,7 +1,7 @@
 // Event-engine profiler — the rich wrapper over sim::ExecProfile.
 //
 // The simulator counts fires into the hot ExecProfile struct (one array
-// increment per event; every sample_period-th callback wall-clocked, see
+// increment per event; every kSamplePeriod-th callback wall-clocked, see
 // sim/profile.hpp). This layer adds what the kernel must not know about:
 // category names, an optional per-period event-count series driven by a
 // self-scheduling tick (the source of Chrome counter tracks), deterministic
@@ -34,7 +34,7 @@ struct ProfileData {
     sim::CategoryStats stats;
   };
 
-  std::vector<Category> categories;  // builtin order, then dynamic extras
+  std::vector<Category> categories;  // indexed by sim::Category
   /// Simulator::events_processed() delta over the attached interval; the
   /// category counts must sum to exactly this (checked by tools/check_telemetry.py).
   std::uint64_t events_processed{0};
@@ -52,7 +52,7 @@ struct ProfileData {
 
 class Profiler {
  public:
-  explicit Profiler(std::uint32_t sample_period = sim::ExecProfile::kDefaultSamplePeriod);
+  Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -64,11 +64,6 @@ class Profiler {
   /// epilogue, before the run's sim::Simulator leaves scope.
   void detach();
 
-  /// Registers an experiment-defined category above the builtins; returns
-  /// its id for use with Simulator::CategoryScope. Throws when the
-  /// ExecProfile slot table is full.
-  std::uint8_t register_category(std::string name);
-
   /// Self-schedules a per-period tick recording category event-count deltas
   /// (the Chrome counter-track series). Requires attach() first; the tick
   /// itself is attributed to timer-wheel. Use with run_until, like the
@@ -77,9 +72,6 @@ class Profiler {
   void stop_series();
 
   [[nodiscard]] const sim::ExecProfile& profile() const noexcept { return profile_; }
-  [[nodiscard]] const std::string& category_name(std::uint8_t cat) const {
-    return names_.at(cat);
-  }
 
   struct SeriesRow {
     std::int64_t at_ns{0};
@@ -94,7 +86,6 @@ class Profiler {
   void tick();
 
   sim::ExecProfile profile_{};
-  std::vector<std::string> names_;
   sim::Simulator* simulator_{nullptr};
   std::uint64_t attached_processed_{0};
   std::uint64_t latched_processed_{0};  // delta frozen by detach()

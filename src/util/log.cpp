@@ -1,41 +1,15 @@
 #include "util/log.hpp"
 
 #include <cstdio>
+#include <mutex>
 
 namespace pbxcap::util {
-namespace {
 
-constexpr const char* level_name(LogLevel level) noexcept {
-  switch (level) {
-    case LogLevel::Trace: return "TRACE";
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
+void log_warn(std::string_view component, std::string_view message) {
+  static std::mutex mutex;
+  const std::scoped_lock lock{mutex};
+  std::fprintf(stderr, "[WARN ] %.*s: %.*s\n", static_cast<int>(component.size()),
+               component.data(), static_cast<int>(message.size()), message.data());
 }
-
-}  // namespace
-
-Logger& Logger::instance() {
-  static Logger logger;
-  return logger;
-}
-
-void Logger::log(LogLevel level, std::string_view component, std::string_view message) {
-  if (!enabled(level)) return;
-  const std::scoped_lock lock{mutex_};
-  std::fprintf(stderr, "[%-5s] %.*s: %.*s\n", level_name(level),
-               static_cast<int>(component.size()), component.data(),
-               static_cast<int>(message.size()), message.data());
-}
-
-void log_trace(std::string_view c, std::string_view m) { Logger::instance().log(LogLevel::Trace, c, m); }
-void log_debug(std::string_view c, std::string_view m) { Logger::instance().log(LogLevel::Debug, c, m); }
-void log_info(std::string_view c, std::string_view m) { Logger::instance().log(LogLevel::Info, c, m); }
-void log_warn(std::string_view c, std::string_view m) { Logger::instance().log(LogLevel::Warn, c, m); }
-void log_error(std::string_view c, std::string_view m) { Logger::instance().log(LogLevel::Error, c, m); }
 
 }  // namespace pbxcap::util

@@ -1,38 +1,16 @@
-// Minimal leveled logger.
+// Warning logger.
 //
 // The simulation is deterministic and single-threaded per run, but experiment
-// replications run runs on several threads, so emission is serialized with a
-// mutex. Logging defaults to Warn to keep bench output clean.
+// replications run on several threads, so emission is serialized with a
+// mutex. Warnings are the only level: nothing else is printed, so bench
+// output stays clean.
 #pragma once
 
-#include <mutex>
 #include <string_view>
 
 namespace pbxcap::util {
 
-enum class LogLevel { Trace = 0, Debug, Info, Warn, Error, Off };
-
-class Logger {
- public:
-  /// Process-wide logger instance.
-  [[nodiscard]] static Logger& instance();
-
-  void set_level(LogLevel level) noexcept { level_ = level; }
-  [[nodiscard]] LogLevel level() const noexcept { return level_; }
-  [[nodiscard]] bool enabled(LogLevel level) const noexcept { return level >= level_; }
-
-  void log(LogLevel level, std::string_view component, std::string_view message);
-
- private:
-  Logger() = default;
-  LogLevel level_{LogLevel::Warn};
-  std::mutex mutex_;
-};
-
-void log_trace(std::string_view component, std::string_view message);
-void log_debug(std::string_view component, std::string_view message);
-void log_info(std::string_view component, std::string_view message);
+/// Prints "[WARN ] component: message" to stderr.
 void log_warn(std::string_view component, std::string_view message);
-void log_error(std::string_view component, std::string_view message);
 
 }  // namespace pbxcap::util

@@ -112,7 +112,7 @@ TEST(DispatcherBackoff, Plain503DoesNotBenchByDefault) {
   sip::HostResolver resolver;
   Dispatcher d{"disp.unb.br", three_backends(), with_policy(Policy::kRoundRobin), simulator,
                resolver};
-  // No Retry-After and default_backoff zero: a race for the last channel is
+  // No Retry-After: a race for the last channel is
   // not evidence the backend is down.
   d.on_reject_503("a.unb.br", Duration::zero());
   EXPECT_EQ(pick_once(d), "a.unb.br");

@@ -96,23 +96,6 @@ TEST(ProfilerTest, SnapshotSurvivesSimulatorDestruction) {
   EXPECT_EQ(data.categories[sim::category_id(sim::Category::kFault)].name, "fault");
 }
 
-TEST(ProfilerTest, RegisterCategoryExtendsTheTable) {
-  telemetry::Profiler profiler;
-  const std::uint8_t id = profiler.register_category("experiment-phase");
-  EXPECT_GE(id, sim::kCategoryCount);
-  EXPECT_EQ(profiler.category_name(id), "experiment-phase");
-
-  sim::Simulator simulator;
-  profiler.attach(simulator);
-  {
-    const sim::Simulator::CategoryScope scope{simulator, id};
-    simulator.schedule_in(Duration::millis(1), [] {});
-  }
-  simulator.run();
-  profiler.detach();
-  EXPECT_EQ(profiler.snapshot().categories[id].stats.events, 1u);
-}
-
 // ---- testbed integration ----------------------------------------------------
 
 exp::TestbedConfig profiled_config(telemetry::Telemetry* tel, bool fluid = false) {

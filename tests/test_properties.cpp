@@ -17,7 +17,6 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sip/parse.hpp"
-#include "stats/histogram.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -248,29 +247,5 @@ TEST_P(SipRoundTrip, SerializeParseIsIdentityOnKeyFields) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SipRoundTrip, ::testing::Range(1, 9));
-
-// ---------------------------------------------------------------------------
-// Histogram quantiles bounded by observed extremes.
-// ---------------------------------------------------------------------------
-
-class HistogramQuantiles : public ::testing::TestWithParam<int> {};
-
-TEST_P(HistogramQuantiles, QuantilesAreMonotoneAndBounded) {
-  sim::Random rng{static_cast<std::uint64_t>(GetParam()) * 77};
-  stats::Histogram h{0.0, 100.0, 50};
-  for (int i = 0; i < 5000; ++i) h.add(rng.uniform(0.0, 100.0));
-  double prev = -1.0;
-  for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const double v = h.quantile(q);
-    EXPECT_GE(v, prev);
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 100.0);
-    prev = v;
-  }
-  // Median of uniform(0,100) is near 50.
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 5.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HistogramQuantiles, ::testing::Range(1, 6));
 
 }  // namespace

@@ -1,12 +1,10 @@
-// Unit tests for streaming statistics, histograms, and confidence intervals.
+// Unit tests for streaming statistics, counters, and confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "stats/confidence.hpp"
 #include "stats/counter.hpp"
-#include "stats/histogram.hpp"
-#include "stats/rate_meter.hpp"
 #include "stats/summary.hpp"
 
 namespace {
@@ -60,42 +58,6 @@ TEST(SummaryTest, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 1u);
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
-TEST(HistogramTest, BinningAndQuantiles) {
-  stats::Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) / 10.0);  // 0.0 .. 9.9 uniform
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.2);
-  EXPECT_NEAR(h.quantile(0.95), 9.5, 0.2);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-}
-
-TEST(HistogramTest, OutOfRangeGoesToOverflow) {
-  stats::Histogram h{0.0, 1.0, 4};
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 2u);
-}
-
-TEST(HistogramTest, MergeCompatible) {
-  stats::Histogram a{0.0, 1.0, 4};
-  stats::Histogram b{0.0, 1.0, 4};
-  a.add(0.1);
-  b.add(0.9);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  stats::Histogram c{0.0, 2.0, 4};
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW((stats::Histogram{1.0, 0.0, 4}), std::invalid_argument);
-  EXPECT_THROW((stats::Histogram{0.0, 1.0, 0}), std::invalid_argument);
 }
 
 TEST(ConfidenceTest, IncompleteBetaEdges) {
@@ -173,30 +135,6 @@ TEST(CounterTest, HeterogeneousLookupDoesNotAllocateNames) {
   EXPECT_EQ(set.value(std::string_view{"INVITE/200"}), 1u);
   EXPECT_EQ(set.value(std::string_view{"INVITE"}), 1u);
   EXPECT_EQ(set.all().size(), 2u);
-}
-
-TEST(RateMeterTest, RateOverHorizon) {
-  stats::RateMeter meter;
-  const TimePoint t0 = TimePoint::origin();
-  for (int i = 0; i < 100; ++i) meter.record(t0 + Duration::millis(10 * i));
-  EXPECT_EQ(meter.count(), 100u);
-  // 100 events over 2 seconds horizon = 50/s.
-  EXPECT_NEAR(meter.rate_per_second(t0 + Duration::seconds(2)), 50.0, 1e-9);
-  const stats::RateMeter empty;
-  EXPECT_DOUBLE_EQ(empty.rate_per_second(t0 + Duration::seconds(1)), 0.0);
-}
-
-TEST(RateMeterTest, InstantBurstReportsFiniteRate) {
-  // Regression: all events at one instant used to divide by a zero span.
-  // The span is floored at one simulator tick (1 ns).
-  stats::RateMeter meter;
-  const TimePoint t = TimePoint::origin() + Duration::seconds(5);
-  meter.record(t, 10);
-  const double rate = meter.rate_per_second(t);  // horizon == first event
-  EXPECT_TRUE(std::isfinite(rate));
-  EXPECT_DOUBLE_EQ(rate, 10.0 / 1e-9);
-  // A horizon before the first event must not produce a negative rate.
-  EXPECT_GT(meter.rate_per_second(TimePoint::origin()), 0.0);
 }
 
 }  // namespace

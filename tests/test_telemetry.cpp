@@ -302,17 +302,6 @@ TEST(TelemetryIntegrationTest, SameSeedRunsExportIdenticalArtifacts) {
             telemetry::to_chrome_trace(*tel_b.tracer()));
 }
 
-TEST(TelemetryIntegrationTest, DisabledTelemetryRegistersNothing) {
-  telemetry::Config config;
-  config.enabled = false;
-  telemetry::Telemetry tel{config};
-  EXPECT_EQ(tel.tracer(), nullptr);
-  const auto report = exp::run_testbed(small_config(&tel));
-  EXPECT_GT(report.calls_attempted, 0u);
-  EXPECT_EQ(tel.registry().size(), 0u);
-  EXPECT_EQ(tel.sampler().rows(), 0u);
-}
-
 TEST(TelemetryIntegrationTest, TelemetryDoesNotPerturbTheSimulation) {
   // The instrumented run must make exactly the same calls with the same
   // outcomes as the bare run (the sampler adds events, so events_processed
