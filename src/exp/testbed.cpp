@@ -18,8 +18,7 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
                           .fluid = config.fluid,
                           .faults = config.faults,
                           .telemetry = config.telemetry,
-                          .trace = config.trace,
-                          .backends_first = true};
+                          .trace = config.trace};
   Experiment experiment{topology};
   Experiment::Backend& backend = experiment.backend(0);
   const pbx::AsteriskPbx& pbx = backend.pbx;

@@ -64,10 +64,6 @@ struct Topology {
   std::size_t fault_backend{0};
   telemetry::Telemetry* telemetry{nullptr};
   monitor::PacketTrace* trace{nullptr};
-  /// Whether the PBXs are attached and instrumented before the SIPp hosts or
-  /// after them. Attach order fixes NodeIds and instrumentation order fixes
-  /// registry rows and span names, and exports show both.
-  bool backends_first{false};
   /// Placement: backend i on shard 1 + i, instead of every backend on shard 0.
   bool sharded{false};
   ShardExecConfig exec{};  // workers and lookahead of the sharded placement

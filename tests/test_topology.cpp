@@ -145,19 +145,19 @@ std::uint64_t testbed_digest(exp::TestbedConfig config, const telemetry::Config&
 }
 
 TEST(TopologyDigest, TestbedPerPacket) {
-  expect_digest(testbed_digest(small_testbed(), {}), 0x21f53cadf65526c5ULL);
+  expect_digest(testbed_digest(small_testbed(), {}), 0xbaa01c21b5889bbfULL);
 }
 
 TEST(TopologyDigest, TestbedFluid) {
   auto config = small_testbed();
   config.fluid.enabled = true;
-  expect_digest(testbed_digest(config, {}), 0x94429e9a1a6577f7ULL);
+  expect_digest(testbed_digest(config, {}), 0x821a06345e90f9a7ULL);
 }
 
 TEST(TopologyDigest, TestbedWifi) {
   auto config = small_testbed();
   config.wifi_cell = net::WifiCellConfig{};
-  expect_digest(testbed_digest(config, {}), 0x73c272b9717bdcc8ULL);
+  expect_digest(testbed_digest(config, {}), 0x4369fe9201f75748ULL);
 }
 
 TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
@@ -170,7 +170,7 @@ TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
       "@14s link client loss=0\n");
   auto config = small_testbed();
   config.faults = &plan;
-  expect_digest(testbed_digest(config, full_telemetry()), 0x9e329115bcead69aULL);
+  expect_digest(testbed_digest(config, full_telemetry()), 0xf04251911704f368ULL);
 }
 
 /// Fluid needs point-to-point links: with a shared-medium Wi-Fi cell the
