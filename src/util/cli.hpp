@@ -2,6 +2,7 @@
 // and one checked file writer.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -14,15 +15,18 @@ namespace pbxcap::util {
 /// returns false.
 [[nodiscard]] bool write_file(const std::string& path, std::string_view content);
 
-/// Parses `--name` switches, `--name PATH` strings and `--name N` unsigned
-/// numbers into caller-owned variables. Anything else is an error: an
-/// unknown argument, a valued flag at the end of argv, or a number that
-/// parse_u64 rejects or that overflows `unsigned`.
+/// Parses `--name` switches, `--name PATH` strings, `--name N` unsigned
+/// numbers and `--name X` finite numbers into caller-owned variables.
+/// Anything else is an error: an unknown argument, a valued flag at the end
+/// of argv, an unsigned number that parse_u64 rejects or that overflows its
+/// variable, or a number that parse_double rejects.
 class Flags {
  public:
   Flags& flag(std::string_view name, bool& out);
   Flags& value(std::string_view name, std::string& out);
   Flags& value(std::string_view name, unsigned& out);
+  Flags& value(std::string_view name, std::uint64_t& out);
+  Flags& value(std::string_view name, double& out);
 
   /// Parses argv[1..argc); returns an empty string on success, else the error.
   [[nodiscard]] std::string try_parse(int argc, const char* const* argv) const;
@@ -36,7 +40,7 @@ class Flags {
 
   struct Spec {
     std::string name;
-    std::variant<bool*, std::string*, unsigned*> out;
+    std::variant<bool*, std::string*, unsigned*, std::uint64_t*, double*> out;
   };
   std::vector<Spec> specs_;
 };

@@ -1,6 +1,8 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -73,6 +75,15 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
     if (v > (UINT64_MAX - digit) / 10) return false;  // overflow
     v = v * 10 + digit;
   }
+  out = v;
+  return true;
+}
+
+bool parse_double(std::string_view s, double& out) {
+  double v = 0.0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v)) return false;
   out = v;
   return true;
 }

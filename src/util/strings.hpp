@@ -32,6 +32,10 @@ struct SplitPair {
 /// Parses a non-negative integer; returns false on any non-digit or overflow.
 [[nodiscard]] bool parse_u64(std::string_view s, std::uint64_t& out);
 
+/// Parses a finite decimal number; returns false on trailing bytes, leading
+/// whitespace or '+', NaN, infinity or out-of-range magnitude.
+[[nodiscard]] bool parse_double(std::string_view s, double& out);
+
 /// printf-style formatting into a std::string.
 [[nodiscard]] std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -100,6 +100,22 @@ TEST(Strings, ParseU64) {
   EXPECT_FALSE(util::parse_u64("18446744073709551616", v));  // overflow
 }
 
+TEST(Strings, ParseDouble) {
+  double v = -1.0;
+  EXPECT_TRUE(util::parse_double("150", v));
+  EXPECT_DOUBLE_EQ(v, 150.0);
+  EXPECT_TRUE(util::parse_double("-2.5e-3", v));
+  EXPECT_DOUBLE_EQ(v, -2.5e-3);
+  EXPECT_TRUE(util::parse_double("0.02", v));
+  EXPECT_DOUBLE_EQ(v, 0.02);
+  for (const char* bad : {"", "abc", "1.5x", "12 ", " 12", "+1", "nan", "NaN", "inf",
+                          "-infinity", "1e999", "0x10"}) {
+    v = 7.0;
+    EXPECT_FALSE(util::parse_double(bad, v)) << bad;
+    EXPECT_DOUBLE_EQ(v, 7.0) << bad;  // untouched on failure
+  }
+}
+
 TEST(Strings, Format) {
   EXPECT_EQ(util::format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(util::format("%.2f%%", 3.14159), "3.14%");
@@ -190,6 +206,33 @@ TEST(Flags, ParseExitsTwoWithUsage) {
   EXPECT_EXIT(b.flags.parse(2, argv), ::testing::ExitedWithCode(2),
               "unknown argument '--fsat'\nusage: bench_x \\[--fast\\] \\[--json PATH\\] "
               "\\[--threads N\\]");
+}
+
+TEST(Flags, ParsesSixtyFourBitAndFiniteNumbers) {
+  std::uint64_t seed = 1;
+  double window = 180.0;
+  util::Flags flags;
+  flags.value("--seed", seed).value("--window", window);
+  const auto parse = [&flags](std::vector<const char*> args) {
+    args.insert(args.begin(), "pbxcap");
+    return flags.try_parse(static_cast<int>(args.size()), args.data());
+  };
+  EXPECT_EQ(parse({"--seed", "18446744073709551615", "--window", "2.5"}), "");
+  EXPECT_EQ(seed, 18446744073709551615u);
+  EXPECT_DOUBLE_EQ(window, 2.5);
+  EXPECT_EQ(parse({"--window", "-30"}), "");
+  EXPECT_DOUBLE_EQ(window, -30.0);
+  EXPECT_EQ(parse({"--seed", "18446744073709551616"}),
+            "--seed needs an unsigned number, got '18446744073709551616'");
+  EXPECT_EQ(parse({"--seed", "-1"}), "--seed needs an unsigned number, got '-1'");
+  EXPECT_EQ(parse({"--window", "x"}), "--window needs a finite number, got 'x'");
+  EXPECT_EQ(parse({"--window", "inf"}), "--window needs a finite number, got 'inf'");
+  EXPECT_EQ(parse({"--window"}), "--window needs a value");
+  EXPECT_EQ(seed, 18446744073709551615u);
+  EXPECT_DOUBLE_EQ(window, -30.0);
+  const char* argv[] = {"pbxcap", "--bogus"};
+  EXPECT_EXIT(flags.parse(2, argv), ::testing::ExitedWithCode(2),
+              "usage: pbxcap \\[--seed N\\] \\[--window X\\]");
 }
 
 TEST(WriteFile, WritesContentExactly) {

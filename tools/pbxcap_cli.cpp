@@ -18,12 +18,16 @@
 //                   --trace-out F
 // profile options:  --channels N, --seed S, --window S, --top N, --timing,
 //                   --json-out F, --counters-out F
+//
+// A malformed or out-of-range number, an unknown option or a missing value
+// prints usage and exits 2.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/dimensioning.hpp"
 #include "core/engset.hpp"
@@ -36,6 +40,7 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -62,24 +67,77 @@ int usage() {
   return 2;
 }
 
-int cmd_erlang_b(const std::vector<std::string>& args) {
-  if (args.size() == 3 && args[0] == "--channels") {
-    const double a = std::atof(args[1].c_str());
-    const double pb = std::atof(args[2].c_str());
+/// A malformed or out-of-range command-line number; main prints usage.
+struct BadArgument {
+  const char* arg;
+};
+
+/// A finite number in [lo, hi] (loads, rates, durations, percentages).
+double number(const char* arg, double lo = 0.0,
+              double hi = std::numeric_limits<double>::max()) {
+  double v = 0.0;
+  if (!util::parse_double(arg, v) || v < lo || v > hi) throw BadArgument{arg};
+  return v;
+}
+
+/// An offered load the simulator can run: A > 0.
+double load(const char* arg) {
+  const double a = number(arg);
+  if (a == 0.0) throw BadArgument{arg};
+  return a;
+}
+
+/// A count >= 1 (channels, sources).
+std::uint32_t count(const char* arg) {
+  std::uint64_t v = 0;
+  if (!util::parse_u64(arg, v) || v < 1 || v > UINT32_MAX) throw BadArgument{arg};
+  return static_cast<std::uint32_t>(v);
+}
+
+/// A blocking target strictly inside (0, 1).
+double probability(const char* arg) {
+  const double p = number(arg, 0.0, 1.0);
+  if (p == 0.0 || p == 1.0) throw BadArgument{arg};
+  return p;
+}
+
+/// Runs `flags` over argv[1..argc); prints the error and returns false.
+bool parse_flags(const util::Flags& flags, int argc, char** argv) {
+  const std::string error = flags.try_parse(argc, argv);
+  if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
+  return error.empty();
+}
+
+/// The run flags `simulate` and `profile` share.
+util::Flags run_flags(exp::TestbedConfig& config, double& window_s) {
+  util::Flags flags;
+  flags.value("--channels", config.pbx.max_channels)
+      .value("--seed", config.seed)
+      .value("--window", window_s);
+  return flags;
+}
+
+// Each subcommand sees its own name as argv[0], so argv[1] is its first
+// argument.
+
+int cmd_erlang_b(int argc, char** argv) {
+  if (argc == 4 && std::string_view{argv[1]} == "--channels") {
+    const double a = number(argv[2]);
+    const double pb = probability(argv[3]);
     std::printf("A = %g E at P_b <= %g  =>  N = %u channels\n", a, pb,
                 erlang::channels_for_blocking(Erlangs{a}, pb));
     return 0;
   }
-  if (args.size() == 3 && args[0] == "--load") {
-    const auto n = static_cast<std::uint32_t>(std::atoi(args[1].c_str()));
-    const double pb = std::atof(args[2].c_str());
+  if (argc == 4 && std::string_view{argv[1]} == "--load") {
+    const std::uint32_t n = count(argv[2]);
+    const double pb = probability(argv[3]);
     std::printf("N = %u at P_b <= %g  =>  A_max = %.3f Erlangs\n", n, pb,
                 erlang::offered_load_for_blocking(n, pb).value());
     return 0;
   }
-  if (args.size() == 2) {
-    const double a = std::atof(args[0].c_str());
-    const auto n = static_cast<std::uint32_t>(std::atoi(args[1].c_str()));
+  if (argc == 3) {
+    const double a = number(argv[1]);
+    const std::uint32_t n = count(argv[2]);
     std::printf("Erlang-B: A = %g E, N = %u  =>  P_b = %.4f%%, carried = %.2f E\n", a, n,
                 erlang::erlang_b(Erlangs{a}, n) * 100.0, erlang::carried_traffic(Erlangs{a}, n));
     return 0;
@@ -87,11 +145,11 @@ int cmd_erlang_b(const std::vector<std::string>& args) {
   return usage();
 }
 
-int cmd_erlang_c(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const double a = std::atof(args[0].c_str());
-  const auto n = static_cast<std::uint32_t>(std::atoi(args[1].c_str()));
-  const double hold_s = args.size() > 2 ? std::atof(args[2].c_str()) : 180.0;
+int cmd_erlang_c(int argc, char** argv) {
+  if (argc != 3 && argc != 4) return usage();
+  const double a = number(argv[1]);
+  const std::uint32_t n = count(argv[2]);
+  const double hold_s = argc == 4 ? number(argv[3]) : 180.0;
   const double pw = erlang::erlang_c(Erlangs{a}, n);
   std::printf("Erlang-C: A = %g E, N = %u  =>  P(wait) = %.4f%%\n", a, n, pw * 100.0);
   if (static_cast<double>(n) > a) {
@@ -106,11 +164,11 @@ int cmd_erlang_c(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_engset(const std::vector<std::string>& args) {
-  if (args.size() != 3) return usage();
-  const double a = std::atof(args[0].c_str());
-  const auto m = static_cast<std::uint32_t>(std::atoi(args[1].c_str()));
-  const auto n = static_cast<std::uint32_t>(std::atoi(args[2].c_str()));
+int cmd_engset(int argc, char** argv) {
+  if (argc != 4) return usage();
+  const double a = number(argv[1]);
+  const std::uint32_t m = count(argv[2]);
+  const std::uint32_t n = count(argv[3]);
   std::printf("Engset: A = %g E over M = %u sources, N = %u  =>  P_b = %.4f%%  "
               "(Erlang-B: %.4f%%)\n",
               a, m, n, erlang::engset_blocking_total(Erlangs{a}, m, n) * 100.0,
@@ -118,11 +176,11 @@ int cmd_engset(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_dimension(const std::vector<std::string>& args) {
-  if (args.size() != 3) return usage();
-  const double calls = std::atof(args[0].c_str());
-  const double minutes = std::atof(args[1].c_str());
-  const double pb = std::atof(args[2].c_str());
+int cmd_dimension(int argc, char** argv) {
+  if (argc != 4) return usage();
+  const double calls = number(argv[1]);
+  const double minutes = number(argv[2]);
+  const double pb = probability(argv[3]);
   const erlang::Workload w{calls, Duration::from_seconds(minutes * 60.0)};
   const std::uint32_t n = erlang::dimension_channels(w, pb);
   const auto point = erlang::evaluate_capacity(w, n);
@@ -133,11 +191,11 @@ int cmd_dimension(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_mos(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const double loss = std::atof(args[0].c_str()) / 100.0;
-  const double delay_ms = std::atof(args[1].c_str());
-  const auto codec = rtp::codec_by_name(args.size() > 2 ? args[2] : "PCMU");
+int cmd_mos(int argc, char** argv) {
+  if (argc != 3 && argc != 4) return usage();
+  const double loss = number(argv[1], 0.0, 100.0) / 100.0;
+  const double delay_ms = number(argv[2]);
+  const auto codec = rtp::codec_by_name(argc == 4 ? argv[3] : "PCMU");
   if (!codec) {
     std::fprintf(stderr, "unknown codec; catalog:");
     for (const auto& c : rtp::codec_catalog()) std::fprintf(stderr, " %s", std::string{c.name}.c_str());
@@ -154,54 +212,41 @@ int cmd_mos(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_simulate(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
+int cmd_simulate(int argc, char** argv) {
+  if (argc < 2) return usage();
+  const double offered = load(argv[1]);
   exp::TestbedConfig config;
-  config.scenario = loadgen::CallScenario::for_offered_load(std::atof(args[0].c_str()));
-  std::string metrics_out, series_out, trace_out;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--channels") {
-      config.pbx.max_channels = static_cast<std::uint32_t>(std::atoi(next("--channels").c_str()));
-    } else if (args[i] == "--seed") {
-      config.seed = static_cast<std::uint64_t>(std::atoll(next("--seed").c_str()));
-    } else if (args[i] == "--window") {
-      config.scenario.placement_window =
-          Duration::from_seconds(std::atof(next("--window").c_str()));
-    } else if (args[i] == "--hold") {
-      const double hold_s = std::atof(next("--hold").c_str());
-      const double a = config.scenario.offered_erlangs();
-      config.scenario.hold_time = Duration::from_seconds(hold_s);
-      config.scenario.arrival_rate_per_s = a / hold_s;
-    } else if (args[i] == "--codec") {
-      const auto codec = rtp::codec_by_name(next("--codec"));
-      if (!codec) {
-        std::fprintf(stderr, "unknown codec\n");
-        return 2;
-      }
-      config.scenario.codec = *codec;
-      config.pbx.allowed_payload_types = {codec->payload_type};
-    } else if (args[i] == "--wifi") {
-      config.wifi_cell = net::WifiCellConfig{};
-    } else if (args[i] == "--rtcp") {
-      config.scenario.rtcp = true;
-    } else if (args[i] == "--metrics-out") {
-      metrics_out = next("--metrics-out");
-    } else if (args[i] == "--series-out") {
-      series_out = next("--series-out");
-    } else if (args[i] == "--trace-out") {
-      trace_out = next("--trace-out");
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", args[i].c_str());
+  const loadgen::CallScenario defaults;
+  double window_s = defaults.placement_window.to_seconds();
+  double hold_s = defaults.hold_time.to_seconds();
+  bool use_wifi = false;
+  bool rtcp = false;
+  std::string codec_name, metrics_out, series_out, trace_out;
+  util::Flags flags = run_flags(config, window_s);
+  flags.value("--hold", hold_s)
+      .value("--codec", codec_name)
+      .flag("--wifi", use_wifi)
+      .flag("--rtcp", rtcp)
+      .value("--metrics-out", metrics_out)
+      .value("--series-out", series_out)
+      .value("--trace-out", trace_out);
+  // Flags start after <A>, so A stands in for the program name.
+  if (!parse_flags(flags, argc - 1, argv + 1) || window_s < 0.0 || hold_s <= 0.0) {
+    return usage();
+  }
+  config.scenario = loadgen::CallScenario::for_offered_load(offered, Duration::from_seconds(hold_s));
+  config.scenario.placement_window = Duration::from_seconds(window_s);
+  config.scenario.rtcp = rtcp;
+  if (!codec_name.empty()) {
+    const auto codec = rtp::codec_by_name(codec_name);
+    if (!codec) {
+      std::fprintf(stderr, "unknown codec\n");
       return 2;
     }
+    config.scenario.codec = *codec;
+    config.pbx.allowed_payload_types = {codec->payload_type};
   }
+  if (use_wifi) config.wifi_cell = net::WifiCellConfig{};
 
   // Any export flag turns the telemetry subsystem on for this run; span
   // tracing only when a trace sink was actually requested (the ring costs
@@ -255,46 +300,25 @@ int cmd_simulate(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_profile(const std::vector<std::string>& args) {
+int cmd_profile(int argc, char** argv) {
+  const bool has_load = argc > 1 && argv[1][0] != '-';
+  const double offered = has_load ? load(argv[1]) : 100.0;
   exp::TestbedConfig config;
-  std::size_t first_flag = 0;
-  double offered = 100.0;
-  if (!args.empty() && args[0][0] != '-') {
-    offered = std::atof(args[0].c_str());
-    first_flag = 1;
-  }
-  config.scenario = loadgen::CallScenario::for_offered_load(offered);
-  std::size_t top_n = 10;
+  double window_s = loadgen::CallScenario{}.placement_window.to_seconds();
+  unsigned top_n = 10;
   bool timing = false;
   std::string json_out, counters_out;
-  for (std::size_t i = first_flag; i < args.size(); ++i) {
-    const auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return args[++i];
-    };
-    if (args[i] == "--channels") {
-      config.pbx.max_channels = static_cast<std::uint32_t>(std::atoi(next("--channels").c_str()));
-    } else if (args[i] == "--seed") {
-      config.seed = static_cast<std::uint64_t>(std::atoll(next("--seed").c_str()));
-    } else if (args[i] == "--window") {
-      config.scenario.placement_window =
-          Duration::from_seconds(std::atof(next("--window").c_str()));
-    } else if (args[i] == "--top") {
-      top_n = static_cast<std::size_t>(std::atoi(next("--top").c_str()));
-    } else if (args[i] == "--timing") {
-      timing = true;
-    } else if (args[i] == "--json-out") {
-      json_out = next("--json-out");
-    } else if (args[i] == "--counters-out") {
-      counters_out = next("--counters-out");
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", args[i].c_str());
-      return 2;
-    }
+  util::Flags flags = run_flags(config, window_s);
+  flags.value("--top", top_n)
+      .flag("--timing", timing)
+      .value("--json-out", json_out)
+      .value("--counters-out", counters_out);
+  if (!parse_flags(flags, has_load ? argc - 1 : argc, has_load ? argv + 1 : argv) ||
+      window_s < 0.0) {
+    return usage();
   }
+  config.scenario = loadgen::CallScenario::for_offered_load(offered);
+  config.scenario.placement_window = Duration::from_seconds(window_s);
 
   telemetry::Config tel_config;
   tel_config.tracing = false;
@@ -326,15 +350,20 @@ int cmd_profile(const std::vector<std::string>& args) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
-  if (cmd == "erlang-b") return cmd_erlang_b(args);
-  if (cmd == "erlang-c") return cmd_erlang_c(args);
-  if (cmd == "engset") return cmd_engset(args);
-  if (cmd == "dimension") return cmd_dimension(args);
-  if (cmd == "mos") return cmd_mos(args);
-  if (cmd == "simulate") return cmd_simulate(args);
-  if (cmd == "profile") return cmd_profile(args);
+  const std::string_view cmd = argv[1];
+  try {
+    if (cmd == "erlang-b") return cmd_erlang_b(argc - 1, argv + 1);
+    if (cmd == "erlang-c") return cmd_erlang_c(argc - 1, argv + 1);
+    if (cmd == "engset") return cmd_engset(argc - 1, argv + 1);
+    if (cmd == "dimension") return cmd_dimension(argc - 1, argv + 1);
+    if (cmd == "mos") return cmd_mos(argc - 1, argv + 1);
+    if (cmd == "simulate") return cmd_simulate(argc - 1, argv + 1);
+    if (cmd == "profile") return cmd_profile(argc - 1, argv + 1);
+  } catch (const BadArgument& bad) {
+    std::fprintf(stderr, "bad number '%s'\n", bad.arg);
+  } catch (const std::invalid_argument& e) {
+    // A combination the model rejects, e.g. Engset with M <= A.
+    std::fprintf(stderr, "%s\n", e.what());
+  }
   return usage();
 }
