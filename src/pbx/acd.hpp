@@ -1,11 +1,10 @@
 // Automatic Call Distribution — the first-class queue subsystem.
 //
-// Grown out of AsteriskPbx's ad-hoc kQueueWhenBusy deque, modelled on
-// Asterisk's app_queue: named queues, an agent pool with ring strategies and
-// per-agent wrapup, caller abandonment via a configurable patience
-// distribution, periodic position announcements (delivered as SIP 182
-// updates by the PBX), and a voicemail fallback instead of a hard 503 when
-// the queue is full or a caller waits too long.
+// Modelled on Asterisk's app_queue: named queues, an agent pool with ring
+// strategies and per-agent wrapup, caller abandonment via a configurable
+// patience distribution, periodic position announcements (delivered as SIP
+// 182 updates by the PBX), and a voicemail fallback instead of a hard 503
+// when the queue is full or a caller waits too long.
 //
 // The subsystem owns *queueing policy* only. Everything SIP/media-shaped —
 // answering legs, building bridges, sending responses — stays in the PBX and

@@ -19,8 +19,6 @@ namespace pbxcap::pbx {
 enum class AdmissionPolicy : std::uint8_t {
   kChannelPool,       // admit while a channel is free (the paper's Asterisk)
   kErlangPredictive,  // admit while predicted Erlang-B blocking <= target
-  kQueueWhenBusy,     // hold callers in a queue until a channel frees
-                      // (contact-center mode: the Erlang-C system)
 };
 
 struct PredictiveCacConfig {

@@ -15,13 +15,6 @@ using sip::Message;
 using sip::Method;
 using sip::Sdp;
 
-namespace {
-
-// kQueueWhenBusy: a queued caller reneges after this long.
-constexpr Duration kQueueTimeout = Duration::seconds(60);
-
-}  // namespace
-
 AsteriskPbx::AsteriskPbx(PbxConfig config, sim::Simulator& simulator,
                          sip::HostResolver& resolver)
     : sip::SipEndpoint{"asterisk", config.host, simulator, resolver},
@@ -62,10 +55,9 @@ AsteriskPbx::AsteriskPbx(PbxConfig config, sim::Simulator& simulator,
 
 void AsteriskPbx::set_telemetry(telemetry::Telemetry* tel) {
   sip::SipEndpoint::set_telemetry(tel);
-  tm_invites_ = tm_blocked_policy_ = tm_blocked_cac_ = tm_blocked_channels_ =
-      tm_blocked_queue_full_ = tm_answered_ = tm_failed_ = tm_queued_ = tm_queue_served_ =
-          tm_queue_timeouts_ = tm_rtp_relayed_ = tm_rtp_transcoded_ = tm_rtp_dropped_ =
-              tm_overload_503_ = tm_sip_queue_dropped_ = nullptr;
+  tm_invites_ = tm_blocked_policy_ = tm_blocked_cac_ = tm_blocked_channels_ = tm_answered_ =
+      tm_failed_ = tm_rtp_relayed_ = tm_rtp_transcoded_ = tm_rtp_dropped_ = tm_overload_503_ =
+          tm_sip_queue_dropped_ = nullptr;
   tm_active_channels_ = nullptr;
   tracer_ = nullptr;
   acd_.set_telemetry(tel);  // nulls its own handles on a disabled registry
@@ -78,16 +70,10 @@ void AsteriskPbx::set_telemetry(telemetry::Telemetry* tel) {
                    "Calls rejected by admission control, by reason");
   tm_blocked_cac_ = &reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "cac"}});
   tm_blocked_channels_ = &reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "channels"}});
-  tm_blocked_queue_full_ =
-      &reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "queue_full"}});
   tm_answered_ = &reg.counter("pbxcap_pbx_calls_answered_total", {},
                               "Bridged calls that reached 200 OK on leg A");
   tm_failed_ = &reg.counter("pbxcap_pbx_calls_failed_total", {},
                             "Bridges folded on a leg B error or timeout");
-  tm_queued_ = &reg.counter("pbxcap_pbx_queue_events_total", {{"event", "enqueued"}},
-                            "Queue-when-busy admission events");
-  tm_queue_served_ = &reg.counter("pbxcap_pbx_queue_events_total", {{"event", "served"}});
-  tm_queue_timeouts_ = &reg.counter("pbxcap_pbx_queue_events_total", {{"event", "timeout"}});
   tm_rtp_relayed_ = &reg.counter("pbxcap_pbx_rtp_relayed_total", {},
                                  "RTP/RTCP packets relayed between call legs");
   tm_rtp_transcoded_ = &reg.counter("pbxcap_pbx_rtp_transcoded_total", {},
@@ -254,10 +240,6 @@ void AsteriskPbx::crash_restart(Duration dead_for) {
   // ends discover via their own timers. The ACD is reset first so the
   // bridge-close notifications below find idle agents and empty queues.
   acd_.crash([this, now](std::size_t cdr) { cdrs_.close(cdr, Disposition::kFailed, now); });
-  queue_.drain([this, now](AcdWaitQueue::Entry& entry) {
-    if (entry.max_wait_event != 0) network()->simulator().cancel(entry.max_wait_event);
-    cdrs_.close(entry.cdr, Disposition::kFailed, now);
-  });
   for (std::size_t idx = 0; idx < bridges_.size(); ++idx) {
     if (bridges_[idx]->state == Bridge::State::kClosed) continue;
     bridges_[idx]->invite_txn_a = nullptr;  // transaction state is lost too
@@ -400,10 +382,6 @@ void AsteriskPbx::admit_invite(const Message& req, sip::ServerTransaction& txn) 
 
   // Admission control: one channel per bridged call.
   if (!channels_.try_acquire()) {
-    if (config_.admission == AdmissionPolicy::kQueueWhenBusy) {
-      enqueue_call(req, txn, cdr);
-      return;
-    }
     if (tm_blocked_channels_ != nullptr) tm_blocked_channels_->add();
     cdrs_.close(cdr, Disposition::kCongestion, now);
     reject(req, txn, sip::status::kServiceUnavailable, blocked_retry_after());
@@ -519,60 +497,6 @@ void AsteriskPbx::start_bridge(const Message& req, sip::ServerTransaction& txn,
       std::move(invite_b), *route,
       [this, idx](const Message& resp) { on_leg_b_response(idx, resp); },
       [this, idx] { on_leg_b_timeout(idx); });
-}
-
-void AsteriskPbx::enqueue_call(const Message& req, sip::ServerTransaction& txn,
-                               std::size_t cdr) {
-  const TimePoint now = network()->simulator().now();
-  if (queue_.live_count() >= config_.max_queue_length) {
-    if (tm_blocked_queue_full_ != nullptr) tm_blocked_queue_full_->add();
-    cdrs_.close(cdr, Disposition::kCongestion, now);
-    reject(req, txn, sip::status::kServiceUnavailable, blocked_retry_after());
-    return;
-  }
-
-  if (tm_queued_ != nullptr) tm_queued_->add();
-  auto queued = std::make_unique<AcdWaitQueue::Entry>();
-  queued->invite = req;
-  queued->txn = &txn;
-  queued->cdr = cdr;
-  AcdWaitQueue::Entry& entry = queue_.push_back(std::move(queued));
-
-  // 182 Queued keeps the caller's INVITE transaction in Proceeding while it
-  // waits (no Timer B pressure per RFC 3261 §17.1.1.2).
-  Message queued_resp = Message::response_to(req, 182);
-  queued_resp.to().tag = new_tag();
-  txn.respond(queued_resp);
-
-  AcdWaitQueue::Entry* raw = &entry;
-  const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kPbx};
-  raw->max_wait_event =
-      network()->simulator().schedule_in(kQueueTimeout, [this, raw] {
-        raw->max_wait_event = 0;
-        if (tm_queue_timeouts_ != nullptr) tm_queue_timeouts_->add();
-        cdrs_.close(raw->cdr, Disposition::kCongestion, network()->simulator().now());
-        reject(raw->invite, *raw->txn, sip::status::kServiceUnavailable);
-        queue_.mark_dead(*raw);  // may compact and free the entry — last use
-      });
-}
-
-void AsteriskPbx::serve_queue() {
-  while (queue_.live_count() > 0 && channels_.available() > 0) {
-    auto queued = queue_.pop_front_live();
-    if (queued == nullptr) return;
-    if (!channels_.try_acquire()) {
-      // The channel raced away between the availability check and the
-      // acquire. The caller keeps their place — and their renege timer — at
-      // the head of the line instead of being silently dropped with a
-      // cancelled timeout (the old behaviour lost the call entirely).
-      queue_.push_front(std::move(queued));
-      return;
-    }
-    network()->simulator().cancel(queued->max_wait_event);
-    queued->max_wait_event = 0;
-    if (tm_queue_served_ != nullptr) tm_queue_served_->add();
-    start_bridge(queued->invite, *queued->txn, queued->cdr);
-  }
 }
 
 AcdSubsystem::ServeOutcome AsteriskPbx::acd_serve(const Message& req,
@@ -952,7 +876,6 @@ void AsteriskPbx::close_bridge(std::size_t idx, Disposition disposition) {
     cac_.on_call_finished(cdrs_.records()[bridge.cdr].talk_time());
   }
   if (active_bridges_ > 0) --active_bridges_;
-  if (config_.admission == AdmissionPolicy::kQueueWhenBusy) serve_queue();
   // ACD last: dispatching may re-enter start_bridge (bridges_ can grow, but
   // unique_ptr storage keeps `bridge` valid — nothing touches it after this).
   if (bridge.acd_tracked) {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -73,12 +72,11 @@ struct PbxConfig {
   CpuModelConfig cpu{};
   bool require_auth{false};          // LDAP-style lookup before admitting
   std::vector<std::uint8_t> allowed_payload_types{0, 8};  // PCMU, PCMA
-  /// Admission strategy: hard channel pool (paper), predictive Erlang CAC
-  /// (paper reference [8]), or queue-when-busy (the Erlang-C system).
+  /// Admission strategy: hard channel pool (paper) or predictive Erlang CAC
+  /// (paper reference [8]). Callers who should wait instead (the Erlang-C
+  /// system) dial an ACD queue.
   AdmissionPolicy admission{AdmissionPolicy::kChannelPool};
   PredictiveCacConfig cac{};
-  /// kQueueWhenBusy parameters.
-  std::uint32_t max_queue_length{64};
   /// ACD queues (callers dialing "queue-<name>" are routed here).
   AcdConfig acd{};
   /// PBX-side RTP anchor port range (even ports, tracked while in use).
@@ -218,8 +216,6 @@ class AsteriskPbx final : public sip::SipEndpoint {
   void handle_register(const sip::Message& req, sip::ServerTransaction& txn);
   /// Continues admission once a channel is held (builds leg B, etc.).
   void start_bridge(const sip::Message& req, sip::ServerTransaction& txn, std::size_t cdr);
-  void enqueue_call(const sip::Message& req, sip::ServerTransaction& txn, std::size_t cdr);
-  void serve_queue();
   void admit_invite(const sip::Message& req, sip::ServerTransaction& txn);
   void handle_bye(const sip::Message& req, sip::ServerTransaction& txn);
   void on_leg_b_response(std::size_t bridge_idx, const sip::Message& resp);
@@ -269,9 +265,6 @@ class AsteriskPbx final : public sip::SipEndpoint {
   std::uint64_t policy_rejections_{0};
   std::uint64_t b2b_counter_{0};
 
-  /// kQueueWhenBusy wait line (shares the ACD's race-safe queue type; the
-  /// entries' max_wait_event doubles as the renege timer).
-  AcdWaitQueue queue_;
   MediaPortAllocator media_ports_;
   AcdSubsystem acd_;
   std::uint64_t voicemail_calls_{0};
@@ -310,12 +303,8 @@ class AsteriskPbx final : public sip::SipEndpoint {
   telemetry::Counter* tm_blocked_policy_{nullptr};
   telemetry::Counter* tm_blocked_cac_{nullptr};
   telemetry::Counter* tm_blocked_channels_{nullptr};
-  telemetry::Counter* tm_blocked_queue_full_{nullptr};
   telemetry::Counter* tm_answered_{nullptr};
   telemetry::Counter* tm_failed_{nullptr};
-  telemetry::Counter* tm_queued_{nullptr};
-  telemetry::Counter* tm_queue_served_{nullptr};
-  telemetry::Counter* tm_queue_timeouts_{nullptr};
   telemetry::Counter* tm_rtp_relayed_{nullptr};
   telemetry::Counter* tm_rtp_transcoded_{nullptr};
   telemetry::Counter* tm_rtp_dropped_{nullptr};
