@@ -5,6 +5,9 @@
 #include "exp/testbed.hpp"
 #include "loadgen/receiver.hpp"
 #include "loadgen/scenario.hpp"
+#include "net/network.hpp"
+#include "net/switch_node.hpp"
+#include "sip/sdp.hpp"
 
 namespace {
 
@@ -94,6 +97,129 @@ TEST(Generator, StochasticHoldTimesComplete) {
   const auto report = exp::run_testbed(config);
   EXPECT_GT(report.calls_completed, 0u);
   EXPECT_EQ(report.calls_failed, 0u);
+}
+
+// ---- SipReceiver against a scripted UAC --------------------------------------
+
+/// A bare UAC: sends hand-built SIP and RTP, and keeps every SIP response.
+class ScriptedUac final : public net::Node {
+ public:
+  ScriptedUac() : net::Node{"uac"} {}
+
+  void on_receive(const net::Packet& pkt) override {
+    if (const auto* sip = pkt.payload_as<sip::SipPayload>()) responses.push_back(sip->msg);
+  }
+
+  void send_sip(sip::Message msg, net::NodeId dst) {
+    net::Packet pkt;
+    pkt.dst = dst;
+    pkt.kind = net::PacketKind::kSip;
+    pkt.size_bytes = net::wire_size(msg.wire_bytes());
+    pkt.payload = std::make_shared<sip::SipPayload>(std::move(msg));
+    send(std::move(pkt));
+  }
+
+  void send_rtp(const rtp::RtpHeader& header, net::NodeId dst) {
+    net::Packet pkt;
+    pkt.dst = dst;
+    pkt.kind = net::PacketKind::kRtp;
+    pkt.size_bytes = 200;
+    pkt.payload = std::make_shared<rtp::RtpPayload>(header, network()->simulator().now());
+    send(std::move(pkt));
+  }
+
+  std::vector<sip::Message> responses;
+};
+
+struct ReceiverFixture : ::testing::Test {
+  static constexpr std::uint32_t kUacSsrc = 4242;
+
+  sim::Simulator simulator;
+  net::Network network{simulator, sim::Random{5}};
+  sip::HostResolver resolver;
+  rtp::SsrcAllocator ssrcs;
+  net::SwitchNode sw{"sw"};
+  ScriptedUac uac;
+  loadgen::SipReceiver receiver{"recv.unb.br", simulator, resolver, ssrcs, {}};
+
+  void SetUp() override {
+    network.attach(sw);
+    network.attach(uac);
+    network.attach(receiver);
+    network.connect(uac, sw, {});
+    network.connect(receiver, sw, {});
+    resolver.add("uac.unb.br", uac.id());
+    receiver.bind();
+  }
+
+  sip::Message request(sip::Method method, std::uint32_t cseq, const std::string& branch,
+                       const std::string& to_tag) const {
+    sip::Message msg = sip::Message::request(method, sip::Uri{"recv-7", "recv.unb.br"});
+    msg.vias().push_back(sip::Via{"uac.unb.br", branch});
+    msg.from() = sip::NameAddr{sip::Uri{"caller-7", "uac.unb.br"}, "uac-tag"};
+    msg.to() = sip::NameAddr{sip::Uri{"recv-7", "recv.unb.br"}, to_tag};
+    msg.set_call_id("call-7@uac.unb.br");
+    msg.set_cseq({cseq, method});
+    msg.set_contact(sip::Uri{"caller-7", "uac.unb.br"});
+    return msg;
+  }
+
+  sip::Message invite() const {
+    sip::Message msg = request(sip::Method::kInvite, 1, "z9hG4bK-invite", "");
+    sip::Sdp offer;
+    offer.connection_host = "uac.unb.br";
+    offer.audio.rtp_port = 30'000;
+    offer.audio.payload_types = {rtp::payload_type::kPcmu};
+    offer.audio.ssrc = kUacSsrc;
+    msg.set_body(offer.to_string(), "application/sdp");
+    return msg;
+  }
+
+  void run_for(Duration d) { simulator.run_until(simulator.now() + d); }
+};
+
+TEST_F(ReceiverFixture, InviteRetransmittedAfterThe200ReusesItsSession) {
+  uac.send_sip(invite(), receiver.id());
+  run_for(Duration::seconds(1));  // 180, then the 200 that ends the transaction
+  ASSERT_EQ(uac.responses.size(), 2u);
+  const sip::Message first_ok = uac.responses.back();
+  ASSERT_EQ(first_ok.status_code(), sip::status::kOk);
+
+  // The same INVITE again (a retransmission whose 200 was lost): it opens a
+  // fresh server transaction and must get the original answer back at once.
+  uac.send_sip(invite(), receiver.id());
+  run_for(Duration::seconds(1));
+  ASSERT_EQ(uac.responses.size(), 3u) << "no 180, only the repeated 200";
+  const sip::Message& second_ok = uac.responses.back();
+  ASSERT_EQ(second_ok.status_code(), sip::status::kOk);
+  EXPECT_EQ(second_ok.to().tag, first_ok.to().tag);
+  const auto first_sdp = sip::Sdp::parse(first_ok.body());
+  const auto second_sdp = sip::Sdp::parse(second_ok.body());
+  ASSERT_TRUE(first_sdp.has_value());
+  ASSERT_TRUE(second_sdp.has_value());
+  EXPECT_EQ(second_sdp->audio.ssrc, first_sdp->audio.ssrc);
+  EXPECT_EQ(receiver.active_sessions(), 1u);
+  EXPECT_EQ(receiver.calls_answered(), 1u);
+  EXPECT_EQ(ssrcs.allocate(), 2u) << "the repeat must not allocate an SSRC";
+
+  // Media after the repeat lands in the surviving session.
+  uac.send_sip(request(sip::Method::kAck, 1, "z9hG4bK-ack", first_ok.to().tag), receiver.id());
+  constexpr std::uint16_t kPackets = 25;
+  for (std::uint16_t i = 0; i < kPackets; ++i) {
+    uac.send_rtp({.payload_type = rtp::payload_type::kPcmu,
+                  .sequence = i,
+                  .timestamp = 160U * i,
+                  .ssrc = kUacSsrc,
+                  .marker = i == 0},
+                 receiver.id());
+    run_for(Duration::millis(20));
+  }
+  uac.send_sip(request(sip::Method::kBye, 2, "z9hG4bK-bye", first_ok.to().tag), receiver.id());
+  run_for(Duration::seconds(1));
+  EXPECT_EQ(receiver.active_sessions(), 0u);
+  const loadgen::HeardQuality* heard = receiver.finished(7);
+  ASSERT_NE(heard, nullptr);
+  EXPECT_EQ(heard->rtp_received, kPackets);
 }
 
 }  // namespace
