@@ -1,6 +1,9 @@
 // Unit tests for SIP message model, URI, SDP, and the wire codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "rtp/codec.hpp"
 #include "sim/random.hpp"
 #include "sip/message.hpp"
 #include "sip/parse.hpp"
@@ -200,6 +203,66 @@ TEST(MessageCodecTest, MutatedBytesNeverCrash) {
     const auto result = sip::parse_message(mutated);
     (void)result;
   }
+}
+
+/// SDP offers shaped like the ones SipCaller puts in its INVITEs.
+sip::Sdp caller_offer(std::vector<std::uint8_t> payload_types) {
+  sip::Sdp offer;
+  offer.connection_host = "sipp-client.unb.br";
+  offer.audio.rtp_port = 30'014;
+  offer.audio.payload_types = std::move(payload_types);
+  offer.audio.ssrc = 8;
+  return offer;
+}
+
+/// Feeds seeded single-byte replacements, inserts and deletes of `offer`,
+/// then every truncation, through Sdp::parse; negotiates every result that
+/// parses against the full codec catalog.
+void expect_mutations_parse_cleanly(const sip::Sdp& offer, std::uint64_t seed) {
+  sip::Sdp catalog;
+  catalog.connection_host = "sipp-server.unb.br";
+  for (const auto& codec : rtp::codec_catalog()) {
+    catalog.audio.payload_types.push_back(codec.payload_type);
+  }
+  const std::string text = offer.to_string();
+  std::vector<std::string> inputs;
+  sim::Random rng{seed};
+  for (int i = 0; i < 1500; ++i) {
+    std::string mutated = text;
+    const auto pos = static_cast<std::size_t>(rng.uniform_int(mutated.size()));
+    const auto byte = static_cast<char>(rng.uniform_int(256));
+    switch (i % 3) {
+      case 0: mutated[pos] = byte; break;
+      case 1: mutated.insert(pos, 1, byte); break;
+      default: mutated.erase(pos, 1); break;
+    }
+    inputs.push_back(std::move(mutated));
+  }
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) inputs.push_back(text.substr(0, cut));
+
+  std::size_t parsed_count = 0;
+  for (const std::string& input : inputs) {
+    const auto parsed = sip::Sdp::parse(input);
+    if (!parsed) continue;
+    ++parsed_count;
+    const auto& pts = parsed->audio.payload_types;
+    ASSERT_FALSE(pts.empty()) << "an accepted offer carries a format";
+    const auto pt = sip::Sdp::negotiate(*parsed, catalog);
+    if (pt) {
+      EXPECT_NE(std::find(pts.begin(), pts.end(), *pt), pts.end());
+    }
+  }
+  EXPECT_GT(parsed_count, 0u) << "no mutation parsed: negotiate was never reached";
+}
+
+TEST(SdpTest, MutatedSingleCodecOfferParsesCleanly) {
+  expect_mutations_parse_cleanly(caller_offer({rtp::payload_type::kPcmu}), 0x5D01);
+}
+
+TEST(SdpTest, MutatedCodecMixOfferParsesCleanly) {
+  expect_mutations_parse_cleanly(
+      caller_offer({rtp::payload_type::kG729, rtp::payload_type::kPcmu, rtp::payload_type::kPcma}),
+      0x5D02);
 }
 
 TEST(ViaHeader, ParseAndPrint) {
