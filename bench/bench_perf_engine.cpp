@@ -130,49 +130,6 @@ void BM_SimulatorPeriodicTimerWheel(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPeriodicTimerWheel)->Arg(165);
 
-void BM_Table1MacroPoint(benchmark::State& state) {
-  // End-to-end Table-I operating point (offered load in Erlangs) through the
-  // full packet-level testbed: SIP signalling, per-packet link events, RTP
-  // pacing, CDR/monitor accounting. Wall-clock here is what bounds every
-  // paper artifact; placement window scaled to 20 s to keep iterations short.
-  const double offered = static_cast<double>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    exp::TestbedConfig config;
-    config.scenario = loadgen::CallScenario::for_offered_load(offered);
-    config.scenario.placement_window = Duration::seconds(20);
-    config.seed = 4242;
-    const auto report = exp::run_testbed(config);
-    events += report.events_processed;
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["sim_events"] = static_cast<double>(events) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_Table1MacroPoint)->Arg(240)->Unit(benchmark::kMillisecond);
-
-void BM_Table1MacroPointFluid(benchmark::State& state) {
-  // The same macro point with the hybrid fluid/packet engine on. Exact
-  // fields of the report are byte-identical to BM_Table1MacroPoint (gated
-  // by bench_fluid_ablation); the `sim_events` counter shows the >=5x
-  // event-population reduction the fast path targets.
-  const double offered = static_cast<double>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    exp::TestbedConfig config;
-    config.scenario = loadgen::CallScenario::for_offered_load(offered);
-    config.scenario.placement_window = Duration::seconds(20);
-    config.seed = 4242;
-    config.fluid.enabled = true;
-    const auto report = exp::run_testbed(config);
-    events += report.events_processed;
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["sim_events"] = static_cast<double>(events) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_Table1MacroPointFluid)->Arg(240)->Unit(benchmark::kMillisecond);
-
 void BM_RtpSteadyState(benchmark::State& state) {
   // Steady-state media cost, packet vs fluid: the same seeded testbed run
   // (offered load in range(0)), with the hybrid engine off (range(1) == 0)

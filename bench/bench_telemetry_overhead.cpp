@@ -20,9 +20,9 @@
 // each round runs every variant once, and the best (max) events/s per
 // variant across rounds is kept — so host drift lands on all variants
 // instead of penalizing whichever block would otherwise run last. For the
-// macro workload no uninstrumented control exists in this harness (its
-// pre-instrumentation history is bench_perf_engine's BM_Table1MacroPoint),
-// so its bare/off-overhead fields are omitted rather than reported as 0.
+// macro workload no uninstrumented control exists in this harness (the
+// same Table-I point is timed end to end by perfbench's table1-packet), so
+// its bare/off-overhead fields are omitted rather than reported as 0.
 // The "prof ovh" column is the profiler's enabled cost relative to the
 // telemetry-on baseline (the ≤ 5% gate); the profiler's DISABLED cost is
 // already inside "off ovh" — it is the same null-pointer branch in the
@@ -185,8 +185,8 @@ int main(int argc, char** argv) {
   Row rows[2] = {
       {"self_scheduling", 0.0, 0.0, 0.0, 0.0},
       // For the macro workload the telemetry=nullptr run IS the disabled
-      // path; the pre-instrumentation control lives in bench_perf_engine
-      // (BM_Table1MacroPoint) history, so bare is absent here.
+      // path; the end-to-end timing of that point is perfbench's
+      // table1-packet, so bare is absent here.
       {"table1_fast", 0.0, 0.0, 0.0, 0.0},
   };
   // Round-interleaved: each round measures every variant once, so host
