@@ -173,6 +173,32 @@ TEST_F(OverloadFixture, GateDisabledMeansFullPathRejection) {
   EXPECT_EQ(pbx->overload_rejections(), 0u);
 }
 
+TEST_F(OverloadFixture, GatePassesALateRetransmissionOfAnAnsweredCall) {
+  pbx_config.max_channels = 1;
+  pbx_config.sip_service.enabled = true;
+  pbx_config.sip_service.service_time = Duration::millis(1);
+  pbx_config.overload.enabled = true;
+  build();
+
+  ua->invite("recv-1", pbx->sip_host());
+  run_for(Duration::seconds(1));
+  ASSERT_EQ(ua->finals.size(), 1u);
+  ASSERT_EQ(ua->finals[0].status_code(), 200);
+
+  // The pool is full, so the gate sheds new INVITEs. The same INVITE again
+  // (its 200 lost, say) is not new work: the PBX answers it from the bridge.
+  std::vector<Message> strays;
+  ua->transactions().on_stray_response = [&](const Message& resp) { strays.push_back(resp); };
+  Message again = *ua->last_invite;
+  again.vias() = ua->finals[0].vias();
+  ua->send_sip(again, pbx->id());
+  run_for(Duration::seconds(1));
+  ASSERT_EQ(strays.size(), 1u);
+  EXPECT_EQ(strays[0].status_code(), 200);
+  EXPECT_EQ(pbx->overload_rejections(), 0u);
+  EXPECT_EQ(pbx->cdrs().size(), 1u);
+}
+
 TEST_F(OverloadFixture, StallDefersSipProcessing) {
   build();
   pbx->stall_for(Duration::millis(500));
