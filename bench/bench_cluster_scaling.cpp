@@ -56,7 +56,7 @@ void run_mega() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   std::uint64_t peak_total = 0;
-  for (const std::uint32_t p : r.peak_channels_per_server) peak_total += p;
+  for (const auto& b : r.backends) peak_total += b.peak_channels;
   std::printf("  calls attempted/completed : %llu / %llu\n",
               (unsigned long long)r.report.calls_attempted,
               (unsigned long long)r.report.calls_completed);
@@ -94,7 +94,7 @@ std::string fingerprint(const pbxcap::exp::ClusterResult& r) {
       r.report.channels_peak, (unsigned long long)r.report.rtp_packets_at_pbx,
       (unsigned long long)r.report.events_processed, (unsigned long long)r.shard_rounds,
       (unsigned long long)r.shard_clamped);
-  for (const std::uint32_t p : r.peak_channels_per_server) f += format(" %u", p);
+  for (const auto& b : r.backends) f += format(" %u", b.peak_channels);
   for (const auto& s : r.shards) {
     f += format(" [%llu/%llu/%llu]", (unsigned long long)s.events,
                 (unsigned long long)s.messages_in, (unsigned long long)s.messages_out);

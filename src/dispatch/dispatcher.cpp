@@ -176,6 +176,12 @@ Dispatcher::Backend* Dispatcher::by_host(const std::string& host) {
   return nullptr;
 }
 
+std::uint64_t Dispatcher::total(std::uint64_t Backend::*counter) const noexcept {
+  std::uint64_t sum = 0;
+  for (const Backend& b : backends_) sum += b.*counter;
+  return sum;
+}
+
 void Dispatcher::release(const std::string& host) {
   if (Backend* b = by_host(host); b != nullptr && b->occupancy > 0) --b->occupancy;
 }
@@ -187,7 +193,6 @@ void Dispatcher::on_call_admitted(const std::string& host) {
 void Dispatcher::on_reject_503(const std::string& host, Duration retry_after) {
   Backend* b = by_host(host);
   if (b == nullptr) return;
-  ++b->rejections_503;
   if (retry_after > Duration::zero()) {
     const TimePoint until = transactions().simulator().now() + retry_after;
     if (until > b->benched_until) b->benched_until = until;
@@ -197,7 +202,6 @@ void Dispatcher::on_reject_503(const std::string& host, Duration retry_after) {
 void Dispatcher::on_invite_timeout(const std::string& host) {
   Backend* b = by_host(host);
   if (b == nullptr) return;
-  ++b->invite_timeouts;
   record_failure(*b);
 }
 
@@ -223,7 +227,6 @@ void Dispatcher::send_probe(std::size_t i) {
   b.probe_pending = true;
   const std::uint64_t seq = ++b.probe_seq;
   ++b.probes_sent;
-  ++probes_sent_;
 
   Message options = Message::request(Method::kOptions, sip::Uri{"ping", b.cfg.host});
   options.from() = sip::NameAddr{sip::Uri{"dispatcher", sip_host()}, new_tag()};
@@ -257,7 +260,6 @@ void Dispatcher::on_probe_result(std::size_t i, std::uint64_t seq, bool ok) {
     record_success(b);
   } else {
     ++b.probe_failures;
-    ++probe_failures_;
     record_failure(b);
   }
 }
@@ -275,7 +277,6 @@ void Dispatcher::record_failure(Backend& backend) {
     backend.circuit = CircuitState::kOpen;
     backend.half_open_at = transactions().simulator().now() + kOpenCooldown;
     ++backend.circuit_opens;
-    ++circuit_opens_;
   }
 }
 
@@ -295,8 +296,6 @@ BackendStats Dispatcher::backend_stats(std::size_t i) const {
   out.circuit = b.circuit;
   out.occupancy = b.occupancy;
   out.calls_routed = b.calls_routed;
-  out.rejections_503 = b.rejections_503;
-  out.invite_timeouts = b.invite_timeouts;
   out.probes_sent = b.probes_sent;
   out.probe_failures = b.probe_failures;
   out.circuit_opens = b.circuit_opens;

@@ -62,8 +62,6 @@ struct BackendStats {
   CircuitState circuit{CircuitState::kClosed};
   std::uint32_t occupancy{0};        // live calls currently assigned
   std::uint64_t calls_routed{0};     // picks that landed here
-  std::uint64_t rejections_503{0};   // caller-reported 503s
-  std::uint64_t invite_timeouts{0};  // caller-reported INVITE timeouts
   std::uint64_t probes_sent{0};
   std::uint64_t probe_failures{0};
   std::uint64_t circuit_opens{0};
@@ -125,9 +123,14 @@ class Dispatcher final : public sip::SipEndpoint {
   [[nodiscard]] std::uint32_t open_circuits() const noexcept;
   /// Backends sitting out a 503 Retry-After bench at `now`.
   [[nodiscard]] std::uint32_t benched_backends(TimePoint now) const noexcept;
-  [[nodiscard]] std::uint64_t probes_sent() const noexcept { return probes_sent_; }
-  [[nodiscard]] std::uint64_t probe_failures() const noexcept { return probe_failures_; }
-  [[nodiscard]] std::uint64_t circuit_opens() const noexcept { return circuit_opens_; }
+  // Fleet totals: sums of the per-backend counters.
+  [[nodiscard]] std::uint64_t probes_sent() const noexcept { return total(&Backend::probes_sent); }
+  [[nodiscard]] std::uint64_t probe_failures() const noexcept {
+    return total(&Backend::probe_failures);
+  }
+  [[nodiscard]] std::uint64_t circuit_opens() const noexcept {
+    return total(&Backend::circuit_opens);
+  }
 
  private:
   struct Backend {
@@ -143,8 +146,6 @@ class Dispatcher final : public sip::SipEndpoint {
     bool probe_pending{false};
     // Cumulative stats.
     std::uint64_t calls_routed{0};
-    std::uint64_t rejections_503{0};
-    std::uint64_t invite_timeouts{0};
     std::uint64_t probes_sent{0};
     std::uint64_t probe_failures{0};
     std::uint64_t circuit_opens{0};
@@ -153,6 +154,7 @@ class Dispatcher final : public sip::SipEndpoint {
   [[nodiscard]] const std::string* pick_excluding(const std::string* exclude);
   [[nodiscard]] bool eligible(const Backend& backend, TimePoint now) const;
   [[nodiscard]] Backend* by_host(const std::string& host);
+  [[nodiscard]] std::uint64_t total(std::uint64_t Backend::*counter) const noexcept;
 
   void probe_tick();
   void send_probe(std::size_t i);
@@ -167,9 +169,6 @@ class Dispatcher final : public sip::SipEndpoint {
   bool started_{false};
   std::uint64_t picks_total_{0};
   std::uint64_t picks_rejected_{0};
-  std::uint64_t probes_sent_{0};
-  std::uint64_t probe_failures_{0};
-  std::uint64_t circuit_opens_{0};
   std::uint64_t probe_cseq_{0};
 };
 

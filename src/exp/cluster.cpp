@@ -115,8 +115,6 @@ ClusterResult run_cluster(const ClusterConfig& config) {
       obs.final_circuit = ds.circuit;
     }
     result.backends.push_back(obs);
-    result.peak_channels_per_server.push_back(obs.peak_channels);
-    result.congestion_per_server.push_back(obs.congestion);
   }
   if (d != nullptr) {
     result.failovers = experiment.caller().failovers();

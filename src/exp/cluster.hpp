@@ -137,8 +137,6 @@ struct BackendObservation {
 struct ClusterResult {
   monitor::ExperimentReport report;  // aggregate over the whole cluster
   std::vector<BackendObservation> backends;
-  std::vector<std::uint32_t> peak_channels_per_server;
-  std::vector<std::uint64_t> congestion_per_server;  // CDR CONGESTION counts
 
   /// Wire traffic offered onto the inter-PBX uplinks (all backends, both
   /// directions): the trunk ablation's denominators. With trunking on,

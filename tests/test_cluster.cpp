@@ -36,7 +36,7 @@ TEST(Cluster, SingleServerMatchesTestbedSemantics) {
 
   EXPECT_GT(cluster.calls_completed, 0u);
   EXPECT_EQ(cluster.calls_failed, 0u);
-  EXPECT_EQ(result.peak_channels_per_server.size(), 1u);
+  EXPECT_EQ(result.backends.size(), 1u);
   EXPECT_EQ(cluster.channels_configured, 12u);
   EXPECT_EQ(cluster.calls_attempted, testbed.calls_attempted);
   EXPECT_EQ(cluster.calls_completed, testbed.calls_completed);
@@ -66,18 +66,19 @@ TEST(Cluster, AddingServersReducesBlocking) {
 
 TEST(Cluster, RoundRobinBalancesLoad) {
   const auto result = exp::run_cluster(small_cluster(12.0, 3));
-  ASSERT_EQ(result.peak_channels_per_server.size(), 3u);
+  ASSERT_EQ(result.backends.size(), 3u);
   // Even split: peaks within a few channels of one another.
-  const auto [lo, hi] = std::minmax_element(result.peak_channels_per_server.begin(),
-                                            result.peak_channels_per_server.end());
-  EXPECT_LE(*hi - *lo, 4u);
+  const auto [lo, hi] = std::minmax_element(
+      result.backends.begin(), result.backends.end(),
+      [](const auto& a, const auto& b) { return a.peak_channels < b.peak_channels; });
+  EXPECT_LE(hi->peak_channels - lo->peak_channels, 4u);
 }
 
 TEST(Cluster, PerServerCongestionReported) {
   const auto result = exp::run_cluster(small_cluster(30.0, 2));
-  ASSERT_EQ(result.congestion_per_server.size(), 2u);
+  ASSERT_EQ(result.backends.size(), 2u);
   std::uint64_t total = 0;
-  for (const auto c : result.congestion_per_server) total += c;
+  for (const auto& b : result.backends) total += b.congestion;
   EXPECT_EQ(total, result.report.calls_blocked);
 }
 

@@ -213,8 +213,12 @@ void expect_identical(const ShardedSnapshot& x, const ShardedSnapshot& y) {
   EXPECT_EQ(x.result.report.events_processed, y.result.report.events_processed);
   EXPECT_EQ(x.result.report.sip_total, y.result.report.sip_total);
   EXPECT_EQ(x.result.report.rtp_packets_at_pbx, y.result.report.rtp_packets_at_pbx);
-  EXPECT_EQ(x.result.peak_channels_per_server, y.result.peak_channels_per_server);
-  EXPECT_EQ(x.result.congestion_per_server, y.result.congestion_per_server);
+  ASSERT_EQ(x.result.backends.size(), y.result.backends.size());
+  for (std::size_t i = 0; i < x.result.backends.size(); ++i) {
+    EXPECT_EQ(x.result.backends[i].peak_channels, y.result.backends[i].peak_channels)
+        << "backend " << i;
+    EXPECT_EQ(x.result.backends[i].congestion, y.result.backends[i].congestion) << "backend " << i;
+  }
   EXPECT_EQ(x.result.shard_rounds, y.result.shard_rounds);
   EXPECT_EQ(x.result.shard_clamped, y.result.shard_clamped);
   ASSERT_EQ(x.result.shards.size(), y.result.shards.size());

@@ -84,8 +84,10 @@ void add_cluster(Digest& d, const exp::ClusterResult& c) {
     d.add(b.calls_routed).add(b.probe_failures).add(b.circuit_opens);
     d.add(static_cast<std::uint64_t>(b.final_circuit));
   }
-  for (const auto p : c.peak_channels_per_server) d.add(std::uint64_t{p});
-  for (const auto n : c.congestion_per_server) d.add(n);
+  // Peaks and congestion once more, backend by backend: the recorded digests
+  // hash them in this order.
+  for (const auto& b : c.backends) d.add(std::uint64_t{b.peak_channels});
+  for (const auto& b : c.backends) d.add(b.congestion);
   d.add(c.uplink_bytes).add(c.uplink_packets).add(c.failovers).add(c.dispatch_rejected);
   d.add(c.probes_sent).add(c.probe_failures).add(c.circuit_opens);
   d.add(std::uint64_t{c.shards.size()}).add(c.shard_rounds).add(c.shard_clamped);
