@@ -68,10 +68,10 @@ EventId Simulator::schedule_far(std::int64_t at_ns, std::uint64_t seq, std::uint
     break;
   }
 
-  // Heap path: beyond the level-1 horizon, or past a wheel window that
+  // Far heap: beyond the level-1 horizon, or past a wheel window that
   // cascading has already advanced over.
-  node.loc = Loc::kHeap;
-  heap_push(HeapItem{at_ns, seq, idx});
+  node.loc = Loc::kFar;
+  heap_push(far_, HeapItem{at_ns, seq, idx});
   return id;
 }
 
@@ -84,7 +84,10 @@ bool Simulator::cancel(EventId id) {
 
   switch (node.loc) {
     case Loc::kHeap:
-      heap_remove(node.pos);
+      heap_remove(heap_, node.pos);
+      break;
+    case Loc::kFar:
+      heap_remove(far_, node.pos);
       break;
     case Loc::kWheel0:
       slot_remove(wheel0_.data(), bits0_, wheel0_count_, node);
@@ -116,6 +119,7 @@ std::int64_t Simulator::next_event_ns() {
     if (item != nullptr) best = item->at;
   }
   if (!heap_.empty() && heap_[0].at < best) best = heap_[0].at;
+  if (!far_.empty() && far_[0].at < best) best = far_[0].at;
   return best;
 }
 
@@ -134,35 +138,32 @@ void Simulator::run_until(TimePoint horizon) {
 }
 
 bool Simulator::fire_next_general(std::int64_t horizon_ns) {
+  // The earliest of three tops by (time, sequence): the wheel run, the near
+  // heap and the far heap.
   const WheelItem* wheel_min = wheel_peek();
-
-  bool from_wheel;
-  if (wheel_min != nullptr && !heap_.empty()) {
-    from_wheel = earlier(wheel_min->at, wheel_min->seq, heap_[0].at, heap_[0].seq);
-  } else if (wheel_min != nullptr) {
-    from_wheel = true;
-  } else if (!heap_.empty()) {
-    from_wheel = false;
-  } else {
-    return false;
+  bool found = wheel_min != nullptr;
+  Heap* from = nullptr;  // stays nullptr when the wheel run wins
+  std::int64_t at = found ? wheel_min->at : 0;
+  std::uint64_t seq = found ? wheel_min->seq : 0;
+  std::uint32_t idx = found ? wheel_min->idx : 0;
+  for (Heap* heap : {&heap_, &far_}) {
+    if (heap->empty()) continue;
+    const HeapItem& top = heap->front();
+    if (!found || earlier(top.at, top.seq, at, seq)) {
+      found = true;
+      from = heap;
+      at = top.at;
+      seq = top.seq;
+      idx = top.idx;
+    }
   }
+  if (!found || at > horizon_ns) return false;
 
-  std::int64_t at;
-  std::uint32_t idx;
-  if (from_wheel) {
-    at = wheel_min->at;
-    idx = wheel_min->idx;
-  } else {
-    at = heap_[0].at;
-    idx = heap_[0].idx;
-  }
-  if (at > horizon_ns) return false;
-
-  if (from_wheel) {
+  if (from == nullptr) {
     ++run_pos_;
     --wheel_live_;
   } else {
-    heap_pop_root();
+    heap_pop_root(*from);
   }
   finish_fire(at, idx);
   return true;
@@ -257,49 +258,49 @@ void Simulator::resync_wheel() noexcept {
   end0_ = (abs1 + 1) * kL0PerL1;
 }
 
-void Simulator::heap_remove(std::uint32_t pos) {
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
-  if (pos < heap_.size()) {
-    heap_[pos] = last;
+void Simulator::heap_remove(Heap& heap, std::uint32_t pos) {
+  const HeapItem last = heap.back();
+  heap.pop_back();
+  if (pos < heap.size()) {
+    heap[pos] = last;
     node_at(last.idx).pos = pos;
-    heap_sift_up(pos);
-    heap_sift_down(pos);
+    heap_sift_up(heap, pos);
+    heap_sift_down(heap, pos);
   }
 }
 
-void Simulator::heap_sift_up(std::uint32_t pos) {
-  const HeapItem item = heap_[pos];
+void Simulator::heap_sift_up(Heap& heap, std::uint32_t pos) {
+  const HeapItem item = heap[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) >> 2;
-    if (!earlier(item.at, item.seq, heap_[parent].at, heap_[parent].seq)) break;
-    heap_[pos] = heap_[parent];
-    node_at(heap_[pos].idx).pos = pos;
+    if (!earlier(item.at, item.seq, heap[parent].at, heap[parent].seq)) break;
+    heap[pos] = heap[parent];
+    node_at(heap[pos].idx).pos = pos;
     pos = parent;
   }
-  heap_[pos] = item;
+  heap[pos] = item;
   node_at(item.idx).pos = pos;
 }
 
-void Simulator::heap_sift_down(std::uint32_t pos) {
-  const HeapItem item = heap_[pos];
-  const auto n = static_cast<std::uint32_t>(heap_.size());
+void Simulator::heap_sift_down(Heap& heap, std::uint32_t pos) {
+  const HeapItem item = heap[pos];
+  const auto n = static_cast<std::uint32_t>(heap.size());
   for (;;) {
     const std::uint32_t first = (pos << 2) + 1;
     if (first >= n) break;
     std::uint32_t best = first;
     const std::uint32_t limit = std::min(first + 4, n);
     for (std::uint32_t child = first + 1; child < limit; ++child) {
-      if (earlier(heap_[child].at, heap_[child].seq, heap_[best].at, heap_[best].seq)) {
+      if (earlier(heap[child].at, heap[child].seq, heap[best].at, heap[best].seq)) {
         best = child;
       }
     }
-    if (!earlier(heap_[best].at, heap_[best].seq, item.at, item.seq)) break;
-    heap_[pos] = heap_[best];
-    node_at(heap_[pos].idx).pos = pos;
+    if (!earlier(heap[best].at, heap[best].seq, item.at, item.seq)) break;
+    heap[pos] = heap[best];
+    node_at(heap[pos].idx).pos = pos;
     pos = best;
   }
-  heap_[pos] = item;
+  heap[pos] = item;
   node_at(item.idx).pos = pos;
 }
 

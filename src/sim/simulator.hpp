@@ -15,15 +15,21 @@
 //     set, no skips at pop time. Stable addresses let the scheduler build
 //     each closure directly inside its node and run it there: zero callback
 //     relocations on the hot path.
-//   * Far-future / irregular events sit in an index-addressable 4-ary min
-//     heap keyed by (time, schedule sequence); each node tracks its heap
-//     slot, making cancellation an O(log n) sift instead of lazy deletion.
+//   * Two index-addressable 4-ary min heaps, both keyed by (time, schedule
+//     sequence), hold what the wheel cannot: the near heap (heap_) takes
+//     events placed at or before the level-0 slot being drained, the few
+//     link/switch hops in flight; the far heap (far_) takes events beyond
+//     the wheel's horizon, such as 120 s call-hold timers. Keeping the
+//     rarely-touched far timers out of the near heap keeps its sifts a few
+//     levels deep. Each node tracks its heap slot, making cancellation an
+//     O(log n) sift instead of lazy deletion.
 //   * Near-future events — the huge population of short fixed-period timers
 //     (20 ms RTP ticks, SIP retransmit timers, link deliveries) — take a
 //     two-level timer-wheel fast path: level 0 covers ~268 ms in ~1.05 ms
 //     slots, level 1 covers ~68.7 s in ~268 ms slots that cascade into
 //     level 0 as the clock approaches. Slots sort by (time, sequence) on
-//     activation, so wheel and heap events interleave in exactly the order a
+//     activation, and the fire path takes the earliest of the run, the near
+//     top and the far top, so events interleave in exactly the order a
 //     single global queue would produce.
 //   * Callbacks are sim::Callback (see callback.hpp): move-only with 64-byte
 //     inline storage, so the dominant capture-a-couple-of-pointers closures
@@ -169,7 +175,8 @@ class Simulator {
   // Where a live node currently resides.
   enum class Loc : std::uint8_t {
     kFree,    // on the free list (not a live event)
-    kHeap,    // heap_[pos]
+    kHeap,    // heap_[pos]: the near heap
+    kFar,     // far_[pos]: the far heap
     kWheel0,  // wheel0_[slot][pos]
     kWheel1,  // wheel1_[slot][pos]
     kRun,     // run_ (the activated, sorted level-0 slot); cancelled lazily
@@ -181,7 +188,7 @@ class Simulator {
     Loc loc{Loc::kFree};
     std::uint8_t slot{0};  // wheel slot (physical) for kWheel0/kWheel1
     std::uint8_t cat{0};   // profiling category (sim/profile.hpp); fits padding
-    std::uint32_t pos{0};  // index within heap_ or the wheel slot vector
+    std::uint32_t pos{0};  // index within heap_, far_ or the wheel slot vector
   };
 
   struct HeapItem {
@@ -230,7 +237,8 @@ class Simulator {
 
   /// Fires the earliest pending event if its time is <= horizon_ns.
   bool fire_next(std::int64_t horizon_ns);
-  /// fire_next for the wheel-involved cases (anything beyond pure heap).
+  /// fire_next for every case but the pure near heap: the earliest of the
+  /// wheel run, the near top and the far top.
   bool fire_next_general(std::int64_t horizon_ns);
   /// Pop bookkeeping done: runs the node's callback at time `at`.
   void finish_fire(std::int64_t at, std::uint32_t idx);
@@ -238,7 +246,7 @@ class Simulator {
   /// category and brackets every kSamplePeriod-th callback with clock reads.
   void invoke_profiled(Node& node);
 
-  /// Slow scheduling path: level-1 placement, window resync, far-future heap.
+  /// Slow scheduling path: level-1 placement, window resync, far heap.
   EventId schedule_far(std::int64_t at_ns, std::uint64_t seq, std::uint32_t idx);
 
   /// Earliest live wheel event, or nullptr if the wheel is empty. Activates
@@ -262,11 +270,13 @@ class Simulator {
   /// to the free list, invalidating outstanding EventIds for it.
   void recycle_node(std::uint32_t idx) noexcept;
 
-  void heap_push(HeapItem item);
-  void heap_pop_root();
-  void heap_remove(std::uint32_t pos);
-  void heap_sift_up(std::uint32_t pos);
-  void heap_sift_down(std::uint32_t pos);
+  // 4-ary heap operations on heap_ or far_; they keep Node::pos current.
+  using Heap = std::vector<HeapItem>;
+  void heap_push(Heap& heap, HeapItem item);
+  void heap_pop_root(Heap& heap);
+  void heap_remove(Heap& heap, std::uint32_t pos);
+  void heap_sift_up(Heap& heap, std::uint32_t pos);
+  void heap_sift_down(Heap& heap, std::uint32_t pos);
 
   void slot_remove(std::vector<WheelItem>* wheel, SlotBits& bits, std::uint64_t& count,
                    const Node& node) noexcept;
@@ -288,7 +298,8 @@ class Simulator {
   std::vector<std::uint32_t> free_;
   static constexpr std::uint32_t kNoFree = 0xffffffffu;  // cache-empty sentinel
   std::uint32_t free_top_{kNoFree};  // single-entry cache over free_
-  std::vector<HeapItem> heap_;
+  Heap heap_;  // near: events at or before the drained level-0 slot
+  Heap far_;   // far: events schedule_far could not put on the wheel
 
   std::array<std::vector<WheelItem>, kSlots> wheel0_{};
   std::array<std::vector<WheelItem>, kSlots> wheel1_{};
@@ -358,26 +369,26 @@ inline void Simulator::recycle_node(std::uint32_t idx) noexcept {
   push_free(idx);
 }
 
-inline void Simulator::heap_push(HeapItem item) {
-  const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(item);
+inline void Simulator::heap_push(Heap& heap, HeapItem item) {
+  const auto pos = static_cast<std::uint32_t>(heap.size());
+  heap.push_back(item);
   // Appending an item that is not earlier than its parent needs no sift: the
   // overwhelmingly common shape for a near-empty heap or monotone inserts.
   if (pos == 0 ||
-      !earlier(item.at, item.seq, heap_[(pos - 1) >> 2].at, heap_[(pos - 1) >> 2].seq)) {
+      !earlier(item.at, item.seq, heap[(pos - 1) >> 2].at, heap[(pos - 1) >> 2].seq)) {
     node_at(item.idx).pos = pos;
     return;
   }
-  heap_sift_up(pos);
+  heap_sift_up(heap, pos);
 }
 
-inline void Simulator::heap_pop_root() {
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
+inline void Simulator::heap_pop_root(Heap& heap) {
+  const HeapItem last = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) {
+    heap[0] = last;
     node_at(last.idx).pos = 0;
-    heap_sift_down(0);
+    heap_sift_down(heap, 0);
   }
 }
 
@@ -390,11 +401,11 @@ inline EventId Simulator::place(std::int64_t at_ns, std::uint32_t idx) {
 
   const std::int64_t abs0 = at_ns >> kSlotBits0;
   if (abs0 <= drained0_) {
-    // Lands in (or before) the slot being drained: the heap keeps it ordered
-    // against the already-sorted run. The tightest self-scheduling loops
-    // (sub-millisecond periods) live here.
+    // Lands in (or before) the slot being drained: the near heap keeps it
+    // ordered against the already-sorted run. The tightest self-scheduling
+    // loops (sub-millisecond periods) and the per-hop packet events live here.
     node.loc = Loc::kHeap;
-    heap_push(HeapItem{at_ns, seq, idx});
+    heap_push(heap_, HeapItem{at_ns, seq, idx});
     return id;
   }
   if (abs0 >= end0_ - kSlots && abs0 < end0_) {
@@ -432,13 +443,13 @@ inline void Simulator::finish_fire(std::int64_t at, std::uint32_t idx) {
 }
 
 inline bool Simulator::fire_next(std::int64_t horizon_ns) {
-  if (wheel_live_ != 0) return fire_next_general(horizon_ns);
-  // Pure heap: nothing live on the wheel anywhere (run_ may still hold
-  // lazily-cancelled leftovers; they are dead and can wait).
+  if (wheel_live_ != 0 || !far_.empty()) return fire_next_general(horizon_ns);
+  // Pure near heap: nothing live on the wheel anywhere (run_ may still hold
+  // lazily-cancelled leftovers; they are dead and can wait) and nothing far.
   if (heap_.empty()) return false;
   const HeapItem top = heap_[0];
   if (top.at > horizon_ns) return false;
-  heap_pop_root();
+  heap_pop_root(heap_);
   finish_fire(top.at, top.idx);
   return true;
 }
