@@ -16,6 +16,7 @@ NodeId Network::attach(Node& node) {
   node.id_ = id;
   node.network_ = this;
   nodes_.push_back(&node);
+  homing_.emplace_back();
   return id;
 }
 
@@ -37,25 +38,32 @@ Link& Network::connect(Node& a, Node& b, const LinkConfig& config) {
     throw std::logic_error{"Network::connect: attach both nodes first"};
   }
   for (const Node* n : {static_cast<const Node*>(&a), static_cast<const Node*>(&b)}) {
-    if (!n->multihomed() && !links_of(n->id()).empty()) {
+    if (!n->multihomed() && homing_[n->id()].links != 0) {
       throw std::logic_error{"Network::connect: host '" + n->name() + "' is already linked"};
     }
   }
   links_.push_back(std::make_unique<Link>(*this, a.id(), b.id(), config));
-  return *links_.back();
+  Link* link = links_.back().get();
+  for (const NodeId id : {a.id(), b.id()}) {
+    Homing& homing = homing_[id];
+    if (homing.first == nullptr) homing.first = link;
+    ++homing.links;
+    if (a.id() == b.id()) break;  // a loop is one link of its node
+  }
+  return *link;
 }
 
 void Network::send_from(NodeId src_node, Packet pkt) {
-  const auto links = links_of(src_node);
-  if (links.empty()) {
+  const Homing homing = src_node < homing_.size() ? homing_[src_node] : Homing{};
+  if (homing.links == 0) {
     util::log_warn("net", util::format("node %u sent a packet while detached", src_node));
     return;
   }
-  if (links.size() > 1) {
+  if (homing.links > 1) {
     throw std::logic_error{"Network::send_from: multihomed node must transmit on a chosen link"};
   }
   pkt.sent_at = simulator_.now();
-  links.front()->transmit(src_node, std::move(pkt));
+  homing.first->transmit(src_node, std::move(pkt));
 }
 
 void Network::set_remote_sink(NodeId node, RemoteSink sink) {

@@ -82,6 +82,13 @@ class Network {
   sim::Random rng_;
   std::vector<Node*> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
+  // Per node (indexed by NodeId): its first link and how many it has, so a
+  // host's send is one lookup, not a scan of every link.
+  struct Homing {
+    Link* first{nullptr};
+    std::uint32_t links{0};
+  };
+  std::vector<Homing> homing_;
   std::vector<PacketTap> taps_;
   std::vector<RemoteSink> remote_;  // indexed by NodeId; empty when unsharded
   std::uint64_t next_packet_id_{1};
