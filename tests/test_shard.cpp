@@ -133,6 +133,34 @@ TEST(ShardExecutor, ChainedHorizonHandoffsConverge) {
   EXPECT_TRUE(final_hop);
 }
 
+TEST(ShardExecutor, JumpsIdleGapToATimerBeyondTheWheel) {
+  // The only work is a 100 s timer, beyond the kernel's ~68.7 s wheel, that
+  // posts to the other shard. The executor must see it as the next event and
+  // jump the idle gap to it: a window boundary past it would clamp the
+  // message to the horizon instead of delivering it at its timestamp.
+  sim::Simulator a;
+  sim::Simulator b;
+  exp::ShardExecConfig cfg;
+  cfg.lookahead = Duration::millis(1);
+  cfg.threads = 2;
+  exp::ShardExecutor exec{{&a, &b}, cfg};
+
+  const std::int64_t timer_ns = Duration::seconds(100).ns();
+  const std::int64_t arrive_ns = timer_ns + Duration::millis(5).ns();
+  std::int64_t fired_at = -1;
+  std::int64_t delivered_at = -1;
+  a.schedule_at(TimePoint::at(Duration::nanos(timer_ns)), [&] {
+    fired_at = a.now().ns();
+    exec.post(0, 1, arrive_ns, [&] { delivered_at = b.now().ns(); });
+  });
+  exec.run(TimePoint::at(Duration::seconds(200)));
+
+  EXPECT_EQ(fired_at, timer_ns);
+  EXPECT_EQ(delivered_at, arrive_ns);
+  EXPECT_EQ(exec.messages_clamped(), 0u);
+  EXPECT_LT(exec.rounds(), 10u) << "idle windows were stepped, not jumped";
+}
+
 TEST(ShardExecutor, IdenticalResultsForAnyWorkerCount) {
   // Same deterministic message pattern under 1, 2 and 8 workers. The
   // contract is per-shard: each shard's event sequence is identical for any

@@ -112,22 +112,54 @@ struct Decisions {
   [[nodiscard]] std::size_t cancel_pick(std::uint64_t label, std::size_t live) const {
     return static_cast<std::size_t>(mix(seed ^ label ^ 0xbeefULL) % live);
   }
+  // Call-hold timers: a standing population armed 120 s (plus up to ~1 ms of
+  // jitter) ahead, beyond the wheel horizon, and re-armed on every fire.
+  // Their labels sort after every workload label, and a workload cancel can
+  // pick one: that timer is then gone for good.
+  static constexpr std::uint64_t kHoldLabel = std::uint64_t{1} << 40;
+  static constexpr std::int64_t kHoldNs = 120'000'000'000;
+  [[nodiscard]] std::int64_t hold_first(std::size_t k, std::size_t timers) const {
+    return kHoldNs * static_cast<std::int64_t>(k + 1) / static_cast<std::int64_t>(timers) +
+           hold_jitter(kHoldLabel + k);
+  }
+  [[nodiscard]] std::int64_t hold_jitter(std::uint64_t label) const {
+    return static_cast<std::int64_t>(mix(seed ^ label ^ 0x401dULL) % 1'000'000);
+  }
 };
 
 // Runs the randomized workload on the real Simulator. Each fired event may
-// spawn children and cancel one still-live event, all chosen by `d`.
-std::vector<Fired> run_engine(const Decisions& d, std::size_t max_fires) {
+// spawn children and cancel one still-live event, all chosen by `d`. The run
+// stops at max_fires; `hold_timers` adds that many re-armed hold timers.
+std::vector<Fired> run_engine(const Decisions& d, std::size_t max_fires,
+                              std::size_t hold_timers = 0) {
   Simulator simulator;
   std::vector<Fired> fired;
   std::map<std::uint64_t, EventId> live;  // label -> handle, label-ordered
   std::uint64_t next_label = 0;
+  std::uint64_t next_hold = Decisions::kHoldLabel;
+
+  const auto arm_hold = [&](auto&& self, std::uint64_t label, std::int64_t at) -> void {
+    live[label] = simulator.schedule_at(TimePoint::at(Duration::nanos(at)), [&, label, at] {
+      live.erase(label);
+      fired.push_back({label, at});
+      if (fired.size() >= max_fires) {
+        simulator.stop();
+        return;
+      }
+      const std::uint64_t next = next_hold++;
+      self(self, next, at + Decisions::kHoldNs + d.hold_jitter(next));
+    });
+  };
 
   const auto spawn = [&](auto&& self, std::uint64_t label, std::int64_t at) -> void {
     live[label] = simulator.schedule_at(
         TimePoint::at(Duration::nanos(at)), [&, label, at] {
           live.erase(label);
           fired.push_back({label, at});
-          if (fired.size() >= max_fires) return;
+          if (fired.size() >= max_fires) {
+            simulator.stop();
+            return;
+          }
           for (unsigned c = 0; c < d.children(label); ++c) {
             const std::uint64_t child = next_label++;
             self(self, child, at + d.child_delta(label, c));
@@ -145,6 +177,9 @@ std::vector<Fired> run_engine(const Decisions& d, std::size_t max_fires) {
     const std::uint64_t label = next_label++;
     spawn(spawn, label, d.child_delta(0xfeedULL, static_cast<unsigned>(i)));
   }
+  for (std::size_t k = 0; k < hold_timers; ++k) {
+    arm_hold(arm_hold, next_hold++, d.hold_first(k, hold_timers));
+  }
   while (!fired.empty() || simulator.pending() > 0) {
     const std::uint64_t before = simulator.events_processed();
     simulator.run();
@@ -155,15 +190,22 @@ std::vector<Fired> run_engine(const Decisions& d, std::size_t max_fires) {
 }
 
 // Same workload on the oracle queue.
-std::vector<Fired> run_oracle(const Decisions& d, std::size_t max_fires) {
+std::vector<Fired> run_oracle(const Decisions& d, std::size_t max_fires,
+                              std::size_t hold_timers = 0) {
   OracleQueue queue;
   std::vector<Fired> fired;
   std::map<std::uint64_t, bool> live;  // label-ordered, mirrors run_engine's map
   std::uint64_t next_label = 0;
+  std::uint64_t next_hold = Decisions::kHoldLabel;
 
   for (std::uint64_t i = 0; i < 24; ++i) {
     const std::uint64_t label = next_label++;
     queue.schedule(d.child_delta(0xfeedULL, static_cast<unsigned>(i)), label);
+    live[label] = true;
+  }
+  for (std::size_t k = 0; k < hold_timers; ++k) {
+    const std::uint64_t label = next_hold++;
+    queue.schedule(d.hold_first(k, hold_timers), label);
     live[label] = true;
   }
   while (!queue.empty() && fired.size() < max_fires) {
@@ -171,6 +213,12 @@ std::vector<Fired> run_oracle(const Decisions& d, std::size_t max_fires) {
     live.erase(f.label);
     fired.push_back(f);
     if (fired.size() >= max_fires) break;
+    if (f.label >= Decisions::kHoldLabel) {
+      const std::uint64_t next = next_hold++;
+      queue.schedule(f.at_ns + Decisions::kHoldNs + d.hold_jitter(next), next);
+      live[next] = true;
+      continue;
+    }
     for (unsigned c = 0; c < d.children(f.label); ++c) {
       const std::uint64_t child = next_label++;
       queue.schedule(f.at_ns + d.child_delta(f.label, c), child);
@@ -196,6 +244,25 @@ TEST(SimDeterminism, MatchesOrderedQueueOracleAcrossSeeds) {
       ASSERT_EQ(engine[i].label, oracle[i].label) << "seed " << seed << " fire " << i;
       ASSERT_EQ(engine[i].at_ns, oracle[i].at_ns) << "seed " << seed << " fire " << i;
     }
+  }
+}
+
+TEST(SimDeterminism, MatchesOrderedQueueOracleWithParkedHoldTimers) {
+  // 200 call-hold timers parked beyond the wheel horizon the whole run, each
+  // re-armed 120 s ahead when it fires, while the randomized workload fires,
+  // spawns and cancels around them (some of its cancels hit hold timers).
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0xabcdefULL, 2026ULL}) {
+    const Decisions d{seed};
+    const auto engine = run_engine(d, 6000, 200);
+    const auto oracle = run_oracle(d, 6000, 200);
+    ASSERT_EQ(engine.size(), oracle.size()) << "seed " << seed;
+    std::size_t rearmed = 0;
+    for (std::size_t i = 0; i < engine.size(); ++i) {
+      ASSERT_EQ(engine[i].label, oracle[i].label) << "seed " << seed << " fire " << i;
+      ASSERT_EQ(engine[i].at_ns, oracle[i].at_ns) << "seed " << seed << " fire " << i;
+      if (engine[i].label >= Decisions::kHoldLabel + 200) ++rearmed;
+    }
+    EXPECT_GT(rearmed, 0u) << "seed " << seed << ": no re-armed hold timer fired";
   }
 }
 
@@ -250,6 +317,57 @@ TEST(SimDeterminism, CancelRaceAtEqualTimestamp) {
   simulator.run();
   EXPECT_EQ(order, (std::vector<char>{'a', 'b'}));
   EXPECT_EQ(simulator.pending(), 0u);
+}
+
+// One instant beyond the wheel horizon (~68.7 s), reached from three stores:
+// `far` is scheduled at t = 0 (far heap), `wheel` 10 s before (level-1 wheel,
+// cascaded and activated in time), and `slot` 200 us before, from inside the
+// level-0 slot being drained (near heap). The three tie on time, so they must
+// fire in schedule order.
+constexpr std::int64_t kTieNs = 100'000'000'000;
+constexpr std::int64_t kInSlotNs = kTieNs - 200'000;
+static_assert((kTieNs >> 20) == (kInSlotNs >> 20), "both inside one 2^20 ns level-0 slot");
+
+TEST(SimDeterminism, FarTimerTiesWithWheelAndSlotEvents) {
+  // Run twice: as is, then with the in-slot event cancelling the far timer
+  // just before its instant, which must drop pending() by exactly one.
+  for (const bool cancel_far : {false, true}) {
+    Simulator simulator;
+    std::vector<std::string> order;
+    const TimePoint tie = TimePoint::at(Duration::nanos(kTieNs));
+    const EventId far = simulator.schedule_at(tie, [&] { order.emplace_back("far"); });
+    simulator.schedule_at(tie - Duration::seconds(10), [&] {
+      simulator.schedule_at(tie, [&] { order.emplace_back("wheel"); });
+      simulator.schedule_at(TimePoint::at(Duration::nanos(kInSlotNs)), [&] {
+        simulator.schedule_at(tie, [&] { order.emplace_back("slot"); });
+        if (!cancel_far) return;
+        EXPECT_EQ(simulator.pending(), 3u);  // far, wheel, slot
+        EXPECT_TRUE(simulator.cancel(far));
+        EXPECT_FALSE(simulator.cancel(far)) << "double cancel must fail";
+        EXPECT_EQ(simulator.pending(), 2u);
+      });
+    });
+    simulator.run();
+    const auto expect = cancel_far ? std::vector<std::string>{"wheel", "slot"}
+                                   : std::vector<std::string>{"far", "wheel", "slot"};
+    EXPECT_EQ(order, expect) << "cancel_far " << cancel_far;
+    EXPECT_EQ(simulator.pending(), 0u);
+    EXPECT_EQ(simulator.events_processed(), cancel_far ? 4u : 5u);
+  }
+}
+
+TEST(SimDeterminism, NextEventSeesTimersBeyondTheWheel) {
+  Simulator simulator;
+  EXPECT_EQ(simulator.next_event_ns(), Simulator::kNoEvent);
+  const EventId hold = simulator.schedule_at(TimePoint::at(Duration::seconds(100)), [] {});
+  EXPECT_EQ(simulator.next_event_ns(), Duration::seconds(100).ns());
+  // A nearer wheel event comes first; once it fires, the far timer is next.
+  simulator.schedule_at(TimePoint::at(Duration::seconds(1)), [] {});
+  EXPECT_EQ(simulator.next_event_ns(), Duration::seconds(1).ns());
+  simulator.run_until(TimePoint::at(Duration::seconds(50)));
+  EXPECT_EQ(simulator.next_event_ns(), Duration::seconds(100).ns());
+  EXPECT_TRUE(simulator.cancel(hold));
+  EXPECT_EQ(simulator.next_event_ns(), Simulator::kNoEvent);
 }
 
 TEST(SimDeterminism, CancelOwnEventWhileRunningFails) {
