@@ -69,7 +69,7 @@ archive[shard]="shard_scaling.json:BENCH_shard_scaling.json shard_attribution.js
 targets[profile]="pbxcap_cli"
 cmds[profile]='$B/tools/pbxcap profile 100 --window 30 --json-out profile.json --counters-out profile_counters.json'
 outputs[profile]="profile.json profile_counters.json"
-checks[profile]='python3 $T/check_telemetry.py --profile profile.json'
+checks[profile]='python3 $T/check_telemetry.py --profile profile.json $T/profile_events.json'
 
 targets[perf]="bench_perf_engine bench_telemetry_overhead"
 cmds[perf]='$B/bench/bench_perf_engine --benchmark_out=perf.json --benchmark_out_format=json --benchmark_format=console
