@@ -130,6 +130,62 @@ void BM_SimulatorPeriodicTimerWheel(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPeriodicTimerWheel)->Arg(165);
 
+void BM_SimulatorHopsBehindHoldTimers(benchmark::State& state) {
+  // The per-packet shape of a saturated Table-I run: `range` calls, each with
+  // a 120 s hold timer re-armed when it fires (first expiries spread evenly
+  // over 120 s, as in a steady state, so most sit beyond the wheel horizon),
+  // and two 20 ms media streams per call whose every tick sends a packet
+  // through a 4-hop chain of 20 us events (link, switch, link, delivery).
+  // The hops land in the level-0 slot being drained. Runs 10 simulated
+  // seconds per iteration.
+  struct Hold {
+    sim::Simulator* simulator;
+    std::uint64_t* fired;
+    void operator()() const {
+      ++*fired;
+      simulator->schedule_in(Duration::seconds(120), *this);
+    }
+  };
+  struct Hop {
+    sim::Simulator* simulator;
+    std::uint64_t* fired;
+    int left;
+    void operator()() const {
+      ++*fired;
+      if (left > 0) simulator->schedule_in(Duration::micros(20), Hop{simulator, fired, left - 1});
+    }
+  };
+  struct Stream {
+    sim::Simulator* simulator;
+    std::uint64_t* fired;
+    void operator()() const {
+      ++*fired;
+      simulator->schedule_in(Duration::micros(20), Hop{simulator, fired, 3});
+      simulator->schedule_in(Duration::millis(20), *this);
+    }
+  };
+  static_assert(sim::Callback::stores_inline<Hold>() && sim::Callback::stores_inline<Hop>() &&
+                sim::Callback::stores_inline<Stream>());
+  const auto calls = static_cast<int>(state.range(0));
+  std::uint64_t fired = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    for (int i = 0; i < calls; ++i) {
+      const std::int64_t first_ns = Duration::seconds(120).ns() * (i + 1) / calls;
+      simulator.schedule_in(Duration::nanos(first_ns), Hold{&simulator, &fired});
+    }
+    for (int i = 0; i < 2 * calls; ++i) {
+      simulator.schedule_in(Duration::micros(60) * i, Stream{&simulator, &fired});
+    }
+    simulator.run_until(TimePoint::origin() + Duration::seconds(10));
+    events = simulator.events_processed();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events) * state.iterations());
+}
+BENCHMARK(BM_SimulatorHopsBehindHoldTimers)->Arg(165);
+
 void BM_RtpSteadyState(benchmark::State& state) {
   // Steady-state media cost, packet vs fluid: the same seeded testbed run
   // (offered load in range(0)), with the hybrid engine off (range(1) == 0)
