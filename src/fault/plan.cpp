@@ -1,6 +1,7 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -21,7 +22,7 @@ bool parse_double(std::string_view token, double& out) {
   const std::string buf{token};
   char* end = nullptr;
   const double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
+  if (end != buf.c_str() + buf.size() || !std::isfinite(value)) return false;
   out = value;
   return true;
 }
@@ -127,6 +128,8 @@ bool parse_duration(std::string_view token, Duration& out) {
   }
   double value = 0.0;
   if (!parse_double(digits, value) || value < 0.0) return false;
+  // The clock is int64 nanoseconds: a longer span has no representation.
+  if (value * scale >= Duration::max().to_seconds()) return false;
   out = Duration::from_seconds(value * scale);
   return true;
 }

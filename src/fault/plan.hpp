@@ -65,8 +65,8 @@ class FaultPlan {
   std::vector<FaultEvent> events_;  // kept sorted by `at` (stable)
 };
 
-/// Parses "5s" / "200ms" / "1.5s" / "3m" etc. Returns false on bad syntax
-/// or a negative value.
+/// Parses "5s" / "200ms" / "1.5s" / "3m" etc. Returns false on bad syntax,
+/// a negative or non-finite value, or a span the nanosecond clock cannot hold.
 [[nodiscard]] bool parse_duration(std::string_view token, Duration& out);
 
 }  // namespace pbxcap::fault
