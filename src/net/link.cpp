@@ -63,9 +63,15 @@ Link::Direction& Link::direction_from(NodeId from) {
   throw std::invalid_argument{"Link: node is not an endpoint"};
 }
 
+std::uint32_t Link::in_flight(const Direction& dir) const {
+  auto& ends = dir.serializing;
+  ends.erase(ends.begin(), std::upper_bound(ends.begin(), ends.end(), network_.simulator().now()));
+  return static_cast<std::uint32_t>(ends.size());
+}
+
 std::uint32_t Link::backlog_from(NodeId from) const {
-  if (from == a_) return directions_[0].backlog;
-  if (from == b_) return directions_[1].backlog;
+  if (from == a_) return in_flight(directions_[0]);
+  if (from == b_) return in_flight(directions_[1]);
   throw std::invalid_argument{"Link: node is not an endpoint"};
 }
 
@@ -89,7 +95,7 @@ void Link::transmit_batch(NodeId from, Packet pkt) {
   // would have serialized on an otherwise idle medium, so the per-packet
   // latency is the nominal tx_time + propagation; stats accrue exactly as
   // per-packet mode would have accrued them, and delivery happens inline on
-  // the flush call stack — no simulator events, no busy_until/backlog churn.
+  // the flush call stack — no simulator events, no backlog churn.
   Direction& dir = direction_from(from);
   const NodeId to = peer_of(from);
   if (blackout_) {
@@ -188,17 +194,18 @@ void Link::transmit_now(NodeId from, Packet pkt) {
   }
 
   // Drop-tail: refuse the packet if the serialization backlog is full.
-  if (dir.backlog >= config_.queue_limit_packets) {
+  if (in_flight(dir) >= config_.queue_limit_packets) {
     ++dir.stats.dropped_queue_full;
     return;
   }
 
+  // The frame starts when the medium frees up: now, or the end of the
+  // youngest frame still serializing.
   const Duration tx_time =
       Duration::from_seconds(static_cast<double>(pkt.size_bytes) * 8.0 / config_.bandwidth_bps);
-  const TimePoint start = std::max(now, dir.busy_until);
+  const TimePoint start = dir.serializing.empty() ? now : dir.serializing.back();
   const TimePoint serialized = start + tx_time;
-  dir.busy_until = serialized;
-  ++dir.backlog;
+  dir.serializing.push_back(serialized);
   dir.stats.busy_time += tx_time;
 
   // Random loss still consumes the medium (the frame is sent, then lost),
@@ -215,14 +222,10 @@ void Link::transmit_now(NodeId from, Packet pkt) {
   }
 
   const TimePoint delivery = serialized + config_.propagation + extra;
-  // Wire events (backlog drain + delivery) are attributed by packet kind, so
+  // The hop's one wire event, the delivery, is attributed by packet kind, so
   // the profiler splits link traffic into signalling vs media regardless of
   // which subsystem's callback sent the packet.
   const sim::Simulator::CategoryScope cat_scope{sim, wire_category(pkt, sim)};
-  auto drain = [this, from] { --direction_from(from).backlog; };
-  static_assert(sim::Callback::stores_inline<decltype(drain)>(),
-                "backlog drain closure must stay on the allocation-free SBO path");
-  sim.schedule_at(serialized, std::move(drain));
 
   if (lost) {
     ++dir.stats.dropped_random_loss;

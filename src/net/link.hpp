@@ -99,7 +99,9 @@ class Link {
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool blacked_out() const noexcept { return blackout_; }
   /// Packets queued or in serialization in the `from`->peer direction (the
-  /// fluid engine's near-saturation signal).
+  /// fluid engine's near-saturation signal). A frame leaves the backlog at
+  /// its serialization end: a read at exactly that instant no longer counts
+  /// it, whatever the order of the events sharing the timestamp.
   [[nodiscard]] std::uint32_t backlog_from(NodeId from) const;
   /// Stats for the direction whose source is `from`.
   [[nodiscard]] const LinkDirectionStats& stats_from(NodeId from) const;
@@ -110,14 +112,20 @@ class Link {
 
  private:
   struct Direction {
-    TimePoint busy_until{};
-    std::uint32_t backlog{0};  // packets queued or in serialization
+    /// Serialization-end times of the frames accepted onto the wire,
+    /// oldest first. One sender and FIFO serialization make the drained
+    /// frames (end <= now) a sorted prefix, which the readers erase, so the
+    /// medium needs no event of its own when a frame finishes serializing.
+    /// The queue limit bounds the length; an idle link allocates nothing.
+    mutable std::vector<TimePoint> serializing;
     LinkDirectionStats stats;
     std::vector<Packet> trunk_pending;  // media awaiting the window flush
     bool trunk_flush_scheduled{false};
   };
 
   Direction& direction_from(NodeId from);
+  /// Frames of `dir` still queued or serializing now; drops the drained ones.
+  std::uint32_t in_flight(const Direction& dir) const;
   void transmit_batch(NodeId from, Packet pkt);
   /// The pre-trunking per-packet path: queueing, serialization, loss,
   /// jitter, delivery. Trunk shells re-enter here once assembled.

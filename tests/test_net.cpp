@@ -209,6 +209,74 @@ TEST_F(NetFixture, UtilizationReflectsBusyTime) {
   EXPECT_LE(link.utilization_from(a.id(), simulator.now()), 1.0);
 }
 
+TEST_F(NetFixture, DeliveredHopCostsOneEventDroppedHopsNone) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  SinkNode c{"c"};
+  SinkNode d{"d"};
+  for (SinkNode* node : {&a, &b, &c, &d}) network.attach(*node);
+  LinkConfig one_slot;
+  one_slot.queue_limit_packets = 1;
+  const net::Link& full = network.connect(a, b, one_slot);
+  LinkConfig lossy;
+  lossy.loss_probability = 1.0;
+  const net::Link& lost = network.connect(c, d, lossy);
+
+  a.transmit_to(b.id(), 1000);
+  a.transmit_to(b.id(), 1000);  // refused: the first is still serializing
+  c.transmit_to(d.id(), 1000);  // serialized, then lost
+  simulator.run();
+  EXPECT_EQ(full.stats_from(a.id()).dropped_queue_full, 1u);
+  EXPECT_EQ(lost.stats_from(c.id()).dropped_random_loss, 1u);
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(simulator.events_processed(), 1u);  // the one delivery
+}
+
+TEST_F(NetFixture, BacklogClearsAtTheSerializationEndWithoutAnEvent) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  network.attach(a);
+  network.attach(b);
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000.0;  // 1000 bytes serialize in 1 ms
+  cfg.loss_probability = 1.0;       // no delivery event either
+  const net::Link& link = network.connect(a, b, cfg);
+  a.transmit_to(b.id(), 1000);
+  const TimePoint end = TimePoint::origin() + Duration::millis(1);
+
+  simulator.run_until(end - Duration::nanos(1));
+  EXPECT_EQ(link.backlog_from(a.id()), 1u);
+  EXPECT_EQ(simulator.pending(), 0u);
+  // At exactly the serialization end the frame has left the backlog.
+  simulator.run_until(end);
+  EXPECT_EQ(link.backlog_from(a.id()), 0u);
+  EXPECT_EQ(simulator.events_processed(), 0u);
+}
+
+TEST_F(NetFixture, DropTailAcceptsAgainOnceTheOldestFrameDrains) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  network.attach(a);
+  network.attach(b);
+  LinkConfig cfg;
+  cfg.bandwidth_bps = 8'000'000.0;  // 1000 bytes serialize in 1 ms
+  cfg.propagation = Duration::seconds(1);
+  cfg.queue_limit_packets = 2;
+  const net::Link& link = network.connect(a, b, cfg);
+  for (int i = 0; i < 3; ++i) a.transmit_to(b.id(), 1000);
+  EXPECT_EQ(link.stats_from(a.id()).dropped_queue_full, 1u);
+
+  // The first frame ends serializing at 1 ms; deliveries start at 1.001 s.
+  simulator.run_until(TimePoint::origin() + Duration::millis(1));
+  EXPECT_EQ(simulator.events_processed(), 0u);
+  a.transmit_to(b.id(), 1000);  // queues behind the second frame
+  EXPECT_EQ(link.stats_from(a.id()).dropped_queue_full, 1u);
+  simulator.run();
+  ASSERT_EQ(b.arrival_times.size(), 3u);
+  EXPECT_EQ(b.arrival_times[2], TimePoint::origin() + Duration::millis(1003));
+  EXPECT_EQ(simulator.events_processed(), 3u);
+}
+
 TEST(LinkValidation, RejectsBadConfigs) {
   sim::Simulator simulator;
   net::Network network{simulator, sim::Random{1}};
