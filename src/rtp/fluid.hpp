@@ -1,17 +1,18 @@
 // Hybrid fluid/packet media engine.
 //
-// At Table-I scale the 20 ms RTP pacing tick dominates the event population
-// (~11 events per packet across pacing, link hops, switch forwarding, and
-// PBX relay). While a stream's path is in steady state — no pending
-// impairment edits, watched links loss-free, jitter-free, and far from
-// queue saturation — per-packet simulation adds no information: every
-// packet departs on the pacing grid, traverses the same fixed latency, and
-// lands in the same statistics in closed form. The FluidEngine lets such
-// streams *coast*: their pacing ticks are suspended and the accumulated
-// packet run is fast-forwarded as a single batch packet at the next
-// boundary (RTCP report, telemetry sample, fault edit, BYE, or the
-// max-segment backstop). Exact per-packet counts stay bit-identical;
-// EWMA-style estimators (RFC 3550 jitter) use closed-form decay.
+// At Table-I scale the 20 ms RTP pacing tick dominates the event population: a
+// relayed packet costs 7 events, its pacing tick, one delivery per link hop
+// (sender->switch, switch->PBX, PBX->switch, switch->receiver) and two switch
+// forwarding steps; the PBX relays inline. While a stream's path is in steady
+// state — no pending impairment edits, watched links loss-free, jitter-free,
+// and far from queue saturation — per-packet simulation adds no information:
+// every packet departs on the pacing grid, traverses the same fixed latency,
+// and lands in the same statistics in closed form. The FluidEngine lets such
+// streams *coast*: their pacing ticks are suspended and the accumulated packet
+// run is fast-forwarded as a single batch packet at the next boundary (RTCP
+// report, telemetry sample, fault edit, BYE, or the max-segment backstop).
+// Exact per-packet counts stay bit-identical; EWMA-style estimators (RFC 3550
+// jitter) use closed-form decay.
 //
 // Segment state machine (per stream):
 //
