@@ -189,8 +189,10 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     result.shard_rounds = exec.rounds();
     result.shard_clamped = exec.messages_clamped();
     for (const ShardExecutor::ShardStats& s : exec.stats()) {
-      result.shards.push_back({s.events, s.messages_in, s.messages_out, s.wall_s});
+      result.shards.push_back({s.events, s.messages_in, s.messages_out, s.windows, s.wall_s});
     }
+    result.shard_workers = exec.worker_stats();
+    result.shard_drain_s = exec.drain_s();
   }
   return result;
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "dispatch/dispatcher.hpp"
+#include "exp/shard_exec.hpp"
 #include "exp/testbed.hpp"
 #include "fault/plan.hpp"
 #include "monitor/report.hpp"
@@ -152,15 +153,21 @@ struct ClusterResult {
   std::uint64_t circuit_opens{0};
 
   /// Per-shard observations of a sharded run (empty in monolithic mode).
-  /// Shard 0 is the hub; shard 1+i is backend i. events / messages are
-  /// deterministic per seed; wall_s is host time (imbalance diagnostics).
+  /// Shard 0 is the hub; shard 1+i is backend i. events / messages /
+  /// windows are deterministic per seed; wall_s is host time (imbalance
+  /// diagnostics).
   struct ShardObservation {
     std::uint64_t events{0};
     std::uint64_t messages_in{0};
     std::uint64_t messages_out{0};
+    std::uint64_t windows{0};  // windows the shard ran; the rest it skipped
     double wall_s{0.0};
   };
   std::vector<ShardObservation> shards;
+  /// Host time per executor worker (ShardExecutor::WorkerStats) and of the
+  /// barrier completion steps. Never byte-compared.
+  std::vector<ShardExecutor::WorkerStats> shard_workers;
+  double shard_drain_s{0.0};
   unsigned shard_threads{0};            // worker count actually used
   std::uint64_t shard_rounds{0};        // barrier rounds executed
   std::uint64_t shard_clamped{0};       // messages raised to the causality bound

@@ -37,6 +37,8 @@ ShardExecutor::ShardExecutor(std::vector<sim::Simulator*> sims, const ShardExecC
   stats_.resize(sims_.size());
   if (sims_.size() > 1) {  // one shard has no channels and posts nothing
     channels_.resize(sims_.size() * sims_.size());
+    written_.resize(sims_.size());
+    next_event_ns_.resize(sims_.size());
     clamped_by_src_.resize(sims_.size(), 0);
   }
 }
@@ -55,7 +57,9 @@ void ShardExecutor::post(std::size_t src, std::size_t dst, std::int64_t at_ns,
     ++clamped_by_src_[src];
   }
   ++stats_[src].messages_out;
-  channels_[src * sims_.size() + dst].push(at, std::move(deliver));
+  sim::ShardChannel& channel = channels_[src * sims_.size() + dst];
+  if (channel.empty()) written_[src].push_back(dst);
+  channel.push(at, std::move(deliver));
 }
 
 void ShardExecutor::run(TimePoint horizon) {
@@ -83,6 +87,8 @@ void ShardExecutor::run(TimePoint horizon) {
     stats_[0].wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     stats_[0].events = sims_[0]->events_processed() - stats_[0].events;
+    stats_[0].windows = 1;
+    worker_stats_.assign(1, WorkerStats{stats_[0].wall_s, 0.0});
     return;
   }
 
@@ -94,10 +100,19 @@ void ShardExecutor::run(TimePoint horizon) {
   auto completion = [this]() noexcept { on_round(); };
   std::barrier<decltype(completion)> barrier{static_cast<std::ptrdiff_t>(workers_),
                                              completion};
+  worker_stats_.assign(workers_, WorkerStats{});
   auto work = [&](unsigned w) {
+    using Clock = std::chrono::steady_clock;
+    WorkerStats& ws = worker_stats_[w];
+    auto resumed = Clock::now();
     while (!done_) {
       for (std::size_t s = w; s < sims_.size(); s += workers_) run_shard_window(s);
+      const auto arrived = Clock::now();
       barrier.arrive_and_wait();
+      const auto now = Clock::now();
+      ws.busy_s += std::chrono::duration<double>(arrived - resumed).count();
+      ws.wait_s += std::chrono::duration<double>(now - arrived).count();
+      resumed = now;
     }
   };
 
@@ -114,6 +129,9 @@ void ShardExecutor::run(TimePoint horizon) {
 }
 
 void ShardExecutor::run_shard_window(std::size_t s) noexcept {
+  // Nothing of this shard's falls inside the window: leave its clock behind.
+  if (!final_ && next_event_ns_[s] >= window_end_ns_) return;
+  ++stats_[s].windows;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     // Intermediate windows are exclusive of their end (all integer-ns
@@ -130,6 +148,7 @@ void ShardExecutor::run_shard_window(std::size_t s) noexcept {
 }
 
 void ShardExecutor::on_round() noexcept {
+  const auto t0 = std::chrono::steady_clock::now();
   try {
     ++rounds_;
     {
@@ -141,51 +160,55 @@ void ShardExecutor::on_round() noexcept {
     }
     const bool any = drain_all();
     if (final_) {
-      if (!any) {
-        done_ = true;
-        return;
-      }
-      // Events at exactly the horizon handed work across the boundary; run
-      // the horizon again so it fires, like a single event queue would.
-      if (++horizon_rounds_ > kMaxHorizonRounds) {
+      // With no message, done; otherwise events at exactly the horizon
+      // handed work across the boundary: run the horizon again so it fires,
+      // like a single event queue would.
+      done_ = !any;
+      if (any && ++horizon_rounds_ > kMaxHorizonRounds) {
         throw std::runtime_error{
             "ShardExecutor: cross-shard message livelock at the horizon"};
       }
-      return;
+    } else {
+      advance_window();
     }
-    advance_window();
   } catch (...) {
     record_error(std::current_exception());
     done_ = true;
   }
+  drain_s_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 bool ShardExecutor::drain_all() {
   const std::size_t shard_count = sims_.size();
   bool any = false;
-  // Destination-major, source-ascending: every destination schedules its
-  // inbound messages in (src, FIFO) order, so the simulator's (time, seq)
-  // tie-break yields the deterministic (at, src_shard, seq) merge.
-  for (std::size_t dst = 0; dst < shard_count; ++dst) {
-    for (std::size_t src = 0; src < shard_count; ++src) {
+  // Source-ascending, each source's written channels in first-push order:
+  // every destination schedules its inbound messages in (src, FIFO) order,
+  // so the simulator's (time, seq) tie-break yields the deterministic
+  // (at, src_shard, seq) merge. The order across destinations is free, as
+  // they are different simulators.
+  for (std::size_t src = 0; src < shard_count; ++src) {
+    for (const std::size_t dst : written_[src]) {
       sim::ShardChannel& channel = channels_[src * shard_count + dst];
-      if (channel.empty()) continue;
-      any = true;
-      std::vector<sim::ShardMessage> messages = channel.drain();
-      stats_[dst].messages_in += messages.size();
+      stats_[dst].messages_in += channel.size();
       const sim::CategoryScope cat_scope{*sims_[dst], sim::Category::kShardMailbox};
-      for (sim::ShardMessage& msg : messages) {
+      for (sim::ShardMessage& msg : channel) {
         sims_[dst]->schedule_at(TimePoint::at(Duration::nanos(msg.at_ns)),
                                 std::move(msg.deliver));
       }
+      channel.clear();
     }
+    any = any || !written_[src].empty();
+    written_[src].clear();
   }
   return any;
 }
 
 void ShardExecutor::advance_window() {
   std::int64_t next_event = sim::Simulator::kNoEvent;
-  for (sim::Simulator* sim : sims_) next_event = std::min(next_event, sim->next_event_ns());
+  for (std::size_t s = 0; s < sims_.size(); ++s) {
+    next_event_ns_[s] = sims_[s]->next_event_ns();
+    next_event = std::min(next_event, next_event_ns_[s]);
+  }
   // Everything already drained is inside the simulators, so next_event is a
   // complete lower bound on future activity anywhere.
   std::int64_t start = window_end_ns_;

@@ -15,16 +15,26 @@
 //     batches, which traverse links inline with their timing carried in
 //     the payload; or a fault shrinking a cross-shard propagation below L)
 //     are clamped up to the window boundary.
-//   * At the barrier, a single completion step drains every channel into
-//     its destination simulator in deterministic (at, src_shard, FIFO)
-//     order — see sim/shard.hpp — and picks the next window. If every
-//     shard's next event and every pending message lie beyond the next
-//     boundary, the window start jumps forward to the earliest of them
-//     (idle drain phases cost barriers proportional to activity, not to
-//     simulated time).
-//   * The final window runs run_until(horizon) inclusive, then repeats
-//     (drain, re-run at the horizon) until no shard produced a message —
-//     events at exactly the horizon may hand work across one more boundary.
+//   * At the barrier, a single completion step drains the channels written
+//     this window into their destination simulators. post() records a
+//     channel in its source's written list on the channel's first push, so
+//     the drain walks only those lists, in ascending source order: every
+//     destination schedules its inbound messages source-ascending and FIFO,
+//     the deterministic (at, src_shard, FIFO) merge of sim/shard.hpp, and a
+//     round costs the messages it carried, not S^2 channel checks. It then
+//     picks the next window. If every shard's next event and every pending
+//     message lie beyond the next boundary, the window start jumps forward
+//     to the earliest of them (idle drain phases cost barriers proportional
+//     to activity, not to simulated time).
+//   * A shard whose next event (read after the drain) lies at or beyond the
+//     window end is skipped: it makes no run_until call and no clock read.
+//     Its now() lags until it next runs. That is safe: drained messages are
+//     scheduled at absolute times >= the window end, past any lagging
+//     clock, and post()'s causality clamp reads the window end, not now().
+//   * The final window runs run_until(horizon) inclusive on every shard,
+//     then repeats (drain, re-run every shard at the horizon) until no shard
+//     produced a message — events at exactly the horizon may hand work
+//     across one more boundary. Every clock therefore ends at the horizon.
 //
 // Thread count changes only which OS thread runs a shard, never the order
 // of events inside one or the merge order between them: per-seed results
@@ -55,14 +65,25 @@ struct ShardExecConfig {
 
 class ShardExecutor {
  public:
-  /// Per-shard observations of one run. `events` and `messages_*` are
-  /// deterministic per seed; `wall_s` is the host-time cost of the shard's
-  /// windows (load-imbalance diagnostics — never byte-compared).
+  /// Per-shard observations of one run. `events`, `messages_*` and
+  /// `windows` (windows the shard ran rather than skipped) are deterministic
+  /// per seed; `wall_s` is the host-time cost of the shard's windows
+  /// (load-imbalance diagnostics — never byte-compared).
   struct ShardStats {
     std::uint64_t events{0};
     std::uint64_t messages_in{0};
     std::uint64_t messages_out{0};
+    std::uint64_t windows{0};
     double wall_s{0.0};
+  };
+
+  /// Host time of one worker thread over a run: `busy_s` running its shards'
+  /// windows, `wait_s` blocked at the barrier. The completion step runs on
+  /// whichever worker arrives last, so its time is inside that worker's
+  /// wait. Never byte-compared.
+  struct WorkerStats {
+    double busy_s{0.0};
+    double wait_s{0.0};
   };
 
   /// `sims` are borrowed; one per shard, all at t = 0 with their models
@@ -86,6 +107,12 @@ class ShardExecutor {
   void run(TimePoint horizon);
 
   [[nodiscard]] const std::vector<ShardStats>& stats() const noexcept { return stats_; }
+  /// One entry per worker, indexed like the workers (shard s ran on s % W).
+  [[nodiscard]] const std::vector<WorkerStats>& worker_stats() const noexcept {
+    return worker_stats_;
+  }
+  /// Host time spent in the barrier completion step (drain, window pick).
+  [[nodiscard]] double drain_s() const noexcept { return drain_s_; }
   [[nodiscard]] unsigned workers() const noexcept { return workers_; }
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   [[nodiscard]] std::uint64_t total_events() const noexcept;
@@ -110,8 +137,11 @@ class ShardExecutor {
   unsigned workers_{1};
 
   // channels_[src * S + dst]: single-writer (src's worker) during a window,
-  // drained by on_round() at the barrier.
+  // drained by on_round() at the barrier. written_[src] lists the dst of
+  // every channel src pushed to this window, in first-push order; same
+  // single writer, cleared by the drain.
   std::vector<sim::ShardChannel> channels_;
+  std::vector<std::vector<std::size_t>> written_;
 
   // Window state: written by on_round() only, read by workers after the
   // barrier (the barrier's completion step sequences both).
@@ -121,8 +151,13 @@ class ShardExecutor {
   bool done_{false};
   std::uint64_t rounds_{0};
   std::uint64_t horizon_rounds_{0};
+  // Each shard's next event after the drain; a shard whose next event is at
+  // or beyond window_end_ns_ skips the (non-final) window.
+  std::vector<std::int64_t> next_event_ns_;
 
   std::vector<ShardStats> stats_;
+  std::vector<WorkerStats> worker_stats_;  // worker w writes only entry w
+  double drain_s_{0.0};
   std::vector<std::uint64_t> clamped_by_src_;  // single-writer like the channels
 
   std::mutex error_mutex_;

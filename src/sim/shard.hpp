@@ -8,9 +8,8 @@
 // completion step while every worker is blocked — so no locks are needed,
 // and the happens-before edges come from the barrier itself.
 //
-// Determinism contract: messages are drained per destination by
-// concatenating its channels in ascending source-shard order (each channel
-// is FIFO) and scheduling them in that order. The Simulator's (time,
+// Determinism contract: every destination schedules its inbound messages
+// source-ascending, each channel in FIFO order. The Simulator's (time,
 // schedule-sequence) tie-break then fires them in exactly (at, src_shard,
 // push-order) order — independent of how many threads ran the shards.
 #pragma once
@@ -33,7 +32,8 @@ struct ShardMessage {
 
 /// FIFO queue of messages from one source shard to one destination shard.
 /// Single-writer during a window (the source shard's worker); drained on the
-/// barrier completion step.
+/// barrier completion step, which walks it in place and then clear()s it, so
+/// the queue keeps its capacity for the next window's pushes.
 class ShardChannel {
  public:
   void push(std::int64_t at_ns, Callback deliver) {
@@ -43,12 +43,10 @@ class ShardChannel {
   [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
 
-  /// Moves every queued message out, in push (FIFO) order.
-  [[nodiscard]] std::vector<ShardMessage> drain() {
-    std::vector<ShardMessage> out;
-    out.swap(q_);
-    return out;
-  }
+  /// Queued messages in push (FIFO) order.
+  [[nodiscard]] auto begin() noexcept { return q_.begin(); }
+  [[nodiscard]] auto end() noexcept { return q_.end(); }
+  void clear() noexcept { q_.clear(); }
 
  private:
   std::vector<ShardMessage> q_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -195,6 +196,100 @@ TEST(ShardExecutor, IdenticalResultsForAnyWorkerCount) {
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t8);
   ASSERT_EQ(t1.size(), 10u);
+}
+
+TEST(ShardExecutor, SameTimestampMessagesMergeInSourceOrder) {
+  // Shards 3, 1 and 2 each post two messages to shard 0 for the same
+  // instant, interleaved in time. Shard 0 must see them source-ascending,
+  // FIFO within a source, whichever worker ran which source. In a later
+  // window shard 1 posts again after sitting out the window before it.
+  auto run_pattern = [](unsigned threads) {
+    sim::Simulator s0;
+    sim::Simulator s1;
+    sim::Simulator s2;
+    sim::Simulator s3;
+    exp::ShardExecConfig cfg;
+    cfg.lookahead = Duration::millis(1);
+    cfg.threads = threads;
+    exp::ShardExecutor exec{{&s0, &s1, &s2, &s3}, cfg};
+    std::vector<std::string> seen;
+    auto post_at = [&](sim::Simulator& from, std::size_t src, std::int64_t emit_us,
+                       std::int64_t at_ms, std::string label) {
+      from.schedule_at(TimePoint::at(Duration::micros(emit_us)), [&, src, at_ms, label] {
+        exec.post(src, 0, Duration::millis(at_ms).ns(), [&, label] {
+          seen.push_back(label + "@" + std::to_string(s0.now().ns()));
+        });
+      });
+    };
+    // Window [0.1 ms, 1.1 ms): six posts for t = 5 ms, sources out of order.
+    post_at(s3, 3, 100, 5, "3a");
+    post_at(s2, 2, 200, 5, "2a");
+    post_at(s1, 1, 300, 5, "1a");
+    post_at(s3, 3, 400, 5, "3b");
+    post_at(s1, 1, 500, 5, "1b");
+    post_at(s2, 2, 600, 5, "2b");
+    // Window [3.3 ms, 4.3 ms) runs only shard 2; shard 1 is skipped.
+    s2.schedule_at(TimePoint::at(Duration::micros(3300)), [] {});
+    // Window [4.3 ms, 5.3 ms): three posts for t = 7 ms.
+    post_at(s3, 3, 4400, 7, "3c");
+    post_at(s1, 1, 4500, 7, "1c");
+    post_at(s2, 2, 4600, 7, "2c");
+    exec.run(TimePoint::at(Duration::millis(10)));
+    EXPECT_LT(exec.stats()[1].windows, exec.rounds()) << "shard 1 never sat out a window";
+    return seen;
+  };
+  const std::string at5 = "@" + std::to_string(Duration::millis(5).ns());
+  const std::string at7 = "@" + std::to_string(Duration::millis(7).ns());
+  const std::vector<std::string> expected{"1a" + at5, "1b" + at5, "2a" + at5,
+                                          "2b" + at5, "3a" + at5, "3b" + at5,
+                                          "1c" + at7, "2c" + at7, "3c" + at7};
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(run_pattern(threads), expected) << threads << " workers";
+  }
+}
+
+TEST(ShardExecutor, IdleShardSkipsWindowsAndStillReachesTheHorizon) {
+  // Shard 0 ticks every 0.5 ms, so every 1 ms window from 0 to the 20 ms
+  // horizon runs. Shard 1's only event is at 15 ms; shard 2's only work is a
+  // message from shard 0. Both run only the windows holding their work and
+  // the final one, and every clock ends at the horizon.
+  sim::Simulator busy;
+  sim::Simulator idle;
+  sim::Simulator woken;
+  exp::ShardExecConfig cfg;
+  cfg.lookahead = Duration::millis(1);
+  cfg.threads = 2;
+  exp::ShardExecutor exec{{&busy, &idle, &woken}, cfg};
+  const TimePoint horizon = TimePoint::at(Duration::millis(20));
+
+  std::function<void()> tick = [&] {
+    if (busy.now() == TimePoint::at(Duration::micros(5200))) {
+      // Drained after window [5 ms, 6 ms); lands inside the next window.
+      exec.post(0, 2, Duration::micros(6500).ns(),
+                [&] { EXPECT_EQ(woken.now().ns(), Duration::micros(6500).ns()); });
+    }
+    busy.schedule_in(Duration::micros(500), [&] { tick(); });
+  };
+  busy.schedule_at(TimePoint::at(Duration::micros(200)), [&] { tick(); });
+  std::int64_t fired_at = -1;
+  idle.schedule_at(TimePoint::at(Duration::millis(15)), [&] { fired_at = idle.now().ns(); });
+  exec.run(horizon);
+
+  EXPECT_EQ(fired_at, Duration::millis(15).ns());
+  EXPECT_EQ(exec.stats()[2].messages_in, 1u);
+  EXPECT_EQ(exec.stats()[2].events, 1u);
+  EXPECT_GE(exec.rounds(), 19u);
+  EXPECT_EQ(exec.stats()[0].windows, exec.rounds());
+  // The window with its work, then the final window at the horizon.
+  EXPECT_EQ(exec.stats()[1].windows, 2u);
+  EXPECT_EQ(exec.stats()[2].windows, 2u);
+  for (const sim::Simulator* sim : {&busy, &idle, &woken}) EXPECT_EQ(sim->now(), horizon);
+  ASSERT_EQ(exec.worker_stats().size(), exec.workers());
+  for (const auto& w : exec.worker_stats()) {
+    EXPECT_GE(w.busy_s, 0.0);
+    EXPECT_GE(w.wait_s, 0.0);
+  }
+  EXPECT_GE(exec.drain_s(), 0.0);
 }
 
 // ----------------------------------------------------------- sharded cluster
