@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "rtp/codec.hpp"
 #include "sim/random.hpp"
+#include "sip/dialog.hpp"
 #include "sip/message.hpp"
 #include "sip/parse.hpp"
 #include "sip/sdp.hpp"
@@ -263,6 +267,109 @@ TEST(SdpTest, MutatedCodecMixOfferParsesCleanly) {
   expect_mutations_parse_cleanly(
       caller_offer({rtp::payload_type::kG729, rtp::payload_type::kPcmu, rtp::payload_type::kPcma}),
       0x5D02);
+}
+
+/// One wire message of every kind the PBX's SIP census sees, built the way
+/// the endpoints build them: Message::request and response_to, plus the
+/// caller's Dialog for the ACK and BYE.
+std::vector<std::pair<std::string, std::string>> census_corpus() {
+  Message invite = make_invite();
+  invite.set_body(caller_offer({rtp::payload_type::kPcmu}).to_string(), "application/sdp");
+  Message ok = Message::response_to(invite, 200);
+  ok.to().tag = "tag-b";
+  ok.set_contact(*sip::Uri::parse("sip:recv-1@server.unb.br"));
+  ok.set_body(caller_offer({rtp::payload_type::kPcmu}).to_string(), "application/sdp");
+  Message ringing = Message::response_to(invite, 180);
+  ringing.to().tag = "tag-b";
+
+  sip::Dialog dialog = sip::Dialog::from_uac(invite, ok);
+  Message ack = dialog.make_ack();
+  ack.vias().push_back({"client.unb.br", "z9hG4bK-test-2"});
+  Message bye = dialog.make_request(Method::kBye);
+  bye.vias().push_back({"client.unb.br", "z9hG4bK-test-3"});
+
+  // RFC 3261 §9.1: a CANCEL copies the INVITE's Request-URI, top Via,
+  // From, To, Call-ID and CSeq number.
+  Message cancel = Message::request(Method::kCancel, invite.request_uri());
+  cancel.vias() = invite.vias();
+  cancel.from() = invite.from();
+  cancel.to() = invite.to();
+  cancel.set_call_id(invite.call_id());
+  cancel.set_cseq({invite.cseq().number, Method::kCancel});
+
+  Message unavailable = Message::response_to(invite, 503);
+  unavailable.add_header("Retry-After", "5");
+
+  Message options = Message::request(Method::kOptions, sip::Uri{"ping", "pbx.unb.br"});
+  options.vias().push_back({"dispatcher.unb.br", "z9hG4bK-probe-1"});
+  options.from() = sip::NameAddr{sip::Uri{"dispatcher", "dispatcher.unb.br"}, "tag-p"};
+  options.to() = sip::NameAddr{sip::Uri{"ping", "pbx.unb.br"}, ""};
+  options.set_call_id("probe-1@dispatcher.unb.br");
+  options.set_cseq({1, Method::kOptions});
+
+  std::vector<std::pair<std::string, std::string>> corpus;
+  const auto add = [&corpus](const char* kind, const Message& msg) {
+    corpus.emplace_back(kind, sip::serialize(msg));
+  };
+  add("INVITE", invite);
+  add("100", Message::response_to(invite, 100));
+  add("180", ringing);
+  add("200 INVITE", ok);
+  add("ACK", ack);
+  add("BYE", bye);
+  add("200 BYE", Message::response_to(bye, 200));
+  add("CANCEL", cancel);
+  add("487", Message::response_to(invite, 487));
+  add("486", Message::response_to(invite, 486));
+  add("503", unavailable);
+  add("482", Message::response_to(invite, 482));
+  add("OPTIONS", options);
+  return corpus;
+}
+
+/// Seeded insert, delete and splice mutations of every census message kind:
+/// each mutant parses or fails with a non-empty error, and nothing else.
+TEST(MessageCodecTest, MutatedCensusMessagesParseOrExplain) {
+  const auto corpus = census_corpus();
+  sim::Random rng{0x51C0};
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng.uniform_int(n)); };
+  for (const auto& [kind, wire] : corpus) {
+    ASSERT_TRUE(sip::parse_message(wire).ok()) << kind << " does not parse unmutated";
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 400; ++i) {
+      std::string mutant = wire;
+      for (std::size_t edits = 1 + pick(3); edits > 0; --edits) {
+        const std::size_t pos = pick(mutant.size() + 1);
+        switch (pick(3)) {
+          case 0: {  // insert a random byte or one of the message's own bytes
+            const char byte =
+                pick(2) == 0 ? static_cast<char>(pick(256)) : wire[pick(wire.size())];
+            mutant.insert(pos, 1, byte);
+            break;
+          }
+          case 1:  // delete a short run
+            mutant.erase(pos, 1 + pick(8));
+            break;
+          default: {  // splice a piece of another census message over a short run
+            const std::string& donor = corpus[pick(corpus.size())].second;
+            mutant.replace(pos, pick(4), donor.substr(pick(donor.size()), 1 + pick(24)));
+            break;
+          }
+        }
+      }
+      const auto result = sip::parse_message(mutant);
+      if (result.ok()) {
+        ++parsed;
+      } else {
+        ++rejected;
+        EXPECT_FALSE(result.error.empty()) << kind << " mutant failed without a reason";
+      }
+    }
+    // Both outcomes must occur, or the mutations are too mild or too wild.
+    EXPECT_GT(parsed, 0u) << kind;
+    EXPECT_GT(rejected, 0u) << kind;
+  }
 }
 
 TEST(ViaHeader, ParseAndPrint) {
