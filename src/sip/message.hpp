@@ -1,9 +1,11 @@
 // SIP message model (RFC 3261 subset).
 //
-// Messages round-trip through the textual wire format (serialize/parse in
-// parse.hpp) so packet sizes on the simulated network match real SIP sizes;
-// within one simulation run the parsed object is carried by shared_ptr to
-// avoid re-parsing on every hop.
+// Packet sizes on the simulated network are real SIP text sizes, but a sent
+// message is never serialized: its SipPayload counts the bytes of the wire
+// format once, when it is built (wire_bytes in parse.hpp, the same walk that
+// serialize() writes). The payload is immutable and carried by shared_ptr,
+// so every hop, a retransmission and a cross-shard hand-off all share one
+// object and nothing is re-parsed or copied.
 #pragma once
 
 #include <cstdint>
@@ -106,10 +108,6 @@ class Message {
   [[nodiscard]] const std::string& body() const noexcept { return body_; }
   [[nodiscard]] const std::string& content_type() const noexcept { return content_type_; }
 
-  /// Wire size of the serialized message in bytes. Computed on first call
-  /// and cached — call it only once the message is fully built.
-  [[nodiscard]] std::uint32_t wire_bytes() const;
-
  private:
   friend struct MessageCodec;
 
@@ -129,14 +127,14 @@ class Message {
   std::vector<std::pair<std::string, std::string>> extra_headers_;
   std::string body_;
   std::string content_type_;
-
-  mutable std::uint32_t cached_wire_bytes_{0};
 };
 
-/// Payload wrapper that carries a parsed message through the network layer.
+/// A built message on its way through the network layer. Immutable: the
+/// transaction layer keeps the same payload to retransmit it.
 struct SipPayload final : net::Payload {
-  explicit SipPayload(Message message) : msg{std::move(message)} {}
-  Message msg;
+  explicit SipPayload(Message message);
+  const Message msg;
+  const std::uint32_t wire_bytes;  // the SIP text's size, without UDP/IP/Ethernet
 };
 
 }  // namespace pbxcap::sip

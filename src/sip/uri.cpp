@@ -1,22 +1,11 @@
 #include "sip/uri.hpp"
 
+#include "sip/parse.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::sip {
 
-std::string Uri::to_string() const {
-  std::string out = "sip:";
-  if (!user_.empty()) {
-    out += user_;
-    out += '@';
-  }
-  out += host_;
-  if (port_ != 5060) {
-    out += ':';
-    out += std::to_string(port_);
-  }
-  return out;
-}
+std::string Uri::to_string() const { return wire_text(*this); }
 
 std::optional<Uri> Uri::parse(std::string_view text) {
   using util::parse_u64;

@@ -114,8 +114,9 @@ class ScriptedUac final : public net::Node {
     net::Packet pkt;
     pkt.dst = dst;
     pkt.kind = net::PacketKind::kSip;
-    pkt.size_bytes = net::wire_size(msg.wire_bytes());
-    pkt.payload = std::make_shared<sip::SipPayload>(std::move(msg));
+    auto payload = std::make_shared<const sip::SipPayload>(std::move(msg));
+    pkt.size_bytes = net::wire_size(payload->wire_bytes);
+    pkt.payload = std::move(payload);
     send(std::move(pkt));
   }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,8 +169,9 @@ TEST(MessageCodecTest, ParserAcceptsCompactAndBareLf) {
 
 TEST(MessageCodecTest, WireBytesMatchesSerializedSize) {
   const Message invite = make_invite();
-  EXPECT_EQ(invite.wire_bytes(), sip::serialize(invite).size());
-  EXPECT_GT(invite.wire_bytes(), 200u);  // realistic SIP INVITE size
+  EXPECT_EQ(sip::wire_bytes(invite), sip::serialize(invite).size());
+  EXPECT_GT(sip::wire_bytes(invite), 200u);  // realistic SIP INVITE size
+  EXPECT_EQ(sip::SipPayload{invite}.wire_bytes, sip::wire_bytes(invite));
 }
 
 TEST(MessageCodecTest, RandomGarbageNeverCrashes) {
@@ -269,10 +271,10 @@ TEST(SdpTest, MutatedCodecMixOfferParsesCleanly) {
       0x5D02);
 }
 
-/// One wire message of every kind the PBX's SIP census sees, built the way
-/// the endpoints build them: Message::request and response_to, plus the
-/// caller's Dialog for the ACK and BYE.
-std::vector<std::pair<std::string, std::string>> census_corpus() {
+/// One message of every kind the PBX's SIP census sees, built the way the
+/// endpoints build them: Message::request and response_to, plus the caller's
+/// Dialog for the ACK and BYE.
+std::vector<std::pair<std::string, Message>> census_messages() {
   Message invite = make_invite();
   invite.set_body(caller_offer({rtp::payload_type::kPcmu}).to_string(), "application/sdp");
   Message ok = Message::response_to(invite, 200);
@@ -307,9 +309,9 @@ std::vector<std::pair<std::string, std::string>> census_corpus() {
   options.set_call_id("probe-1@dispatcher.unb.br");
   options.set_cseq({1, Method::kOptions});
 
-  std::vector<std::pair<std::string, std::string>> corpus;
-  const auto add = [&corpus](const char* kind, const Message& msg) {
-    corpus.emplace_back(kind, sip::serialize(msg));
+  std::vector<std::pair<std::string, Message>> messages;
+  const auto add = [&messages](const char* kind, const Message& msg) {
+    messages.emplace_back(kind, msg);
   };
   add("INVITE", invite);
   add("100", Message::response_to(invite, 100));
@@ -324,19 +326,24 @@ std::vector<std::pair<std::string, std::string>> census_corpus() {
   add("503", unavailable);
   add("482", Message::response_to(invite, 482));
   add("OPTIONS", options);
+  return messages;
+}
+
+/// The census messages on the wire: (kind, serialized text).
+std::vector<std::pair<std::string, std::string>> census_corpus() {
+  std::vector<std::pair<std::string, std::string>> corpus;
+  for (const auto& [kind, msg] : census_messages()) corpus.emplace_back(kind, sip::serialize(msg));
   return corpus;
 }
 
-/// Seeded insert, delete and splice mutations of every census message kind:
-/// each mutant parses or fails with a non-empty error, and nothing else.
-TEST(MessageCodecTest, MutatedCensusMessagesParseOrExplain) {
-  const auto corpus = census_corpus();
+/// Calls `check(kind, mutant)` on 400 seeded insert, delete and splice
+/// mutations of every census message kind, kind by kind.
+template <class Check>
+void for_each_census_mutant(const std::vector<std::pair<std::string, std::string>>& corpus,
+                            Check check) {
   sim::Random rng{0x51C0};
   const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng.uniform_int(n)); };
   for (const auto& [kind, wire] : corpus) {
-    ASSERT_TRUE(sip::parse_message(wire).ok()) << kind << " does not parse unmutated";
-    std::size_t parsed = 0;
-    std::size_t rejected = 0;
     for (int i = 0; i < 400; ++i) {
       std::string mutant = wire;
       for (std::size_t edits = 1 + pick(3); edits > 0; --edits) {
@@ -358,17 +365,74 @@ TEST(MessageCodecTest, MutatedCensusMessagesParseOrExplain) {
           }
         }
       }
-      const auto result = sip::parse_message(mutant);
-      if (result.ok()) {
-        ++parsed;
-      } else {
-        ++rejected;
-        EXPECT_FALSE(result.error.empty()) << kind << " mutant failed without a reason";
-      }
+      check(kind, mutant);
     }
-    // Both outcomes must occur, or the mutations are too mild or too wild.
-    EXPECT_GT(parsed, 0u) << kind;
-    EXPECT_GT(rejected, 0u) << kind;
+  }
+}
+
+/// Each census mutant parses or fails with a non-empty error, and nothing
+/// else.
+TEST(MessageCodecTest, MutatedCensusMessagesParseOrExplain) {
+  const auto corpus = census_corpus();
+  for (const auto& [kind, wire] : corpus) {
+    ASSERT_TRUE(sip::parse_message(wire).ok()) << kind << " does not parse unmutated";
+  }
+  std::map<std::string, std::pair<std::size_t, std::size_t>> outcomes;  // parsed, rejected
+  for_each_census_mutant(corpus, [&outcomes](const std::string& kind, const std::string& mutant) {
+    const auto result = sip::parse_message(mutant);
+    if (result.ok()) {
+      ++outcomes[kind].first;
+    } else {
+      ++outcomes[kind].second;
+      EXPECT_FALSE(result.error.empty()) << kind << " mutant failed without a reason";
+    }
+  });
+  // Both outcomes must occur, or the mutations are too mild or too wild.
+  for (const auto& [kind, wire] : corpus) {
+    EXPECT_GT(outcomes[kind].first, 0u) << kind;
+    EXPECT_GT(outcomes[kind].second, 0u) << kind;
+  }
+}
+
+/// The counted wire size equals the serialized size: for every census
+/// message, every census mutant that parses, and the formatting edge cases
+/// (ports, Contact, empty tags and bodies, extension headers, every status
+/// code, a negative Max-Forwards).
+TEST(MessageCodecTest, CountedWireSizeIsExact) {
+  const auto expect_exact = [](const Message& msg, const std::string& what) {
+    EXPECT_EQ(sip::wire_bytes(msg), sip::serialize(msg).size()) << what;
+  };
+  for (const auto& [kind, msg] : census_messages()) expect_exact(msg, kind);
+
+  std::size_t parsed = 0;
+  for_each_census_mutant(census_corpus(), [&](const std::string& kind, const std::string& mutant) {
+    const auto result = sip::parse_message(mutant);
+    if (!result.ok()) return;
+    ++parsed;
+    expect_exact(*result.message, kind + " mutant");
+  });
+  EXPECT_GT(parsed, 100u);
+
+  Message edge = Message::request(Method::kInvite, sip::Uri{"recv-1", "pbx.unb.br", 5080});
+  edge.vias().push_back({"client.unb.br", ""});
+  edge.from() = {sip::Uri{"", "client.unb.br", 65535}, ""};
+  edge.to() = {sip::Uri{"recv-1", "pbx.unb.br", 1}, ""};
+  edge.set_call_id("c");
+  edge.set_cseq({4'294'967'295U, Method::kInvite});
+  expect_exact(edge, "non-5060 ports, empty tags, empty body");
+  edge.set_contact(sip::Uri{"caller-1", "client.unb.br", 10});
+  expect_exact(edge, "Contact");
+  edge.add_header("X-Queue-Position", "12");
+  edge.add_header("Retry-After", "");
+  expect_exact(edge, "extension headers");
+  edge.set_body("", "application/sdp");
+  expect_exact(edge, "empty body with a content type");
+  edge.set_max_forwards(0);
+  expect_exact(edge, "Max-Forwards 0");
+  edge.set_max_forwards(-1);
+  expect_exact(edge, "negative Max-Forwards");
+  for (int code = 100; code <= 699; ++code) {
+    expect_exact(Message::response_to(edge, code), "status " + std::to_string(code));
   }
 }
 
