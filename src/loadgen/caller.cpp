@@ -212,11 +212,11 @@ void SipCaller::send_invite(Call& call) {
   offer.audio.ssrc = call.media.local_ssrc();
   invite.set_body(offer.to_string(), "application/sdp");
 
-  call.invite = invite;
-  send_request_to(
+  const sip::ClientTransaction& txn = send_request_to(
       std::move(invite), call.pbx_host,
       [this, index](const Message& resp) { on_invite_response(index, resp); },
       [this, index] { on_invite_timeout(index); });
+  call.invite = txn.request_payload();
 }
 
 void SipCaller::schedule_retry(std::uint64_t index, Duration delay) {
@@ -306,7 +306,7 @@ void SipCaller::on_invite_response(std::uint64_t index, const Message& resp) {
       tracer_->end(call->setup_span, call->answered_at);
       call->setup_span = 0;
     }
-    call->dialog = sip::Dialog::from_uac(call->invite, resp);
+    call->dialog = sip::Dialog::from_uac(call->invite->msg, resp);
     send_stateless_to(call->dialog.make_ack(), call->pbx_host);
     if (const auto answer = Sdp::parse(resp.body())) {
       call->media.on_answer(*answer);
@@ -398,9 +398,8 @@ void SipCaller::send_bye(std::uint64_t index) {
     // segment must land now, and its tail must race the BYE per-packet.
     fluid_engine_->exit_stream(call->media.remote_ssrc());
   }
-  Message bye = call->dialog.make_request(Method::kBye);
   send_request_to(
-      bye, call->pbx_host,
+      call->dialog.make_request(Method::kBye), call->pbx_host,
       [this, index](const Message& resp) {
         if (sip::is_final(resp.status_code())) {
           finish(index, monitor::CallOutcome::kCompleted);

@@ -74,7 +74,7 @@ class SipCaller final : public SippHost {
     TimePoint answered_at{};
     Duration hold{};
     MediaLeg media{rtp::g711_ulaw(), 0};  // re-made per call codec
-    sip::Message invite;
+    std::shared_ptr<const sip::SipPayload> invite;  // as sent
     sip::Dialog dialog;
     bool answered{false};
     bool acd{false};  // dials "queue-<name>" instead of its paired receiver

@@ -31,11 +31,9 @@ SipReceiver::SipReceiver(std::string host, sim::Simulator& simulator,
       case Method::kBye:
         handle_bye(req, txn);
         return;
-      default: {
-        Message resp = Message::response_to(req, 501);
-        txn.respond(resp);
+      default:
+        txn.respond(Message::response_to(req, 501));
         return;
-      }
     }
   };
   transactions().on_ack = [this](const Message& ack) { handle_ack(ack); };
@@ -49,12 +47,12 @@ void SipReceiver::handle_invite(const Message& req, sip::ServerTransaction& txn)
     txn.respond(answer_ok(req, it->second->dialog.local().tag, it->second->media));
     return;
   }
-  Message ringing = Message::response_to(req, sip::status::kRinging);
-  ringing.to().tag = new_tag();
-  txn.respond(ringing);
   // Carry the 180's tag through to answer() so 180 and 200 agree.
   Message invite = req;
-  invite.to().tag = ringing.to().tag;
+  invite.to().tag = new_tag();
+  Message ringing = Message::response_to(req, sip::status::kRinging);
+  ringing.to().tag = invite.to().tag;
+  txn.respond(std::move(ringing));
   if (scenario_.answer_delay > Duration::zero()) {
     const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kLoadgen};
     network()->simulator().schedule_in(
@@ -69,7 +67,7 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
   const auto offer = Sdp::parse(invite.body());
   if (!offer || offer->audio.payload_types.empty()) {
     Message resp = Message::response_to(invite, sip::status::kBadRequest);
-    txn.respond(resp);
+    txn.respond(std::move(resp));
     return;
   }
   // Offer/answer (RFC 3264): pick the first offered payload type this
@@ -91,7 +89,7 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
     ++rejected_488_;
     if (tm_rejected_488_ != nullptr) tm_rejected_488_->add();
     Message resp = Message::response_to(invite, 488);
-    txn.respond(resp);
+    txn.respond(std::move(resp));
     return;
   }
 
@@ -104,9 +102,9 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
       .media = MediaLeg{*codec, ssrcs_.allocate(), offer->audio.ssrc},
   });
 
-  const Message ok = answer_ok(invite, invite.to().tag, session->media);  // tag from the 180
-  txn.respond(ok);
+  Message ok = answer_ok(invite, invite.to().tag, session->media);  // tag from the 180
   session->dialog = sip::Dialog::from_uas(invite, ok);
+  txn.respond(std::move(ok));
   // Store the session before publishing a pointer into it.
   Session& stored = *sessions_.emplace(invite.call_id(), std::move(session)).first->second;
   if (offer->audio.ssrc != 0) by_remote_ssrc_[offer->audio.ssrc] = &stored.media;
@@ -158,8 +156,7 @@ void SipReceiver::handle_ack(const Message& ack) {
 }
 
 void SipReceiver::handle_bye(const Message& req, sip::ServerTransaction& txn) {
-  Message ok = Message::response_to(req, sip::status::kOk);
-  txn.respond(ok);
+  txn.respond(Message::response_to(req, sip::status::kOk));
   const auto it = sessions_.find(req.call_id());
   if (it == sessions_.end()) return;
   Session& session = *it->second;

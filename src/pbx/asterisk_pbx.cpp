@@ -48,7 +48,7 @@ AsteriskPbx::AsteriskPbx(PbxConfig config, sim::Simulator& simulator,
         Message update = Message::response_to(req, 182);
         update.to().tag = new_tag();
         update.add_header("X-Queue-Position", std::to_string(position));
-        txn.respond(update);
+        txn.respond(std::move(update));
       },
   });
 }
@@ -94,9 +94,9 @@ void AsteriskPbx::set_telemetry(telemetry::Telemetry* tel) {
   }
 }
 
-void AsteriskPbx::send_sip(const Message& msg, net::NodeId dst) {
+void AsteriskPbx::send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) {
   cpu_.on_sip_message(network() != nullptr ? network()->simulator().now() : TimePoint{});
-  sip::SipEndpoint::send_sip(msg, dst);
+  sip::SipEndpoint::send_sip(std::move(payload), dst);
 }
 
 void AsteriskPbx::on_receive(const net::Packet& pkt) {
@@ -160,7 +160,7 @@ void AsteriskPbx::enqueue_sip(const net::Packet& pkt) {
       resp.add_header("Retry-After",
                       util::format("%lld", static_cast<long long>(
                                                config_.overload.retry_after.to_seconds() + 0.5)));
-      send_sip(resp, pkt.src);
+      send_sip(std::make_shared<const sip::SipPayload>(std::move(resp)), pkt.src);
       return;
     }
   }
@@ -260,11 +260,9 @@ void AsteriskPbx::handle_request(const Message& req, sip::ServerTransaction& txn
     case Method::kRegister:
       handle_register(req, txn);
       return;
-    case Method::kOptions: {
-      Message ok = Message::response_to(req, sip::status::kOk);
-      txn.respond(ok);
+    case Method::kOptions:
+      txn.respond(Message::response_to(req, sip::status::kOk));
       return;
-    }
     default:
       reject(req, txn, 501);
       return;
@@ -287,7 +285,7 @@ void AsteriskPbx::reject(const Message& req, sip::ServerTransaction& txn, int co
     resp.add_header("Retry-After", util::format("%lld", static_cast<long long>(
                                                             retry_after.to_seconds() + 0.5)));
   }
-  txn.respond(resp);
+  txn.respond(std::move(resp));
 }
 
 void AsteriskPbx::handle_invite(const Message& req, sip::ServerTransaction& txn) {
@@ -345,7 +343,7 @@ void AsteriskPbx::handle_register(const Message& req, sip::ServerTransaction& tx
   registrar_.bind(user, *req.contact(), expires, network()->simulator().now());
   Message ok = Message::response_to(req, sip::status::kOk);
   ok.add_header("Expires", std::to_string(expires));
-  txn.respond(ok);
+  txn.respond(std::move(ok));
 }
 
 void AsteriskPbx::admit_invite(const Message& req, sip::ServerTransaction& txn) {
@@ -466,8 +464,7 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
   bridge.cdr = cdr;
 
   // 100 Trying toward the caller (the Fig. 2 ladder's first response).
-  Message trying = Message::response_to(req, sip::status::kTrying);
-  txn.respond(trying);
+  txn.respond(Message::response_to(req, sip::status::kTrying));
 
   // Re-originate leg B with anchored media.
   bridge.call_id_b = util::format("b2b-%llu@%s", static_cast<unsigned long long>(++b2b_counter_),
@@ -479,7 +476,6 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
   invite_b.set_cseq({1, Method::kInvite});
   invite_b.set_contact(sip::Uri{"asterisk", sip_host()});
   invite_b.set_body(anchored_sdp(filtered, bridge.port_b).to_string(), "application/sdp");
-  bridge.invite_b = invite_b;
 
   by_call_id_b_.emplace(bridge.call_id_b, &bridge);
   if (tm_active_channels_ != nullptr) {
@@ -490,12 +486,13 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
     bridge.setup_span = tracer_->begin(span_setup_name_, bridge.span_track, now);
   }
 
-  send_request_to(
+  const sip::ClientTransaction& txn_b = send_request_to(
       std::move(invite_b), *route,
       [this, call_id_b = bridge.call_id_b](const Message& resp) {
         on_leg_b_response(call_id_b, resp);
       },
       [this, call_id_b = bridge.call_id_b] { on_leg_b_timeout(call_id_b); });
+  bridge.invite_b = txn_b.request_payload();
   return &bridge;
 }
 
@@ -544,8 +541,8 @@ bool AsteriskPbx::start_voicemail(const Message& req, sip::ServerTransaction& tx
   Sdp answer = anchored_sdp(*offer, port);
   answer.audio.ssrc = 0;
   ok.set_body(answer.to_string(), "application/sdp");
-  txn.respond(ok);
   bridge.dialog_a = sip::Dialog::from_uas(req, ok);
+  txn.respond(ok);
   bridge.msg_a = std::move(ok);
 
   register_media(bridge);
@@ -575,14 +572,14 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
     if (code == sip::status::kRinging && bridge.invite_txn_a != nullptr) {
       Message ringing = Message::response_to(bridge.msg_a, sip::status::kRinging);
       ringing.to().tag = bridge.to_tag_a;
-      bridge.invite_txn_a->respond(ringing);
+      bridge.invite_txn_a->respond(std::move(ringing));
     }
     return;
   }
 
   if (sip::is_success(code)) {
     // Leg B answered: complete leg A and start relaying.
-    bridge.dialog_b = sip::Dialog::from_uac(bridge.invite_b, resp);
+    bridge.dialog_b = sip::Dialog::from_uac(bridge.invite_b->msg, resp);
     send_stateless_to(bridge.dialog_b.make_ack(), bridge.callee_host);
 
     const auto answer = Sdp::parse(resp.body());
@@ -617,11 +614,11 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
       }
       ok.set_body(anchored_sdp(answer_a, bridge.port_a).to_string(), "application/sdp");
     }
+    bridge.dialog_a = sip::Dialog::from_uas(bridge.msg_a, ok);
     if (bridge.invite_txn_a != nullptr) {
       bridge.invite_txn_a->respond(ok);
       bridge.invite_txn_a = nullptr;  // 2xx terminates the transaction
     }
-    bridge.dialog_a = sip::Dialog::from_uas(bridge.msg_a, ok);
     bridge.msg_a = std::move(ok);
 
     cdrs_.mark_answered(bridge.cdr, network()->simulator().now());
@@ -642,7 +639,7 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
   if (bridge.invite_txn_a != nullptr) {
     Message err = Message::response_to(bridge.msg_a, code);
     err.to().tag = bridge.to_tag_a;
-    bridge.invite_txn_a->respond(err);
+    bridge.invite_txn_a->respond(std::move(err));
   }
   close_bridge(bridge, Disposition::kFailed);
 }
@@ -656,7 +653,7 @@ void AsteriskPbx::on_leg_b_timeout(const std::string& call_id_b) {
   if (bridge.invite_txn_a != nullptr) {
     Message err = Message::response_to(bridge.msg_a, 504);
     err.to().tag = bridge.to_tag_a;
-    bridge.invite_txn_a->respond(err);
+    bridge.invite_txn_a->respond(std::move(err));
   }
   close_bridge(bridge, Disposition::kFailed);
 }
@@ -676,8 +673,7 @@ void AsteriskPbx::handle_bye(const Message& req, sip::ServerTransaction& txn) {
 
   // Voicemail legs have no leg B: answer the BYE and fold.
   if (bridge->voicemail) {
-    Message vm_ok = Message::response_to(req, sip::status::kOk);
-    txn.respond(vm_ok);
+    txn.respond(Message::response_to(req, sip::status::kOk));
     close_bridge(*bridge, Disposition::kAnswered);
     return;
   }
@@ -685,8 +681,7 @@ void AsteriskPbx::handle_bye(const Message& req, sip::ServerTransaction& txn) {
   // Answer the BYE at once (Asterisk does not hold the teardown of one leg
   // hostage to the other), forward it on the opposite leg, and fold the
   // bridge. The forwarded transaction completes on its own.
-  Message ok = Message::response_to(req, sip::status::kOk);
-  txn.respond(ok);
+  txn.respond(Message::response_to(req, sip::status::kOk));
 
   // Teardown span: BYE received until the forwarded BYE's transaction
   // resolves on the other leg. The id is captured by value — the bridge is
@@ -701,9 +696,8 @@ void AsteriskPbx::handle_bye(const Message& req, sip::ServerTransaction& txn) {
 
   sip::Dialog& other = is_leg_a ? bridge->dialog_b : bridge->dialog_a;
   const std::string& other_host = is_leg_a ? bridge->callee_host : bridge->caller_host;
-  Message bye = other.make_request(Method::kBye);
   send_request_to(
-      bye, other_host,
+      other.make_request(Method::kBye), other_host,
       [this, teardown](const Message&) {
         if (tracer_ != nullptr) tracer_->end(teardown, network()->simulator().now());
       },

@@ -90,7 +90,7 @@ class AsteriskPbx final : public sip::SipEndpoint {
   AsteriskPbx(PbxConfig config, sim::Simulator& simulator, sip::HostResolver& resolver);
 
   void on_receive(const net::Packet& pkt) override;
-  void send_sip(const sip::Message& msg, net::NodeId dst) override;
+  void send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) override;
 
   /// Adds the PBX's call-lifecycle spans (setup / media / teardown per
   /// bridged call, tracked by the leg A Call-ID) and admission/relay metrics
@@ -175,7 +175,7 @@ class AsteriskPbx final : public sip::SipEndpoint {
     /// Leg A's INVITE, for building responses, until the call is answered;
     /// then the 200 OK that answered it, resent to a late retransmission.
     sip::Message msg_a;
-    sip::Message invite_b;            // our re-originated INVITE
+    std::shared_ptr<const sip::SipPayload> invite_b;  // our re-originated INVITE, as sent
     std::string to_tag_a;             // tag we assign on leg A responses
     sip::ServerTransaction* invite_txn_a{nullptr};  // valid until final sent
     sip::Dialog dialog_a;             // established leg A dialog (UAS side)

@@ -40,9 +40,9 @@ class SipEndpoint : public net::Node, public Transport {
   /// Call after Network::attach: registers host->node-id in the resolver.
   void bind();
 
-  // Transport: wraps the message into a SIP packet and sends it.
+  // Transport: puts the payload into a SIP packet and sends it.
   // Overridable so derived endpoints can account per-message costs.
-  void send_sip(const Message& msg, net::NodeId dst) override;
+  void send_sip(std::shared_ptr<const SipPayload> payload, net::NodeId dst) override;
 
   // net::Node: unwraps SIP packets into the transaction layer.
   void on_receive(const net::Packet& pkt) override;

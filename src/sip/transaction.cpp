@@ -96,8 +96,8 @@ ClientTransaction& TransactionLayer::send_request(
   return ref;
 }
 
-void TransactionLayer::send_stateless(const Message& msg, net::NodeId dst) {
-  transport_.send_sip(msg, dst);
+void TransactionLayer::send_stateless(Message msg, net::NodeId dst) {
+  transport_.send_sip(std::make_shared<const SipPayload>(std::move(msg)), dst);
 }
 
 void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
@@ -145,10 +145,11 @@ void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
 ClientTransaction::ClientTransaction(TransactionLayer& layer, Message request, net::NodeId dst,
                                      ResponseHandler on_response, TimeoutHandler on_timeout)
     : layer_{layer},
-      request_{std::move(request)},
+      request_{std::make_shared<const SipPayload>(std::move(request))},
       dst_{dst},
-      branch_{request_.vias().front().branch},
-      state_{request_.cseq().method == Method::kInvite ? State::kCalling : State::kTrying},
+      branch_{this->request().vias().front().branch},
+      state_{this->request().cseq().method == Method::kInvite ? State::kCalling
+                                                               : State::kTrying},
       on_response_{std::move(on_response)},
       on_timeout_{std::move(on_timeout)},
       retransmit_interval_{kT1} {}
@@ -159,7 +160,7 @@ void ClientTransaction::start() {
   if (layer_.tracer_ != nullptr) {
     auto& tracer = *layer_.tracer_;
     span_ = tracer.begin(txn_span_name(tracer, "uac:", method()),
-                         tracer.track_id(request_.call_id()), sim.now());
+                         tracer.track_id(request().call_id()), sim.now());
   }
   auto rearm = [this] { retransmit(); };
   // Timers A/B (E/F) arm on every request; [this] captures ride the
@@ -217,13 +218,14 @@ void ClientTransaction::fire_timeout() {
 void ClientTransaction::ack_non_2xx(const Message& response) {
   // RFC 3261 §17.1.1.3: ACK reuses the INVITE's Request-URI, branch and CSeq
   // number, takes the To from the response (it carries the remote tag).
-  Message ack = Message::request(Method::kAck, request_.request_uri());
-  ack.vias() = request_.vias();
-  ack.from() = request_.from();
+  const Message& invite = request();
+  Message ack = Message::request(Method::kAck, invite.request_uri());
+  ack.vias() = invite.vias();
+  ack.from() = invite.from();
   ack.to() = response.to();
-  ack.set_call_id(request_.call_id());
-  ack.set_cseq({request_.cseq().number, Method::kAck});
-  layer_.transport().send_sip(ack, dst_);
+  ack.set_call_id(invite.call_id());
+  ack.set_cseq({invite.cseq().number, Method::kAck});
+  layer_.transport().send_sip(std::make_shared<const SipPayload>(std::move(ack)), dst_);
 }
 
 void ClientTransaction::handle_response(const Message& response) {
@@ -306,14 +308,14 @@ ServerTransaction::ServerTransaction(TransactionLayer& layer, const Message& req
   }
 }
 
-void ServerTransaction::respond(const Message& response) {
+void ServerTransaction::respond(Message response) {
   if (state_ == State::kTerminated) {
     util::log_warn("sip", "respond() on terminated server transaction");
     return;
   }
-  last_response_ = std::make_unique<Message>(response);
-  layer_.transport().send_sip(response, peer_);
   const int code = response.status_code();
+  last_response_ = std::make_shared<const SipPayload>(std::move(response));
+  layer_.transport().send_sip(last_response_, peer_);
   if (is_provisional(code)) {
     state_ = State::kProceeding;
     return;
@@ -349,7 +351,7 @@ void ServerTransaction::respond(const Message& response) {
 void ServerTransaction::retransmit_response() {
   if (state_ != State::kCompleted || last_response_ == nullptr) return;
   layer_.note_retransmission();
-  layer_.transport().send_sip(*last_response_, peer_);
+  layer_.transport().send_sip(last_response_, peer_);
   retransmit_interval_ = retransmit_interval_ * 2;
   if (retransmit_interval_ > kT2) retransmit_interval_ = kT2;
   const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
@@ -361,7 +363,7 @@ void ServerTransaction::handle_retransmission() {
   if (state_ == State::kTerminated) return;
   if (last_response_ != nullptr) {
     layer_.note_retransmission();
-    layer_.transport().send_sip(*last_response_, peer_);
+    layer_.transport().send_sip(last_response_, peer_);
   }
 }
 

@@ -22,14 +22,15 @@
 
 namespace pbxcap::sip {
 
-/// Supplies the wire: the endpoint wraps the message into a net::Packet.
+/// Supplies the wire: the endpoint puts the payload into a net::Packet. A
+/// retransmission hands over the same payload again.
 class Transport {
  public:
   Transport() = default;
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
   virtual ~Transport() = default;
-  virtual void send_sip(const Message& msg, net::NodeId dst) = 0;
+  virtual void send_sip(std::shared_ptr<const SipPayload> payload, net::NodeId dst) = 0;
 };
 
 class TransactionLayer;
@@ -44,14 +45,21 @@ class ClientTransaction {
   using TimeoutHandler = std::function<void()>;
 
   [[nodiscard]] const std::string& branch() const noexcept { return branch_; }
-  [[nodiscard]] Method method() const noexcept { return request_.cseq().method; }
+  [[nodiscard]] Method method() const noexcept { return request().cseq().method; }
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] std::uint32_t retransmissions() const noexcept { return retransmissions_; }
+  /// The request as sent, top Via included: the payload the retransmissions
+  /// re-send. A TU that needs the request later keeps this, not a copy.
+  [[nodiscard]] const std::shared_ptr<const SipPayload>& request_payload() const noexcept {
+    return request_;
+  }
 
  private:
   friend class TransactionLayer;
   ClientTransaction(TransactionLayer& layer, Message request, net::NodeId dst,
                     ResponseHandler on_response, TimeoutHandler on_timeout);
+
+  [[nodiscard]] const Message& request() const noexcept { return request_->msg; }
 
   void start();
   void handle_response(const Message& response);
@@ -61,7 +69,7 @@ class ClientTransaction {
   void terminate();
 
   TransactionLayer& layer_;
-  Message request_;
+  std::shared_ptr<const SipPayload> request_;  // sent by start() and timers A/E
   net::NodeId dst_;
   std::string branch_;
   State state_;
@@ -80,8 +88,9 @@ class ServerTransaction {
  public:
   enum class State { kTrying, kProceeding, kCompleted, kConfirmed, kTerminated };
 
-  /// Sends a response within this transaction (TU-facing).
-  void respond(const Message& response);
+  /// Sends a response within this transaction (TU-facing). The response is
+  /// moved into the payload that timer G and request retransmissions re-send.
+  void respond(Message response);
 
   [[nodiscard]] const std::string& branch() const noexcept { return branch_; }
   [[nodiscard]] Method method() const noexcept { return method_; }
@@ -102,7 +111,7 @@ class ServerTransaction {
   Method method_;
   net::NodeId peer_;
   State state_;
-  std::unique_ptr<Message> last_response_;
+  std::shared_ptr<const SipPayload> last_response_;
   Duration retransmit_interval_;
   sim::EventId retransmit_timer_{0};
   sim::EventId timeout_timer_{0};
@@ -126,7 +135,7 @@ class TransactionLayer {
                                   ClientTransaction::TimeoutHandler on_timeout = {});
 
   /// Sends a message outside any transaction (ACK for a 2xx response).
-  void send_stateless(const Message& msg, net::NodeId dst);
+  void send_stateless(Message msg, net::NodeId dst);
 
   /// Entry point for every SIP message the endpoint receives.
   void on_message(const Message& msg, net::NodeId from);

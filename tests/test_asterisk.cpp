@@ -243,7 +243,7 @@ TEST_F(PbxFixture, InviteRetransmittedAfterThe200ReusesItsBridge) {
   ua->transactions().on_stray_response = [&](const Message& resp) { strays.push_back(resp); };
   Message again = *ua->last_invite;
   again.vias() = ua->last_final->vias();
-  ua->send_sip(again, pbx->id());
+  ua->send_sip(std::make_shared<const sip::SipPayload>(std::move(again)), pbx->id());
   run_for(Duration::seconds(1));
   ASSERT_EQ(strays.size(), 1u) << "no 100 Trying, only the repeated 200";
   EXPECT_EQ(strays[0].status_code(), 200);
@@ -278,7 +278,7 @@ TEST_F(PbxFixture, SecondInviteOnALiveCallIdGets482) {
   // Same Call-ID, another branch, while leg B still rings: a merged request.
   Message merged = *ua->last_invite;
   merged.vias() = {sip::Via{ua->sip_host(), "z9hG4bK-merged"}};
-  ua->send_sip(merged, pbx->id());
+  ua->send_sip(std::make_shared<const sip::SipPayload>(std::move(merged)), pbx->id());
   run_for(Duration::seconds(1));
   ASSERT_EQ(ua->final_codes.size(), 1u);
   EXPECT_EQ(ua->final_codes[0], 200);  // the first INVITE's call goes on

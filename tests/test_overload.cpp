@@ -191,7 +191,7 @@ TEST_F(OverloadFixture, GatePassesALateRetransmissionOfAnAnsweredCall) {
   ua->transactions().on_stray_response = [&](const Message& resp) { strays.push_back(resp); };
   Message again = *ua->last_invite;
   again.vias() = ua->finals[0].vias();
-  ua->send_sip(again, pbx->id());
+  ua->send_sip(std::make_shared<const sip::SipPayload>(std::move(again)), pbx->id());
   run_for(Duration::seconds(1));
   ASSERT_EQ(strays.size(), 1u);
   EXPECT_EQ(strays[0].status_code(), 200);

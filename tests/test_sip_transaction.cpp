@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sip/dialog.hpp"
@@ -16,7 +17,8 @@ using sip::Message;
 using sip::Method;
 
 /// A fake transport that forwards messages to a peer layer after a delay,
-/// optionally dropping the first `drop_next` sends.
+/// optionally dropping the first `drop_next` sends. Keeps every payload it
+/// was handed, in order, so tests can compare retransmitted pointers.
 class FakeWire final : public sip::Transport {
  public:
   FakeWire(sim::Simulator& simulator, net::NodeId self) : simulator_{simulator}, self_{self} {}
@@ -26,23 +28,27 @@ class FakeWire final : public sip::Transport {
     peer_id_ = peer_id;
   }
 
-  void send_sip(const Message& msg, net::NodeId dst) override {
+  void send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) override {
     ++sent;
-    last_sent = std::make_unique<Message>(msg);
+    log.push_back(payload);
     if (drop_next > 0) {
       --drop_next;
       ++dropped;
       return;
     }
     if (peer_ == nullptr || dst != peer_id_) return;
-    simulator_.schedule_in(delay, [this, msg] { peer_->on_message(msg, self_); });
+    simulator_.schedule_in(delay, [this, payload] { peer_->on_message(payload->msg, self_); });
+  }
+
+  [[nodiscard]] const Message* last_sent() const {
+    return log.empty() ? nullptr : &log.back()->msg;
   }
 
   int sent{0};
   int dropped{0};
   int drop_next{0};
   Duration delay{Duration::millis(1)};
-  std::unique_ptr<Message> last_sent;
+  std::vector<std::shared_ptr<const sip::SipPayload>> log;
 
  private:
   sim::Simulator& simulator_;
@@ -149,6 +155,58 @@ TEST_F(TxnFixture, NonInviteUnderTotalLossRetransmitsExactlyTen) {
   EXPECT_EQ(wire_a.sent, 11);  // the original plus 10 retransmissions
 }
 
+/// True when every payload in `log` is the first one: the same object, not
+/// an equal copy.
+bool all_same_payload(const std::vector<std::shared_ptr<const sip::SipPayload>>& log) {
+  for (const auto& payload : log) {
+    if (payload != log.front()) return false;
+  }
+  return !log.empty();
+}
+
+TEST_F(TxnFixture, TimerARetransmitsTheSamePayload) {
+  wire_a.drop_next = 1 << 20;
+  layer_a.send_request(make_invite(), 2, [](const Message&) {}, [] {});
+  simulator.run();
+  ASSERT_EQ(wire_a.log.size(), 7u);
+  EXPECT_TRUE(all_same_payload(wire_a.log));
+}
+
+TEST_F(TxnFixture, TimerERetransmitsTheSamePayload) {
+  wire_a.drop_next = 1 << 20;
+  layer_a.send_request(make_bye(), 2, [](const Message&) {}, [] {});
+  simulator.run();
+  ASSERT_EQ(wire_a.log.size(), 11u);
+  EXPECT_TRUE(all_same_payload(wire_a.log));
+}
+
+TEST_F(TxnFixture, TimerGRetransmitsTheSameResponsePayload) {
+  // The 486 reaches the client, but its ACKs are lost: timer G re-sends the
+  // final until timer H gives up.
+  layer_b.on_request = [&](const Message& req, sip::ServerTransaction& txn) {
+    wire_a.drop_next = 1 << 20;
+    Message busy = Message::response_to(req, 486);
+    busy.to().tag = "tag-b";
+    txn.respond(std::move(busy));
+  };
+  layer_a.send_request(make_invite(), 2, [](const Message&) {});
+  simulator.run();
+  ASSERT_GT(wire_b.log.size(), 5u);
+  EXPECT_EQ(wire_b.log.front()->msg.status_code(), 486);
+  EXPECT_TRUE(all_same_payload(wire_b.log));
+}
+
+TEST_F(TxnFixture, AbsorbedRequestRetransmissionResendsTheSamePayload) {
+  layer_b.on_request = [](const Message& req, sip::ServerTransaction& txn) {
+    txn.respond(Message::response_to(req, 200));
+  };
+  const Message bye = make_bye();
+  layer_b.on_message(bye, 1);
+  layer_b.on_message(bye, 1);
+  ASSERT_EQ(wire_b.log.size(), 2u);
+  EXPECT_TRUE(all_same_payload(wire_b.log));
+}
+
 TEST_F(TxnFixture, TimerEKeepsFiringAtT2WhileProceeding) {
   // A provisional must not silence a non-INVITE client transaction: in
   // Proceeding, Timer E keeps retransmitting pinned at T2 (§17.1.2.2). The
@@ -218,8 +276,8 @@ TEST_F(TxnFixture, Non2xxFinalTriggersAck) {
   EXPECT_EQ(final_code, 486);
   // The client transaction ACKed the 486 automatically: layer_b saw the ACK
   // inside the INVITE server transaction (no on_ack upcall for non-2xx).
-  ASSERT_NE(wire_a.last_sent, nullptr);
-  EXPECT_EQ(wire_a.last_sent->method(), Method::kAck);
+  ASSERT_NE(wire_a.last_sent(), nullptr);
+  EXPECT_EQ(wire_a.last_sent()->method(), Method::kAck);
 }
 
 TEST_F(TxnFixture, RetransmittedRequestAbsorbedByServerTransaction) {
