@@ -5,7 +5,7 @@
 namespace pbxcap::monitor {
 
 void SipCapture::attach(net::Network& network) {
-  network.add_tap([this](const net::Packet& pkt, net::NodeId from, net::NodeId to) {
+  network.add_tap(node_, [this](const net::Packet& pkt, net::NodeId from, net::NodeId to) {
     on_packet(pkt, from, to);
   });
 }
@@ -31,7 +31,7 @@ void SipCapture::on_packet(const net::Packet& pkt, net::NodeId from, net::NodeId
 }
 
 void RtpCapture::attach(net::Network& network) {
-  network.add_tap([this](const net::Packet& pkt, net::NodeId, net::NodeId to) {
+  network.add_tap(node_, [this](const net::Packet& pkt, net::NodeId, net::NodeId to) {
     if (pkt.kind == net::PacketKind::kRtp && pkt.dst == node_ && to == node_) {
       packets_in_ += pkt.batch;
     }

@@ -72,8 +72,24 @@ void Network::set_remote_sink(NodeId node, RemoteSink sink) {
   remote_[node] = std::move(sink);
 }
 
-void Network::deliver_remote(Packet&& pkt, NodeId from, NodeId to, TimePoint deliver_at) {
+void Network::add_tap(NodeId node, PacketTap tap) {
+  if (node >= nodes_.size()) throw std::out_of_range{"Network::add_tap: bad id"};
+  if (node_taps_.size() <= node) node_taps_.resize(node + 1);
+  node_taps_[node].push_back(std::move(tap));
+}
+
+void Network::fire_taps(const Packet& pkt, NodeId from, NodeId to) const {
   for (const auto& tap : taps_) tap(pkt, from, to);
+  if (from < node_taps_.size()) {
+    for (const auto& tap : node_taps_[from]) tap(pkt, from, to);
+  }
+  if (to != from && to < node_taps_.size()) {
+    for (const auto& tap : node_taps_[to]) tap(pkt, from, to);
+  }
+}
+
+void Network::deliver_remote(Packet&& pkt, NodeId from, NodeId to, TimePoint deliver_at) {
+  fire_taps(pkt, from, to);
   remote_[to](std::move(pkt), from, deliver_at);
 }
 
@@ -86,13 +102,13 @@ void Network::deliver(const Packet& pkt, NodeId from, NodeId to) {
   // that is what a wire sniffer on the trunked segment would record.
   if (pkt.kind == PacketKind::kTrunk) {
     if (const auto* trunk = pkt.payload_as<TrunkPayload>()) {
-      for (const auto& tap : taps_) tap(pkt, from, to);
+      fire_taps(pkt, from, to);
       for (const Packet& inner : trunk->frames) deliver(inner, from, to);
       return;
     }
   }
   delivered_ += pkt.batch;
-  for (const auto& tap : taps_) tap(pkt, from, to);
+  fire_taps(pkt, from, to);
   node(to).on_receive(pkt);
 }
 

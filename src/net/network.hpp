@@ -2,7 +2,8 @@
 //
 // One Network per simulation run. It wires Node::send to the attached Link,
 // delivers packets through the Simulator, and exposes a tap interface so the
-// monitor module can observe every delivery (the Wireshark substitute).
+// monitor module can observe deliveries (the Wireshark substitute): on the
+// whole network, or only on the hops into and out of one node.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,11 @@ class Network {
   /// Delivery: invoked by Link when a packet reaches a node.
   void deliver(const Packet& pkt, NodeId from, NodeId to);
 
+  /// Whole-network tap: fires on every hop.
   void add_tap(PacketTap tap) { taps_.push_back(std::move(tap)); }
+  /// Node tap: fires only on hops into or out of `node` (`from` or `to` is
+  /// `node`), the way a capture on that host's NIC sees the traffic.
+  void add_tap(NodeId node, PacketTap tap);
 
   /// Marks `node` as a cross-shard portal: deliveries addressed to it leave
   /// this shard through `sink` instead of the local event loop. The node
@@ -78,6 +83,8 @@ class Network {
   [[nodiscard]] std::uint64_t packets_delivered() const noexcept { return delivered_; }
 
  private:
+  void fire_taps(const Packet& pkt, NodeId from, NodeId to) const;
+
   sim::Simulator& simulator_;
   sim::Random rng_;
   std::vector<Node*> nodes_;
@@ -90,6 +97,7 @@ class Network {
   };
   std::vector<Homing> homing_;
   std::vector<PacketTap> taps_;
+  std::vector<std::vector<PacketTap>> node_taps_;  // indexed by NodeId; short when untapped
   std::vector<RemoteSink> remote_;  // indexed by NodeId; empty when unsharded
   std::uint64_t next_packet_id_{1};
   std::uint64_t delivered_{0};

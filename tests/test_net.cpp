@@ -1,11 +1,14 @@
 // Unit tests for the network fabric: links, queues, switch forwarding.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <tuple>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
+#include "net/portal.hpp"
 #include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
 
@@ -192,6 +195,60 @@ TEST_F(NetFixture, TapsObserveDeliveries) {
   simulator.run();
   EXPECT_EQ(taps, 2);
   EXPECT_EQ(network.packets_delivered(), 2u);
+}
+
+TEST_F(NetFixture, NodeTapSeesExactlyTheHopsIntoAndOutOfItsNode) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  SinkNode c{"c"};
+  net::SwitchNode sw{"sw"};
+  net::PortalNode portal{"portal"};
+  for (net::Node* n : std::initializer_list<net::Node*>{&a, &b, &c, &sw, &portal}) {
+    network.attach(*n);
+  }
+  for (net::Node* n : std::initializer_list<net::Node*>{&a, &b, &c, &portal}) {
+    network.connect(*n, sw, {});
+  }
+  // The portal's hops leave through deliver_remote, not the local loop.
+  int remote = 0;
+  network.set_remote_sink(portal.id(), [&](Packet&&, net::NodeId, TimePoint) { ++remote; });
+
+  using Hop = std::tuple<std::uint64_t, net::NodeId, net::NodeId>;
+  std::vector<Hop> all;
+  network.add_tap([&](const Packet& pkt, net::NodeId from, net::NodeId to) {
+    all.emplace_back(pkt.id, from, to);
+  });
+  const std::vector<net::NodeId> watched{a.id(), sw.id(), portal.id()};
+  std::vector<std::vector<Hop>> seen(watched.size());
+  for (std::size_t i = 0; i < watched.size(); ++i) {
+    network.add_tap(watched[i], [&seen, i](const Packet& pkt, net::NodeId from, net::NodeId to) {
+      seen[i].emplace_back(pkt.id, from, to);
+    });
+  }
+
+  a.transmit_to(b.id(), 100);
+  b.transmit_to(c.id(), 100);
+  c.transmit_to(a.id(), 100);
+  a.transmit_to(portal.id(), 100);
+  b.transmit_to(portal.id(), 100);
+  simulator.run();
+
+  ASSERT_EQ(all.size(), 10u);  // two hops per packet, the last one remote for two
+  EXPECT_EQ(remote, 2);
+  for (std::size_t i = 0; i < watched.size(); ++i) {
+    std::vector<Hop> expected;
+    for (const Hop& hop : all) {
+      if (std::get<1>(hop) == watched[i] || std::get<2>(hop) == watched[i]) {
+        expected.push_back(hop);
+      }
+    }
+    EXPECT_EQ(seen[i], expected) << "node " << watched[i];
+  }
+  EXPECT_EQ(seen[0].size(), 3u);   // a -> sw twice, sw -> a once
+  EXPECT_EQ(seen[1].size(), 10u);  // every hop crosses the switch
+  EXPECT_EQ(seen[2].size(), 2u);
+  EXPECT_THROW(network.add_tap(net::NodeId{99}, [](const Packet&, net::NodeId, net::NodeId) {}),
+               std::out_of_range);
 }
 
 TEST_F(NetFixture, UtilizationReflectsBusyTime) {
