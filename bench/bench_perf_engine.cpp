@@ -274,6 +274,24 @@ void BM_SipSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_SipSerialize);
 
+/// The counted wire size of a built message, the size every sent SipPayload
+/// computes once: arg 0 is the INVITE+SDP above, arg 1 the 200 OK with SDP
+/// that answers it.
+void BM_SipWireBytes(benchmark::State& state) {
+  const sip::Message invite = *sip::parse_message(kInviteWire).message;
+  sip::Message ok = sip::Message::response_to(invite, sip::status::kOk);
+  ok.to().tag = "tag-b";
+  ok.set_contact(sip::Uri{"recv-1", "server.unb.br"});
+  ok.set_body(invite.body(), "application/sdp");
+  const sip::Message& msg = state.range(0) == 0 ? invite : ok;
+  for (auto _ : state) {
+    auto bytes = sip::wire_bytes(msg);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(sip::wire_bytes(msg)));
+}
+BENCHMARK(BM_SipWireBytes)->Arg(0)->Arg(1);
+
 void BM_RtpReceiverPipeline(benchmark::State& state) {
   for (auto _ : state) {
     rtp::RtpReceiverStats rx{8000};
