@@ -9,6 +9,7 @@
 #include "exp/report_util.hpp"
 #include "net/portal.hpp"
 #include "net/trunk.hpp"
+#include "util/strings.hpp"
 
 namespace pbxcap::exp {
 
@@ -397,6 +398,38 @@ monitor::ExperimentReport Experiment::report() const {
 
   report.events_processed = exec_->total_events();
   return report;
+}
+
+std::vector<std::string> Experiment::hop_imbalances() const {
+  std::vector<std::string> out;
+  const net::NodeId sw = lan_switch_.id();
+  std::uint64_t egress = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  bool trunked = false;
+  const auto add = [&](const net::Network& net, bool hub) {
+    delivered += net.packets_delivered();
+    for (const auto& link : net.links()) {
+      trunked = trunked || link->config().trunk_window > Duration::zero();
+      for (const net::NodeId end : {link->endpoint_a(), link->endpoint_b()}) {
+        const net::LinkDirectionStats& stats = link->stats_from(end);
+        sent += stats.packets_sent;
+        if (hub && end == sw) egress += stats.packets_sent + stats.dropped_total();
+      }
+    }
+  };
+  add(hub_.net, true);
+  for (const auto& remote : remotes_) add(remote->shard.net, false);
+  const auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
+  if (lan_switch_.forwarded() != egress) {
+    out.push_back(util::format("switch forwarded %llu packets; its egress sent or dropped %llu",
+                               u(lan_switch_.forwarded()), u(egress)));
+  }
+  if (!trunked && delivered != sent) {
+    out.push_back(util::format("links sent %llu packets; the networks delivered %llu", u(sent),
+                               u(delivered)));
+  }
+  return out;
 }
 
 }  // namespace pbxcap::exp

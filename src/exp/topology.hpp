@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dispatch/dispatcher.hpp"
@@ -118,6 +119,13 @@ class Experiment {
   /// The ExperimentReport of the finished run, summed over every backend,
   /// link and shard.
   [[nodiscard]] monitor::ExperimentReport report() const;
+
+  /// Hop conservation of a finished run with no traffic left in flight: the
+  /// LAN switch forwarded exactly what its egress directions sent or
+  /// dropped, and, without trunking, the shards' networks delivered exactly
+  /// what their links sent. One line per broken identity; empty when both
+  /// hold.
+  [[nodiscard]] std::vector<std::string> hop_imbalances() const;
 
  private:
   struct Remote;  // a backend shard and its side of the uplink boundary
