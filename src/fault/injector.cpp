@@ -15,10 +15,23 @@ void FaultInjector::set_tracer(telemetry::SpanTracer* tracer) {
   fault_track_ = tracer_ == nullptr ? 0 : tracer_->track_id("faults");
 }
 
+net::Link* FaultInjector::link_for(const FaultEvent& event) const {
+  if (event.kind != FaultKind::kLink) return nullptr;
+  switch (event.target) {
+    case LinkTarget::kClient: return targets_.client_link;
+    case LinkTarget::kServer: return targets_.server_link;
+    case LinkTarget::kPbx: return targets_.pbx_link;
+  }
+  return nullptr;
+}
+
 void FaultInjector::arm() {
   if (armed_) return;
   armed_ = true;
   const sim::CategoryScope cat_scope{simulator_, sim::Category::kFault};
+  for (const FaultEvent& event : plan_.events()) {
+    if (net::Link* link = link_for(event)) link->announce_edit(TimePoint::at(event.at));
+  }
   for (std::size_t i = 0; i < plan_.events().size(); ++i) {
     const auto fire = [this, i] { apply(plan_.events()[i]); };
     static_assert(sim::Callback::stores_inline<decltype(fire)>());
@@ -30,12 +43,7 @@ void FaultInjector::apply(const FaultEvent& event) {
   if (pre_apply_) pre_apply_();
   switch (event.kind) {
     case FaultKind::kLink: {
-      net::Link* link = nullptr;
-      switch (event.target) {
-        case LinkTarget::kClient: link = targets_.client_link; break;
-        case LinkTarget::kServer: link = targets_.server_link; break;
-        case LinkTarget::kPbx: link = targets_.pbx_link; break;
-      }
+      net::Link* link = link_for(event);
       if (link == nullptr) {
         ++skipped_;
         return;

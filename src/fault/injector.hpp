@@ -38,7 +38,8 @@ class FaultInjector {
  public:
   FaultInjector(sim::Simulator& simulator, FaultPlan plan, FaultTargets targets);
 
-  /// Schedules every plan event at its absolute simulated time. Call once,
+  /// Schedules every plan event at its absolute simulated time, and
+  /// announces each link edit to its link (Link::announce_edit). Call once,
   /// before (or at) t = 0 of the run.
   void arm();
 
@@ -60,6 +61,8 @@ class FaultInjector {
 
  private:
   void apply(const FaultEvent& event);
+  /// The link a kLink event edits; nullptr for other kinds or no target.
+  [[nodiscard]] net::Link* link_for(const FaultEvent& event) const;
 
   sim::Simulator& simulator_;
   FaultPlan plan_;

@@ -41,9 +41,7 @@ void SwitchNode::on_receive(const Packet& pkt) {
     out->transmit(id(), std::move(batched));
     return;
   }
-  network()->simulator().schedule_in(processing_delay_, [this, out, pkt] {
-    out->transmit(id(), pkt);
-  });
+  out->forward(id(), pkt, processing_delay_);
 }
 
 }  // namespace pbxcap::net
