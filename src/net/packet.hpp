@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <typeinfo>
 
 #include "util/time.hpp"
 
@@ -59,8 +61,8 @@ struct Packet {
   PacketKind kind{PacketKind::kOther};
   /// Fluid-mode batch marker: the packet stands for `batch` wire packets and
   /// carries a BatchPayload; links/switches move it synchronously instead of
-  /// scheduling per-hop events. Checked with one byte compare so the
-  /// per-packet hot path never pays a dynamic_cast.
+  /// scheduling per-hop events. A link or switch tells a batch from a
+  /// single frame by this one byte, without looking at the payload.
   bool fluid{false};
   /// Number of wire packets this Packet stands for. 1 for ordinary traffic;
   /// >= 1 when `fluid`, with per-packet timing in the BatchPayload. Every
@@ -71,9 +73,17 @@ struct Packet {
   std::shared_ptr<const Payload> payload;
 
   /// Typed payload access; nullptr if the payload is of a different type.
+  /// A `final` T is matched by comparing type_info, which costs a pointer
+  /// compare on a hit instead of a dynamic_cast's walk of the hierarchy;
+  /// every payload type on the per-packet path is final.
   template <typename T>
   [[nodiscard]] const T* payload_as() const noexcept {
-    return dynamic_cast<const T*>(payload.get());
+    const Payload* p = payload.get();
+    if constexpr (std::is_final_v<T>) {
+      return p != nullptr && typeid(*p) == typeid(T) ? static_cast<const T*>(p) : nullptr;
+    } else {
+      return dynamic_cast<const T*>(p);
+    }
   }
 };
 
