@@ -479,6 +479,93 @@ TEST(SdpTest, RoundTripWithSsrc) {
   EXPECT_EQ(parsed->audio.ssrc, 1234u);
 }
 
+TEST(SdpTest, ToStringBytesArePinned) {
+  // The exact bytes every INVITE and 200 OK body carries: wire sizes, and so
+  // every byte count downstream, depend on them.
+  sip::Sdp sdp;
+  sdp.origin_user = "";
+  sdp.connection_host = "h";
+  sdp.audio.rtp_port = 0;
+  sdp.audio.payload_types = {0, 8, 127};
+  sdp.audio.ssrc = 0;  // unannounced: no a=ssrc line
+  EXPECT_EQ(sdp.to_string(),
+            "v=0\r\no= 0 0 IN IP4 h\r\ns=pbxcap call\r\nc=IN IP4 h\r\nt=0 0\r\n"
+            "m=audio 0 RTP/AVP 0 8 127\r\n");
+
+  sdp.origin_user = "pbxcap";
+  sdp.connection_host = "client.unb.br";
+  sdp.audio.rtp_port = 65'535;
+  sdp.audio.payload_types = {18, 3, 0};
+  sdp.audio.ssrc = 4'294'967'295U;
+  EXPECT_EQ(sdp.to_string(),
+            "v=0\r\no=pbxcap 0 0 IN IP4 client.unb.br\r\ns=pbxcap call\r\n"
+            "c=IN IP4 client.unb.br\r\nt=0 0\r\nm=audio 65535 RTP/AVP 18 3 0\r\n"
+            "a=ssrc:4294967295 cname:pbxcap\r\n");
+}
+
+TEST(SdpTest, ParseKeepsFieldSemantics) {
+  // Fields are split on every single space, so a doubled space is an empty
+  // field, not a wider separator.
+  const std::string head = "v=0\r\no=u 0 0 IN IP4 a\r\ns=s\r\nc=IN IP4 a\r\nt=0 0\r\n";
+  EXPECT_FALSE(sip::Sdp::parse(head + "m=audio  5004 RTP/AVP 0\r\n"));
+  EXPECT_FALSE(sip::Sdp::parse(head + "m=audio 5004 RTP/AVP 0  8\r\n"));
+  EXPECT_FALSE(sip::Sdp::parse(head + "m=audio 5004 RTP/AVP\r\n"));
+  EXPECT_FALSE(sip::Sdp::parse(head + "m=audio 65536 RTP/AVP 0\r\n"));
+  EXPECT_FALSE(sip::Sdp::parse(head + "m=audio 5004 RTP/AVP 128\r\n"));
+
+  // A non-audio m-line is skipped whole, however malformed.
+  const auto video_first =
+      sip::Sdp::parse(head + "m=video 6000 RTP/AVP 31\r\nm=video x\r\nm=audio 5004 RTP/AVP 0 8\r\n");
+  ASSERT_TRUE(video_first);
+  EXPECT_EQ(video_first->audio.rtp_port, 5004);
+  EXPECT_EQ(video_first->audio.payload_types, (std::vector<std::uint8_t>{0, 8}));
+
+  // c= takes its third field: two fields give no host, and a doubled space
+  // shifts the fields.
+  EXPECT_FALSE(sip::Sdp::parse("v=0\r\nc=IN IP4\r\nm=audio 5004 RTP/AVP 0\r\n"));
+  const auto shifted = sip::Sdp::parse("c=IN  IP4 a\r\nm=audio 5004 RTP/AVP 0\r\n");
+  ASSERT_TRUE(shifted);
+  EXPECT_EQ(shifted->connection_host, "IP4");
+
+  // o= takes its first field, which may be empty; without an o= line the
+  // default origin stays.
+  const auto empty_origin = sip::Sdp::parse("o= 0 0\r\nc=IN IP4 a\r\nm=audio 1 RTP/AVP 0\r\n");
+  ASSERT_TRUE(empty_origin);
+  EXPECT_EQ(empty_origin->origin_user, "");
+  const auto no_origin = sip::Sdp::parse("c=IN IP4 a\r\nm=audio 1 RTP/AVP 0\r\n");
+  ASSERT_TRUE(no_origin);
+  EXPECT_EQ(no_origin->origin_user, "pbxcap");
+
+  // a=ssrc: takes the number before the first space; a bad number is ignored.
+  const auto ssrc = sip::Sdp::parse(head + "m=audio 1 RTP/AVP 0\r\na=SSRC:77 cname:x\r\n");
+  ASSERT_TRUE(ssrc);
+  EXPECT_EQ(ssrc->audio.ssrc, 77U);
+  const auto bad_ssrc = sip::Sdp::parse(head + "m=audio 1 RTP/AVP 0\r\na=ssrc:4294967296\r\n");
+  ASSERT_TRUE(bad_ssrc);
+  EXPECT_EQ(bad_ssrc->audio.ssrc, 0U);
+
+  // The last line needs no newline; bare LF and CRLF parse alike.
+  const std::string lines[] = {"v=0", "c=IN IP4 a", "m=audio 5004 RTP/AVP 0 8", "a=ssrc:9 cname:x"};
+  std::string lf;
+  std::string crlf;
+  for (const auto& line : lines) {
+    lf += line + "\n";
+    crlf += line + "\r\n";
+  }
+  const std::string unterminated = crlf.substr(0, crlf.size() - 2);
+  for (const std::string& text : {lf, crlf, unterminated}) {
+    const auto parsed = sip::Sdp::parse(text);
+    ASSERT_TRUE(parsed) << text;
+    EXPECT_EQ(parsed->connection_host, "a");
+    EXPECT_EQ(parsed->audio.rtp_port, 5004);
+    EXPECT_EQ(parsed->audio.payload_types, (std::vector<std::uint8_t>{0, 8}));
+    EXPECT_EQ(parsed->audio.ssrc, 9U);
+  }
+  const auto last_m_unterminated = sip::Sdp::parse("c=IN IP4 a\r\nm=audio 5004 RTP/AVP 0");
+  ASSERT_TRUE(last_m_unterminated);
+  EXPECT_EQ(last_m_unterminated->audio.payload_types, (std::vector<std::uint8_t>{0}));
+}
+
 TEST(SdpTest, RejectsMissingMedia) {
   EXPECT_FALSE(sip::Sdp::parse("v=0\r\nc=IN IP4 host\r\n"));
   EXPECT_FALSE(sip::Sdp::parse(""));

@@ -249,6 +249,59 @@ TEST_F(TxnFixture, ServerTransactionMatchLooksThroughRetransmissions) {
   EXPECT_FALSE(layer_b.matches_server_transaction(bye));
 }
 
+TEST_F(TxnFixture, CancelOnTheInviteBranchOpensItsOwnServerTransaction) {
+  // RFC 3261 §9.1: a CANCEL carries its INVITE's top Via branch, so the
+  // server transactions must be told apart by method as well as branch.
+  std::vector<Method> delivered;
+  layer_b.on_request = [&](const Message& req, sip::ServerTransaction& txn) {
+    delivered.push_back(req.method());
+    txn.respond(Message::response_to(req, req.method() == Method::kInvite ? 180 : 200));
+  };
+  const Message invite = make_invite();
+  Message cancel = Message::request(Method::kCancel, invite.request_uri());
+  cancel.vias() = invite.vias();
+  cancel.from() = invite.from();
+  cancel.to() = invite.to();
+  cancel.set_call_id(invite.call_id());
+  cancel.set_cseq({invite.cseq().number, Method::kCancel});
+
+  layer_b.on_message(invite, 1);
+  layer_b.on_message(cancel, 1);
+  EXPECT_EQ(delivered, (std::vector<Method>{Method::kInvite, Method::kCancel}));
+  EXPECT_EQ(layer_b.active_server_transactions(), 2U);
+  EXPECT_TRUE(layer_b.matches_server_transaction(cancel));
+
+  // An INVITE retransmission is still absorbed by the INVITE transaction:
+  // it re-sends the 180 and never reaches the TU.
+  wire_b.log.clear();
+  layer_b.on_message(invite, 1);
+  EXPECT_EQ(delivered.size(), 2U);
+  EXPECT_EQ(layer_b.total_retransmissions(), 1U);
+  ASSERT_EQ(wire_b.log.size(), 1U);
+  EXPECT_EQ(wire_b.log.front()->msg.status_code(), 180);
+}
+
+TEST_F(TxnFixture, RetransmissionAtTheTerminationInstantIsAbsorbed) {
+  // Timer J ends the BYE server transaction at 64*T1; the map entry goes one
+  // zero-delay event later. A retransmission queued earlier for that very
+  // instant runs between the two: it meets the terminated transaction and is
+  // dropped, not taken for a new request.
+  int tu_deliveries = 0;
+  layer_b.on_request = [&](const Message& req, sip::ServerTransaction& txn) {
+    ++tu_deliveries;
+    txn.respond(Message::response_to(req, 200));
+  };
+  const Message bye = make_bye();
+  layer_b.on_message(bye, 1);
+  ASSERT_EQ(tu_deliveries, 1);
+  const TimePoint timer_j = TimePoint::origin() + Duration::millis(500) * 64;
+  simulator.schedule_at(timer_j, [&] { layer_b.on_message(bye, 1); });
+  simulator.run();
+  EXPECT_EQ(tu_deliveries, 1);
+  EXPECT_EQ(layer_b.total_retransmissions(), 0U);  // no live transaction re-sent the 200
+  EXPECT_EQ(layer_b.active_server_transactions(), 0U);
+}
+
 TEST_F(TxnFixture, InviteTimeoutFiresAfterTimerB) {
   // No receiver: every send is ignored by dropping all packets.
   wire_a.drop_next = 1'000'000;
