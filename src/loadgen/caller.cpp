@@ -176,23 +176,27 @@ void SipCaller::place_call() {
 
 void SipCaller::send_invite(Call& call) {
   const std::uint64_t index = call.index;
-  const std::string caller_user =
-      util::format("caller-%llu", static_cast<unsigned long long>(index));
-  const std::string callee_user =
-      call.acd ? "queue-" + scenario_.acd.queue
-               : util::format("recv-%llu", static_cast<unsigned long long>(index));
+  std::string caller_user = "caller-";
+  util::append_uint(caller_user, index);
+  std::string callee_user = call.acd ? "queue-" + scenario_.acd.queue : "recv-";
+  if (!call.acd) util::append_uint(callee_user, index);
 
   Message invite = Message::request(Method::kInvite, sip::Uri{callee_user, call.pbx_host});
   invite.from() = sip::NameAddr{sip::Uri{caller_user, sip_host()}, new_tag()};
   invite.to() = sip::NameAddr{sip::Uri{callee_user, call.pbx_host}, ""};
   // A re-attempt after 503 is a new call (new Call-ID), per RFC 3261 §8.1:
   // the previous transaction completed with a final response.
-  invite.set_call_id(
-      call.attempt == 1
-          ? util::format("call-%llu@%s", static_cast<unsigned long long>(index),
-                         sip_host().c_str())
-          : util::format("call-%llu-r%u@%s", static_cast<unsigned long long>(index),
-                         call.attempt - 1U, sip_host().c_str()));
+  std::string call_id;
+  call_id.reserve(sip_host().size() + 38);  // "call-" + 20 digits + "-r" + 10 digits + "@"
+  call_id += "call-";
+  util::append_uint(call_id, index);
+  if (call.attempt != 1) {
+    call_id += "-r";
+    util::append_uint(call_id, call.attempt - 1U);
+  }
+  call_id += '@';
+  call_id += sip_host();
+  invite.set_call_id(std::move(call_id));
   invite.set_cseq({1, Method::kInvite});
   invite.set_contact(sip::Uri{caller_user, sip_host()});
 

@@ -467,8 +467,12 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
   txn.respond(Message::response_to(req, sip::status::kTrying));
 
   // Re-originate leg B with anchored media.
-  bridge.call_id_b = util::format("b2b-%llu@%s", static_cast<unsigned long long>(++b2b_counter_),
-                                  sip_host().c_str());
+  // "b2b-<n>@<host>": 4 + at most 20 digits + 1 + host.
+  bridge.call_id_b.assign("b2b-");
+  bridge.call_id_b.reserve(sip_host().size() + 25);
+  util::append_uint(bridge.call_id_b, ++b2b_counter_);
+  bridge.call_id_b += '@';
+  bridge.call_id_b += sip_host();
   Message invite_b = Message::request(Method::kInvite, sip::Uri{req.request_uri().user(), *route});
   invite_b.from() = sip::NameAddr{sip::Uri{req.from().uri.user(), sip_host()}, new_tag()};
   invite_b.to() = sip::NameAddr{sip::Uri{req.request_uri().user(), *route}, ""};

@@ -31,7 +31,13 @@ void SipEndpoint::set_telemetry(telemetry::Telemetry* tel) {
 }
 
 std::string SipEndpoint::new_tag() {
-  return util::format("%s-tag%llu", host_.c_str(), static_cast<unsigned long long>(++tag_counter_));
+  // "<host>-tag<n>": host + 4 + at most 20 digits.
+  std::string tag;
+  tag.reserve(host_.size() + 24);
+  tag += host_;
+  tag += "-tag";
+  util::append_uint(tag, ++tag_counter_);
+  return tag;
 }
 
 void SipEndpoint::send_sip(std::shared_ptr<const SipPayload> payload, net::NodeId dst) {

@@ -32,24 +32,31 @@ TransactionLayer::TransactionLayer(sim::Simulator& simulator, Transport& transpo
     : simulator_{simulator}, transport_{transport}, local_host_{std::move(local_host)} {}
 
 std::string TransactionLayer::new_branch() {
-  return util::format("z9hG4bK-%s-%llu", local_host_.c_str(),
-                      static_cast<unsigned long long>(++branch_counter_));
+  // "z9hG4bK-<host>-<n>": 8 + host + 1 + at most 20 digits.
+  std::string branch;
+  branch.reserve(29 + local_host_.size());
+  branch += "z9hG4bK-";
+  branch += local_host_;
+  branch += '-';
+  util::append_uint(branch, ++branch_counter_);
+  return branch;
 }
 
-std::string TransactionLayer::client_key(const std::string& branch, Method method) {
-  // ACKs for non-2xx responses share the INVITE branch; fold them together.
-  const Method key_method = method == Method::kAck ? Method::kInvite : method;
-  return branch + ":" + std::string{to_string(key_method)};
+void TransactionLayer::remove_client(const ClientTransaction& txn) {
+  if (const auto it = clients_.find(client_key(txn.branch_, txn.method())); it != clients_.end()) {
+    clients_.erase(it);
+  }
 }
 
-void TransactionLayer::remove_client(const std::string& key) { clients_.erase(key); }
-void TransactionLayer::remove_server(const std::string& key) { servers_.erase(key); }
+void TransactionLayer::remove_server(const ServerTransaction& txn) {
+  if (const auto it = servers_.find(Key{txn.branch_, txn.method_}); it != servers_.end()) {
+    servers_.erase(it);
+  }
+}
 
 bool TransactionLayer::matches_server_transaction(const Message& request) const {
   if (!request.is_request() || request.top_via() == nullptr) return false;
-  const std::string key =
-      request.top_via()->branch + ":" + std::string{to_string(request.method())};
-  return servers_.find(key) != servers_.end();
+  return servers_.contains(Key{request.top_via()->branch, request.method()});
 }
 
 void TransactionLayer::reset() {
@@ -85,11 +92,11 @@ ClientTransaction& TransactionLayer::send_request(
   if (request.vias().empty() || request.vias().front().branch.empty()) {
     throw std::invalid_argument{"send_request: request needs a top Via with a branch"};
   }
-  const std::string key = client_key(request.vias().front().branch, request.cseq().method);
   auto txn = std::unique_ptr<ClientTransaction>{new ClientTransaction{
       *this, std::move(request), dst, std::move(on_response), std::move(on_timeout)}};
   ClientTransaction& ref = *txn;
-  const auto [it, inserted] = clients_.emplace(key, std::move(txn));
+  const auto [it, inserted] =
+      clients_.emplace(client_key(ref.branch_, ref.method()), std::move(txn));
   if (!inserted) throw std::logic_error{"send_request: duplicate client transaction branch"};
   if (tm_client_started_ != nullptr) tm_client_started_->add();
   it->second->start();
@@ -103,7 +110,7 @@ void TransactionLayer::send_stateless(Message msg, net::NodeId dst) {
 void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
   if (msg.is_response()) {
     if (msg.top_via() == nullptr) return;  // malformed; drop
-    const std::string key = client_key(msg.top_via()->branch, msg.cseq().method);
+    const Key key = client_key(msg.top_via()->branch, msg.cseq().method);
     if (const auto it = clients_.find(key); it != clients_.end()) {
       it->second->handle_response(msg);
       return;
@@ -114,13 +121,12 @@ void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
 
   // Request path.
   if (msg.top_via() == nullptr) return;
-  const std::string& branch = msg.top_via()->branch;
+  const std::string_view branch = msg.top_via()->branch;
 
   if (msg.method() == Method::kAck) {
     // Matches the INVITE server transaction for non-2xx finals; otherwise it
     // is the end-to-end ACK for a 2xx and belongs to the TU.
-    const std::string key = branch + ":INVITE";
-    if (const auto it = servers_.find(key); it != servers_.end()) {
+    if (const auto it = servers_.find(Key{branch, Method::kInvite}); it != servers_.end()) {
       it->second->handle_ack();
       return;
     }
@@ -128,14 +134,13 @@ void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
     return;
   }
 
-  const std::string key = branch + ":" + std::string{to_string(msg.method())};
-  if (const auto it = servers_.find(key); it != servers_.end()) {
+  if (const auto it = servers_.find(Key{branch, msg.method()}); it != servers_.end()) {
     it->second->handle_retransmission();
     return;
   }
   auto txn = std::unique_ptr<ServerTransaction>{new ServerTransaction{*this, msg, from}};
   ServerTransaction& ref = *txn;
-  servers_.emplace(key, std::move(txn));
+  servers_.emplace(Key{ref.branch_, ref.method_}, std::move(txn));
   if (tm_server_started_ != nullptr) tm_server_started_->add();
   if (on_request) on_request(msg, ref);
 }
@@ -282,13 +287,11 @@ void ClientTransaction::terminate() {
   state_ = State::kTerminated;
   layer_.simulator().cancel(retransmit_timer_);
   layer_.simulator().cancel(timeout_timer_);
-  const std::string key = TransactionLayer::client_key(branch_, method());
   // Deferred removal: destroying *this synchronously would free the frame
-  // the caller is still executing in.
+  // the caller is still executing in. Until the removal event runs, the
+  // terminated transaction keeps absorbing what matches it.
   const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
-  layer_.simulator().schedule_in(Duration::zero(), [&layer = layer_, key] {
-    layer.remove_client(key);
-  });
+  layer_.simulator().schedule_in(Duration::zero(), [this] { layer_.remove_client(*this); });
 }
 
 // ----------------------------------------------------- server transaction ----
@@ -382,11 +385,8 @@ void ServerTransaction::terminate() {
   state_ = State::kTerminated;
   layer_.simulator().cancel(retransmit_timer_);
   layer_.simulator().cancel(timeout_timer_);
-  const std::string key = branch_ + ":" + std::string{to_string(method_)};
   const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
-  layer_.simulator().schedule_in(Duration::zero(), [&layer = layer_, key] {
-    layer.remove_server(key);
-  });
+  layer_.simulator().schedule_in(Duration::zero(), [this] { layer_.remove_server(*this); });
 }
 
 }  // namespace pbxcap::sip

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "net/packet.hpp"
@@ -183,15 +184,33 @@ class TransactionLayer {
   friend class ClientTransaction;
   friend class ServerTransaction;
 
-  static std::string client_key(const std::string& branch, Method method);
-  void remove_client(const std::string& key);
-  void remove_server(const std::string& key);
+  /// Matches a message to its transaction (RFC 3261 §17.1.3/§17.2.3): the
+  /// top Via branch plus the method, since a CANCEL reuses its INVITE's
+  /// branch. A stored key views its transaction's own branch_; a lookup
+  /// views the message's top Via, so matching builds no string.
+  struct Key {
+    std::string_view branch;
+    Method method;
+    [[nodiscard]] bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    [[nodiscard]] std::size_t operator()(const Key& key) const noexcept {
+      return std::hash<std::string_view>{}(key.branch) * 31 + static_cast<std::size_t>(key.method);
+    }
+  };
+
+  /// ACKs for non-2xx responses share the INVITE's client transaction.
+  [[nodiscard]] static Key client_key(std::string_view branch, Method method) noexcept {
+    return {branch, method == Method::kAck ? Method::kInvite : method};
+  }
+  void remove_client(const ClientTransaction& txn);
+  void remove_server(const ServerTransaction& txn);
 
   sim::Simulator& simulator_;
   Transport& transport_;
   std::string local_host_;
-  std::unordered_map<std::string, std::unique_ptr<ClientTransaction>> clients_;
-  std::unordered_map<std::string, std::unique_ptr<ServerTransaction>> servers_;
+  std::unordered_map<Key, std::unique_ptr<ClientTransaction>, KeyHash> clients_;
+  std::unordered_map<Key, std::unique_ptr<ServerTransaction>, KeyHash> servers_;
   std::uint64_t branch_counter_{0};
   std::uint64_t retransmissions_{0};
 

@@ -1,6 +1,8 @@
 // Small string utilities used by the SIP parser and report formatters.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +38,17 @@ struct SplitPair {
 /// whitespace or '+', NaN, infinity or out-of-range magnitude.
 [[nodiscard]] bool parse_double(std::string_view s, double& out);
 
-/// printf-style formatting into a std::string.
+/// Appends the decimal digits of `v` to `out`, with std::to_chars: no
+/// locale, no format string, no temporary string.
+inline void append_uint(std::string& out, std::uint64_t v) {
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+/// printf-style formatting into a std::string, for cold paths only: logs,
+/// reports and setup. It parses the format twice and allocates a fresh
+/// string; text built per SIP message or per call appends to one string
+/// with append_uint instead.
 [[nodiscard]] std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace pbxcap::util
