@@ -1,5 +1,5 @@
 // Engine microbenchmarks: DES event throughput, Erlang-B evaluation, SIP
-// codec, RTP receive pipeline. These quantify the simulator itself (not the
+// codec, SDP text, transaction matching, RTP receive pipeline. These quantify the simulator itself (not the
 // paper), so regressions in the substrate are visible.
 
 #include <benchmark/benchmark.h>
@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/erlang_b.hpp"
 #include "exp/testbed.hpp"
@@ -17,6 +19,8 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sip/parse.hpp"
+#include "sip/sdp.hpp"
+#include "sip/transaction.hpp"
 
 // ---- counting allocator hook -----------------------------------------------
 // Replaces global new/delete for this binary so the simulator benchmarks can
@@ -353,6 +357,86 @@ void BM_SipWireBytes(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(sip::wire_bytes(msg)));
 }
 BENCHMARK(BM_SipWireBytes)->Arg(0)->Arg(1);
+
+/// Heap allocations per benchmark iteration, from the counting allocator.
+class AllocsPerOp {
+ public:
+  explicit AllocsPerOp(benchmark::State& state)
+      : state_{state}, start_{g_allocs.load(std::memory_order_relaxed)} {}
+  ~AllocsPerOp() {
+    if (state_.iterations() == 0) return;
+    state_.counters["allocs_per_op"] =
+        static_cast<double>(g_allocs.load(std::memory_order_relaxed) - start_) /
+        static_cast<double>(state_.iterations());
+  }
+
+ private:
+  benchmark::State& state_;
+  std::uint64_t start_;
+};
+
+/// The caller's offer: G.711 ulaw plus two fallbacks and an announced SSRC.
+sip::Sdp bench_offer() {
+  sip::Sdp sdp;
+  sdp.connection_host = "client.unb.br";
+  sdp.audio.rtp_port = 30'000;
+  sdp.audio.payload_types = {0, 8, 18};
+  sdp.audio.ssrc = 0x9e3779b9U;
+  return sdp;
+}
+
+/// The SDP body of every INVITE and 200 OK, built once per message.
+void BM_SdpToString(benchmark::State& state) {
+  const sip::Sdp sdp = bench_offer();
+  const AllocsPerOp allocs{state};
+  for (auto _ : state) {
+    auto text = sdp.to_string();
+    benchmark::DoNotOptimize(text);
+  }
+}
+BENCHMARK(BM_SdpToString);
+
+/// The offer/answer parse the PBX and the receivers run on every body.
+void BM_SdpParse(benchmark::State& state) {
+  const std::string text = bench_offer().to_string();
+  const AllocsPerOp allocs{state};
+  for (auto _ : state) {
+    auto parsed = sip::Sdp::parse(text);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_SdpParse);
+
+/// Matches a request to its server transaction among range(0) live ones:
+/// the lookup every received SIP message makes.
+void BM_TxnMatch(benchmark::State& state) {
+  struct NullTransport final : sip::Transport {
+    void send_sip(std::shared_ptr<const sip::SipPayload>, net::NodeId) override {}
+  };
+  sim::Simulator simulator;
+  NullTransport transport;
+  sip::TransactionLayer layer{simulator, transport, "pbx.unb.br"};
+  sip::TransactionLayer peer{simulator, transport, "client.unb.br"};
+  std::vector<sip::Message> requests;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sip::Message bye = sip::Message::request(sip::Method::kBye, sip::Uri{"recv-1", "pbx.unb.br"});
+    bye.vias().push_back({"client.unb.br", peer.new_branch()});
+    bye.from() = {sip::Uri{"caller-1", "client.unb.br"}, "tag-a"};
+    bye.to() = {sip::Uri{"recv-1", "pbx.unb.br"}, "tag-b"};
+    bye.set_call_id("call-" + std::to_string(i) + "@client.unb.br");
+    bye.set_cseq({2, sip::Method::kBye});
+    layer.on_message(bye, 1);
+    requests.push_back(std::move(bye));
+  }
+  std::size_t next = 0;
+  const AllocsPerOp allocs{state};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.matches_server_transaction(requests[next]));
+    if (++next == requests.size()) next = 0;
+  }
+}
+BENCHMARK(BM_TxnMatch)->Arg(1'000);
 
 void BM_RtpReceiverPipeline(benchmark::State& state) {
   for (auto _ : state) {
