@@ -111,7 +111,6 @@ class Dispatcher final : public sip::SipEndpoint {
   // ---- observations ----
 
   [[nodiscard]] const DispatcherConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t backend_count() const noexcept { return backends_.size(); }
   [[nodiscard]] BackendStats backend_stats(std::size_t i) const;
   [[nodiscard]] CircuitState circuit(std::size_t i) const { return backends_[i].circuit; }
   [[nodiscard]] std::uint32_t occupancy(std::size_t i) const { return backends_[i].occupancy; }

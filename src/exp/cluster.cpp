@@ -19,6 +19,9 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     }
     fleet.assign(config.servers, ServerSpec{config.channels_per_server, 0});
   }
+  if (config.fault_backend >= fleet.size()) {
+    throw std::invalid_argument{"run_cluster: fault_backend is not in the fleet"};
+  }
   std::vector<pbx::PbxConfig> backends(fleet.size());
   std::vector<dispatch::BackendConfig> routes;
   for (std::size_t i = 0; i < fleet.size(); ++i) {

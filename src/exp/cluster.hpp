@@ -94,6 +94,8 @@ struct ClusterConfig {
   /// Optional fault schedule. Link targets resolve to: client = the caller
   /// bank's access link, server = the receiver's, pbx = backend
   /// `fault_backend`'s uplink. `pbx stall`/`pbx crash` hit that backend too.
+  /// `fault_backend` must index the fleet; run_cluster throws
+  /// std::invalid_argument otherwise.
   const fault::FaultPlan* faults{nullptr};
   std::uint32_t fault_backend{0};
 

@@ -249,11 +249,9 @@ void Experiment::run() {
     if (shard.tel == nullptr) return;
     const Duration period = shard.tel->config().sample_period;
     if (&shard == &hub_ && fluid_.config().enabled) {
-      // Streams leave fluid mode a boundary guard before each tick so the
-      // guard window drains per-packet; the pre-sample flush is the safety
-      // net that keeps every row exact even if a boundary is missed.
+      // Streams leave fluid mode a boundary guard before each tick, so the
+      // guard window drains per-packet and every row reads settled state.
       fluid_.set_boundary_period(period);
-      shard.tel->sampler().set_pre_sample_hook([this] { fluid_.flush_all(); });
     }
     shard.tel->sampler().start(shard.sim, period);
     if (telemetry::Profiler* profiler = shard.tel->profiler()) {
@@ -269,7 +267,7 @@ void Experiment::run() {
   // The plan is armed once per shard that owns a target: link events on a
   // split uplink apply to both halves (each carries one direction).
   if (topo_.faults != nullptr && !topo_.faults->empty()) {
-    Backend& b = *backends_[std::min(topo_.fault_backend, backends_.size() - 1)];
+    Backend& b = *backends_[topo_.fault_backend];
     const bool local = &b.shard == &hub_;
     arm_faults(hub_, {client_link_, server_link_, b.uplink, local ? &b.pbx : nullptr});
     if (!local) arm_faults(b.shard, {nullptr, nullptr, b.pbx_half, &b.pbx});

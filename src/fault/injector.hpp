@@ -45,8 +45,8 @@ class FaultInjector {
 
   /// Invoked at the top of apply(), before the event mutates anything. The
   /// fluid media engine hooks in here so fast-forwarded streams are flushed
-  /// to exact state under the pre-fault behaviour (stalls and crashes don't
-  /// go through Link::apply_impairment's own listener).
+  /// to exact state under the pre-fault behaviour; this is its only
+  /// transient trigger, for link edits, PBX stalls and crashes alike.
   void set_pre_apply(std::function<void()> hook) { pre_apply_ = std::move(hook); }
 
   /// Optional call-journey tracing: every applied fault lands as an instant

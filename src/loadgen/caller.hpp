@@ -55,8 +55,6 @@ class SipCaller final : public SippHost {
 
   [[nodiscard]] monitor::CallLog& log() noexcept { return log_; }
   [[nodiscard]] const monitor::CallLog& log() const noexcept { return log_; }
-  [[nodiscard]] std::uint64_t calls_offered() const noexcept { return next_call_index_; }
-  [[nodiscard]] std::size_t active_calls() const noexcept { return calls_.size(); }
   /// 503-triggered INVITE re-attempts (scenario_.retry must be enabled).
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
   /// Re-attempts that changed backend (dispatcher repick or DNS rotation).

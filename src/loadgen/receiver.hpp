@@ -38,9 +38,6 @@ class SipReceiver final : public SippHost {
   /// Offers rejected with 488 Not Acceptable Here (no codec overlap between
   /// the offer and this endpoint's supported set).
   [[nodiscard]] std::uint64_t rejected_488() const noexcept { return rejected_488_; }
-  [[nodiscard]] std::uint64_t calls_finished() const noexcept {
-    return static_cast<std::uint64_t>(finished_.size());
-  }
   [[nodiscard]] std::size_t active_sessions() const noexcept { return sessions_.size(); }
 
  private:

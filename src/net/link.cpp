@@ -35,9 +35,6 @@ Link::Link(Network& network, NodeId a, NodeId b, const LinkConfig& config)
 }
 
 void Link::apply_impairment(const LinkImpairment& impairment) {
-  // Fired before validation and mutation: listeners must observe (and flush
-  // any fast-forwarded media under) the pre-change link behaviour.
-  if (pre_change_) pre_change_();
   if (impairment.bandwidth_bps && *impairment.bandwidth_bps <= 0.0) {
     throw std::invalid_argument{"Link: impairment bandwidth must be positive"};
   }

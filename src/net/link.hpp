@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -97,20 +96,15 @@ class Link {
   /// values (non-positive bandwidth, zero queue limit, loss outside [0,1]).
   /// An edit made while frames flow must be announced with announce_edit()
   /// when it is armed: forward() queues a frame ahead of its offer time
-  /// and must know whether an edit lands before that offer.
+  /// and must know whether an edit lands before that offer. The link tells
+  /// no one of the edit: a link the fluid engine watches must be edited
+  /// through a FaultInjector whose pre-apply hook flushes the engine first.
   void apply_impairment(const LinkImpairment& impairment);
 
   /// Announces that apply_impairment will be called at `at`. Until then,
   /// forward() keeps the step event of every frame offered at or after
   /// `at`, so the edit applies to it exactly as without the fold.
   void announce_edit(TimePoint at);
-
-  /// Invoked at the top of apply_impairment, before any config mutation.
-  /// The fluid media engine uses it to flush fast-forwarded streams to exact
-  /// per-packet state under the pre-change link behaviour.
-  void set_pre_change_listener(std::function<void()> listener) {
-    pre_change_ = std::move(listener);
-  }
 
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool blacked_out() const noexcept { return blackout_; }
@@ -174,7 +168,6 @@ class Link {
   NodeId a_;
   NodeId b_;
   LinkConfig config_;
-  std::function<void()> pre_change_;
   bool blackout_{false};
   std::array<Direction, 2> directions_{};  // [0]: a->b, [1]: b->a
   std::vector<TimePoint> edits_;  // announced edit times, ascending

@@ -271,15 +271,9 @@ class AcdSubsystem {
   void set_telemetry(telemetry::Telemetry* telemetry);
 
   [[nodiscard]] std::size_t queue_count() const noexcept { return queues_.size(); }
-  [[nodiscard]] const AcdQueueConfig& queue_config(std::size_t qi) const {
-    return config_.queues.at(qi);
-  }
   [[nodiscard]] const AcdQueueStats& stats(std::size_t qi) const { return queues_.at(qi)->stats; }
   [[nodiscard]] std::size_t depth(std::size_t qi) const { return queues_.at(qi)->waiting.live_count(); }
   [[nodiscard]] std::size_t total_depth() const noexcept;
-  [[nodiscard]] std::size_t agents_busy(std::size_t qi) const {
-    return queues_.at(qi)->agents.busy_count();
-  }
   [[nodiscard]] std::size_t agent_count(std::size_t qi) const { return queues_.at(qi)->agents.size(); }
   /// Talk time accrued by this queue's agents up to `now`, including calls
   /// still in progress (occupancy numerator; divide by window * agents).

@@ -17,13 +17,16 @@ constexpr double kBacklogThreshold = 0.25;
 // packets in flight at the boundary drain exactly. Must exceed the
 // end-to-end media path latency.
 constexpr Duration kBoundaryGuard = Duration::millis(1);
+// Hold in per-packet mode after a transient (fault event, SIP teardown)
+// before streams may coast again: hysteresis against enter/exit flapping.
+constexpr Duration kDwell = Duration::millis(200);
+// Longest closed-form span: coasting streams flush at least this often, which
+// bounds how stale a batch stays for the CPU model and for stall windows.
+constexpr Duration kMaxSegment = Duration::seconds(10);
 
 }  // namespace
 
-void FluidEngine::watch_link(net::Link& link) {
-  links_.push_back(&link);
-  link.set_pre_change_listener([this] { on_transient(); });
-}
+void FluidEngine::watch_link(net::Link& link) { links_.push_back(&link); }
 
 void FluidEngine::start() {
   arm_segment();
@@ -43,9 +46,9 @@ void FluidEngine::stop() {
 }
 
 void FluidEngine::arm_segment() {
-  if (!config_.enabled || config_.max_segment <= Duration::zero()) return;
+  if (!config_.enabled) return;
   const sim::CategoryScope cat_scope{simulator_, sim::Category::kRtpFluidFlush};
-  segment_event_ = simulator_.schedule_in(config_.max_segment, [this] {
+  segment_event_ = simulator_.schedule_in(kMaxSegment, [this] {
     flush_all();
     arm_segment();
   });
@@ -99,23 +102,18 @@ void FluidEngine::remove(std::uint32_t ssrc) { streams_.erase(ssrc); }
 std::uint64_t FluidEngine::flush_stream(std::uint32_t ssrc) {
   const auto it = streams_.find(ssrc);
   if (it == streams_.end()) return 0;
-  const std::uint64_t n = it->second->flush_fluid(simulator_.now());
-  if (n > 0) ++flushes_;
-  return n;
+  return it->second->flush_fluid(simulator_.now());
 }
 
-std::uint64_t FluidEngine::flush_all() {
-  if (streams_.empty()) return 0;
+void FluidEngine::flush_all() {
+  if (streams_.empty()) return;
   // Snapshot: flushing can, in principle, reach code that mutates the
   // registry (a stream stopping at the flush horizon).
   std::vector<RtpSender*> snapshot;
   snapshot.reserve(streams_.size());
   for (const auto& [ssrc, sender] : streams_) snapshot.push_back(sender);
   const TimePoint now = simulator_.now();
-  std::uint64_t total = 0;
-  for (RtpSender* sender : snapshot) total += sender->flush_fluid(now);
-  if (total > 0) ++flushes_;
-  return total;
+  for (RtpSender* sender : snapshot) sender->flush_fluid(now);
 }
 
 void FluidEngine::exit_stream(std::uint32_t ssrc) {
@@ -125,9 +123,8 @@ void FluidEngine::exit_stream(std::uint32_t ssrc) {
   streams_.erase(it);
   const TimePoint now = simulator_.now();
   sender->flush_fluid(now);
-  ++flushes_;
   sender->exit_fluid();
-  sender->hold_packet_mode_until(now + config_.dwell);
+  sender->hold_packet_mode_until(now + kDwell);
 }
 
 void FluidEngine::suspend_until(TimePoint resume) {
@@ -141,14 +138,13 @@ void FluidEngine::suspend_until(TimePoint resume) {
       sender->flush_fluid(now);
       sender->exit_fluid();
     }
-    ++flushes_;
   }
   resume_at_ = std::max(resume_at_, resume);
 }
 
 void FluidEngine::on_transient() {
   ++transients_;
-  suspend_until(simulator_.now() + config_.dwell);
+  suspend_until(simulator_.now() + kDwell);
 }
 
 }  // namespace pbxcap::rtp

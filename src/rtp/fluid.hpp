@@ -18,16 +18,18 @@
 // Segment state machine (per stream):
 //
 //   per-packet --try_enter()--> fluid --flush--> fluid        (stay: RTCP,
-//        ^                        |                            max-segment)
+//        ^                        |                            backstop)
 //        |                        +--suspend/transient--> per-packet
 //        +--- dwell + boundary guard hold re-entry (resume_at_)
 //
-// Flush triggers: (1) RtcpSession pre-report hook (per-SSRC, stays fluid);
-// (2) pre-boundary flush kBoundaryGuard before each telemetry sampling
-// tick (suspends until the boundary so in-flight packets drain exactly);
-// (3) fault transients — Link::apply_impairment pre-change listener and
-// FaultInjector pre-apply hook (suspend for `dwell`); (4) the max-segment
-// backstop; (5) sender stop (BYE).
+// Flush triggers, one per boundary cause: (1) the engine's own boundary
+// timer kBoundaryGuard before each telemetry sampling tick (suspends until
+// the boundary so in-flight packets drain exactly and the row reads settled
+// state); (2) RtcpSession pre-report hook (per-SSRC, stays fluid); (3) fault
+// transients — the FaultInjector pre-apply hook, which covers link edits,
+// PBX stalls and crashes (suspend for the dwell); (4) the max-segment
+// backstop; (5) sender stop (BYE). The dwell (200 ms) and the backstop
+// period (10 s) are constants of fluid.cpp.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +46,6 @@ class RtpSender;
 
 struct FluidConfig {
   bool enabled{false};
-  /// Hold in per-packet mode after a transient (impairment edit, fault
-  /// event) before streams may coast again.
-  Duration dwell{Duration::millis(200)};
-  /// Longest closed-form span; coasting streams flush at least this often.
-  Duration max_segment{Duration::seconds(10)};
 };
 
 /// Registry and policy for coasting RTP streams. One engine per experiment;
@@ -61,8 +58,8 @@ class FluidEngine {
   FluidEngine(const FluidEngine&) = delete;
   FluidEngine& operator=(const FluidEngine&) = delete;
 
-  /// Adds a link to the steady-state eligibility checks and installs its
-  /// pre-change listener (impairment edits become transients).
+  /// Adds a link to the steady-state eligibility checks. Edits to it must
+  /// reach on_transient() first (FaultInjector::set_pre_apply).
   void watch_link(net::Link& link);
 
   /// Telemetry sampling period; enables the pre-boundary flush schedule.
@@ -92,19 +89,12 @@ class FluidEngine {
   /// per-packet mode at scale.
   std::uint64_t flush_stream(std::uint32_t ssrc);
 
-  /// Flushes every coasting stream to `now()`; all keep coasting.
-  std::uint64_t flush_all();
-
   /// SIP teardown boundary: flushes one coasting stream, returns it to
-  /// per-packet pacing, and holds re-entry for `dwell`. Called by the BYE
+  /// per-packet pacing, and holds re-entry for the dwell. Called by the BYE
   /// initiator on the *remote* stream — its pending segment must land while
   /// the PBX bridge is still up, and the tail racing the BYE through the
   /// PBX must drain with exact per-packet timing.
   void exit_stream(std::uint32_t ssrc);
-
-  /// Flushes and exits every coasting stream, and holds re-entry until
-  /// `resume` (pre-boundary and transient path).
-  void suspend_until(TimePoint resume);
 
   /// A non-steady-state edit is about to land: flush under the current
   /// behaviour, fall back to exact per-packet simulation, dwell.
@@ -113,13 +103,16 @@ class FluidEngine {
   [[nodiscard]] const FluidConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t active_streams() const noexcept { return streams_.size(); }
   [[nodiscard]] std::uint64_t segments_entered() const noexcept { return segments_; }
-  [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
   [[nodiscard]] std::uint64_t transients() const noexcept { return transients_; }
-  [[nodiscard]] TimePoint resume_at() const noexcept { return resume_at_; }
 
  private:
   void arm_boundary();
   void arm_segment();
+  /// Flushes every coasting stream to `now()`; all keep coasting.
+  void flush_all();
+  /// Flushes and exits every coasting stream, and holds re-entry until
+  /// `resume` (pre-boundary and transient path).
+  void suspend_until(TimePoint resume);
 
   sim::Simulator& simulator_;
   FluidConfig config_;
@@ -130,7 +123,6 @@ class FluidEngine {
   sim::EventId boundary_event_{0};
   sim::EventId segment_event_{0};
   std::uint64_t segments_{0};
-  std::uint64_t flushes_{0};
   std::uint64_t transients_{0};
 };
 

@@ -118,7 +118,6 @@ void RtcpSession::emit_report() {
 }
 
 void RtcpSession::on_report(const RtcpPayload& payload, TimePoint arrival) {
-  ++received_;
   const ReportBlock* block = nullptr;
   if (payload.sr) {
     last_sr_ntp_ = payload.sr->ntp_timestamp;
@@ -128,7 +127,6 @@ void RtcpSession::on_report(const RtcpPayload& payload, TimePoint arrival) {
     block = &payload.rr->report;
   }
   if (block == nullptr) return;
-  peer_loss_ = static_cast<double>(block->fraction_lost) / 256.0;
   // RTT = now - LSR - DLSR. We store NTP as simulation ns; the middle-32
   // encoding shifts by 16 bits, losing sub-65536 ns precision — fine at
   // millisecond scales.

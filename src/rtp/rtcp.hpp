@@ -94,11 +94,8 @@ class RtcpSession {
   void on_report(const RtcpPayload& payload, TimePoint arrival);
 
   [[nodiscard]] std::uint64_t reports_sent() const noexcept { return sent_; }
-  [[nodiscard]] std::uint64_t reports_received() const noexcept { return received_; }
   /// Smoothed round-trip estimate from LSR/DLSR; zero until first sample.
   [[nodiscard]] Duration rtt() const noexcept { return rtt_; }
-  /// Peer-observed loss fraction from the last report (in [0,1]).
-  [[nodiscard]] double peer_loss() const noexcept { return peer_loss_; }
 
   /// Invoked at the top of emit_report, before any statistic is read. The
   /// fluid media engine uses it to flush the session's coasting streams so
@@ -128,11 +125,9 @@ class RtcpSession {
   bool running_{false};
   sim::EventId timer_{0};
   std::uint64_t sent_{0};
-  std::uint64_t received_{0};
   std::uint64_t prior_expected_{0};
   std::uint64_t prior_received_{0};
   Duration rtt_{Duration::zero()};
-  double peer_loss_{0.0};
   std::uint64_t last_sr_ntp_{0};     // for LSR echo when we send as receiver
   TimePoint last_sr_arrival_{};
 };

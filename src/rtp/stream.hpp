@@ -62,8 +62,6 @@ class RtpSender {
 
   /// True while the stream is coasting (no pacing ticks scheduled).
   [[nodiscard]] bool fluid_active() const noexcept { return fluid_active_; }
-  /// Departure time of the next pending packet while coasting.
-  [[nodiscard]] TimePoint next_due() const noexcept { return next_due_; }
 
   /// Emits every packet whose departure is strictly before `upto` as batch
   /// packets; returns how many were flushed. No-op unless coasting.

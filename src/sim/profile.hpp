@@ -16,8 +16,9 @@
 // predictable null-pointer branch (benched in bench_telemetry_overhead,
 // <= 2%). With a profile attached every fire pays one slot increment plus a
 // mask test on the incremented count; only every `sample_period`-th fire of
-// a category is bracketed with steady_clock reads (enabled-path bench gate
-// <= 5% on the Table-I macro workload).
+// a category is bracketed with steady_clock reads (enabled-path budget
+// <= 5% on the Table-I macro workload: perfbench's telemetry.overhead_pct
+// for table1-packet).
 #pragma once
 
 #include <array>

@@ -115,7 +115,6 @@ class Simulator {
     return static_cast<std::size_t>(scheduled_ - processed_ - cancelled_);
   }
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const noexcept { return scheduled_; }
 
   /// Sentinel returned by next_event_ns() when nothing is pending.
   static constexpr std::int64_t kNoEvent = std::numeric_limits<std::int64_t>::max();

@@ -42,14 +42,4 @@ Message Dialog::make_ack() {
   return msg;
 }
 
-std::string Dialog::id() const {
-  return call_id_ + "|" + local_.tag + "|" + remote_.tag;
-}
-
-std::string Dialog::id_of(const Message& msg, bool local_is_from) {
-  const std::string& local_tag = local_is_from ? msg.from().tag : msg.to().tag;
-  const std::string& remote_tag = local_is_from ? msg.to().tag : msg.from().tag;
-  return msg.call_id() + "|" + local_tag + "|" + remote_tag;
-}
-
 }  // namespace pbxcap::sip

@@ -32,13 +32,6 @@ class Dialog {
   [[nodiscard]] const NameAddr& local() const noexcept { return local_; }
   [[nodiscard]] const NameAddr& remote() const noexcept { return remote_; }
   [[nodiscard]] const Uri& remote_target() const noexcept { return remote_target_; }
-  [[nodiscard]] std::uint32_t local_cseq() const noexcept { return local_cseq_; }
-
-  /// Dialog id for table lookup: Call-ID + local tag + remote tag.
-  [[nodiscard]] std::string id() const;
-
-  /// Lookup key a message maps to on this side ("" if the message lacks tags).
-  [[nodiscard]] static std::string id_of(const Message& msg, bool local_is_from);
 
  private:
   std::string call_id_;

@@ -167,7 +167,6 @@ class TransactionLayer {
   [[nodiscard]] Transport& transport() noexcept { return transport_; }
   [[nodiscard]] const std::string& local_host() const noexcept { return local_host_; }
 
-  [[nodiscard]] std::size_t active_client_transactions() const noexcept { return clients_.size(); }
   [[nodiscard]] std::size_t active_server_transactions() const noexcept { return servers_.size(); }
   [[nodiscard]] std::uint64_t total_retransmissions() const noexcept { return retransmissions_; }
   void note_retransmission() noexcept {

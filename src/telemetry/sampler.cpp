@@ -38,7 +38,6 @@ void TimeSeriesSampler::stop() {
 }
 
 void TimeSeriesSampler::tick() {
-  if (pre_sample_) pre_sample_();
   const double period_s = period_.to_seconds();
   at_ns_.push_back(simulator_->now().ns());
   for (auto& column : columns_) {

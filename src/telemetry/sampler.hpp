@@ -35,11 +35,6 @@ class TimeSeriesSampler {
   /// (probe(t) - probe(t - period)) / period_seconds.
   void add_rate(std::string name, Probe probe);
 
-  /// Invoked at the top of every tick, before any probe runs. Subsystems
-  /// that defer work (the fluid media engine's fast-forwarded streams) hook
-  /// in here so each row reads fully settled state.
-  void set_pre_sample_hook(std::function<void()> hook) { pre_sample_ = std::move(hook); }
-
   /// Begins sampling; the first row lands at now + period. Columns must be
   /// registered before start().
   void start(sim::Simulator& simulator, Duration period = Duration::seconds(1));
@@ -81,7 +76,6 @@ class TimeSeriesSampler {
 
   void tick();
 
-  std::function<void()> pre_sample_;
   std::vector<Column> columns_;
   std::vector<std::int64_t> at_ns_;
   sim::Simulator* simulator_{nullptr};

@@ -5,6 +5,7 @@
 
 #include "exp/cluster.hpp"
 #include "exp/testbed.hpp"
+#include "fault/plan.hpp"
 
 namespace {
 
@@ -84,6 +85,18 @@ TEST(Cluster, PerServerCongestionReported) {
 
 TEST(Cluster, RejectsZeroServers) {
   EXPECT_THROW((void)exp::run_cluster(small_cluster(6.0, 0)), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsFaultBackendOutsideFleet) {
+  // A crash aimed at backend 2 of a two-server fleet names no server; it
+  // must not land on backend 1 instead.
+  const auto plan = fault::FaultPlan::parse("@5s pbx crash dead=5s\n");
+  exp::ClusterConfig config = small_cluster(6.0, 2);
+  config.faults = &plan;
+  config.fault_backend = 2;
+  EXPECT_THROW((void)exp::run_cluster(config), std::invalid_argument);
+  config.fault_backend = 1;
+  EXPECT_NO_THROW((void)exp::run_cluster(config));
 }
 
 }  // namespace

@@ -6,14 +6,15 @@
 // outcomes, SIP census, RTP packet/relay totals — is byte-identical to the
 // per-packet run with the same seed; approximated quantities (jitter EWMA
 // tails, MOS) stay within stated tolerances; and per-second telemetry series
-// are identical row for row (the sampler's pre-sample flush plus the
-// pre-boundary guard settle all coasting streams before each row).
+// are identical row for row (the engine's boundary timer suspends every
+// coasting stream a guard ahead of each row).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "exp/testbed.hpp"
+#include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "net/link.hpp"
 #include "net/network.hpp"
@@ -97,8 +98,9 @@ TEST(FluidGolden, SameSeedReportsMatchWithRtcp) {
 TEST(FluidGolden, PerSecondSeriesIdenticalInBothModes) {
   // The TimeSeriesSampler regression: every per-second row — active
   // channels, CPU, blocking, SIP and RTP rates — must be identical cell for
-  // cell. The pre-sample flush hook plus the pre-boundary guard make each
-  // row read fully settled, per-packet-equivalent state.
+  // cell. The engine's boundary timer returns every stream to per-packet
+  // mode a guard ahead of each row, so the row reads fully settled,
+  // per-packet-equivalent state.
   telemetry::Config tel_cfg;
   tel_cfg.tracing = false;
   telemetry::Telemetry tel_packet{tel_cfg};
@@ -148,8 +150,6 @@ struct FluidHysteresis : ::testing::Test {
   rtp::FluidConfig engine_config() const {
     rtp::FluidConfig config;
     config.enabled = true;
-    config.dwell = Duration::millis(200);
-    config.max_segment = Duration::seconds(10);
     return config;
   }
 };
@@ -161,6 +161,14 @@ TEST_F(FluidHysteresis, ImpairmentEditExitsAndDwellGatesReentry) {
   rtp::FluidEngine engine{simulator, engine_config()};
   engine.watch_link(link);
   engine.start();
+  // The impairment lands at 990 ms, off the 20 ms pacing grid, and is
+  // cleared at 3 s; the injector's pre-apply hook is the engine's transient
+  // trigger, as in an experiment.
+  fault::FaultInjector injector{
+      simulator, fault::FaultPlan::parse("@990ms link client loss=0.25\n@3s link client loss=0\n"),
+      {.client_link = &link}};
+  injector.set_pre_apply([&engine] { engine.on_transient(); });
+  injector.arm();
 
   std::uint64_t per_packet = 0;
   std::uint64_t batched = 0;
@@ -173,34 +181,30 @@ TEST_F(FluidHysteresis, ImpairmentEditExitsAndDwellGatesReentry) {
 
   // The first (marker) packet goes per-packet and anchors the stream; the
   // pacing tick is then suspended.
-  simulator.run_until(TimePoint::at(Duration::seconds(1)));
+  simulator.run_until(TimePoint::at(Duration::millis(900)));
   EXPECT_TRUE(sender.fluid_active());
   EXPECT_EQ(engine.active_streams(), 1u);
   EXPECT_EQ(per_packet, 1u);
 
-  // A FaultPlan-style impairment edit lands: the pre-change listener flushes
-  // the pending segment under the OLD config and drops to per-packet.
-  const fault::FaultPlan plan = fault::FaultPlan::parse("@0s link client loss=0.25");
-  net::LinkImpairment edit = plan.events().front().change;
-  link.apply_impairment(edit);
+  // The impairment edit lands: the pre-apply hook flushes the pending
+  // segment under the OLD config and drops to per-packet.
+  simulator.run_until(TimePoint::at(Duration::millis(990)));
   const std::uint64_t batched_at_edit = batched;
   EXPECT_FALSE(sender.fluid_active());
   EXPECT_EQ(engine.transients(), 1u);
   EXPECT_GT(batched_at_edit, 0u);
   // Everything due strictly before the edit was materialized.
-  EXPECT_EQ(per_packet + batched, 50u);  // 1s of G.711 at 20 ms ptime
+  EXPECT_EQ(per_packet + batched, 50u);  // 0..980 ms of G.711 at 20 ms ptime
 
   // Lossy path: per-packet simulation, no re-entry, however long we run.
-  simulator.run_until(TimePoint::at(Duration::seconds(3)));
+  simulator.run_until(TimePoint::at(Duration::millis(2'900)));
   EXPECT_FALSE(sender.fluid_active());
   EXPECT_EQ(batched, batched_at_edit);
   EXPECT_FALSE(engine.eligible());
 
   // Clearing the impairment is itself an edit; the dwell window then holds
   // the stream in per-packet mode (hysteresis, no enter/exit flapping).
-  net::LinkImpairment clear;
-  clear.loss_probability = 0.0;
-  link.apply_impairment(clear);
+  simulator.run_until(TimePoint::at(Duration::seconds(3)));
   EXPECT_EQ(engine.transients(), 2u);
   simulator.run_until(TimePoint::at(Duration::seconds(3) + Duration::millis(150)));
   EXPECT_FALSE(sender.fluid_active());  // still inside the 200 ms dwell
@@ -215,6 +219,25 @@ TEST_F(FluidHysteresis, ImpairmentEditExitsAndDwellGatesReentry) {
   const auto elapsed = simulator.now() - TimePoint::origin();
   EXPECT_EQ(per_packet + batched,
             static_cast<std::uint64_t>(elapsed / rtp::g711_ulaw().packet_interval()));
+}
+
+TEST_F(FluidHysteresis, OneLinkEditIsOneTransient) {
+  // A FaultPlan edit on a watched link reaches the engine once, through the
+  // injector's pre-apply hook: the link itself announces nothing.
+  network.attach(a);
+  network.attach(b);
+  net::Link& link = network.connect(a, b, {});
+  rtp::FluidEngine engine{simulator, engine_config()};
+  engine.watch_link(link);
+  engine.start();
+  fault::FaultInjector injector{simulator, fault::FaultPlan::parse("@1s link client loss=0.1\n"),
+                                {.client_link = &link}};
+  injector.set_pre_apply([&engine] { engine.on_transient(); });
+  injector.arm();
+  simulator.run_until(TimePoint::at(Duration::seconds(2)));
+  EXPECT_EQ(injector.events_applied(), 1u);
+  EXPECT_EQ(engine.transients(), 1u);
+  engine.stop();
 }
 
 TEST_F(FluidHysteresis, NearSaturationBacklogKeepsStreamsPerPacket) {
@@ -371,8 +394,7 @@ TEST(FluidClosedForm, SenderFlushChunksLongSegments) {
   sim::Simulator simulator;
   rtp::FluidConfig config;
   config.enabled = true;
-  config.max_segment = Duration::zero();  // no backstop: one giant segment
-  rtp::FluidEngine engine{simulator, config};
+  rtp::FluidEngine engine{simulator, config};  // not started: one giant segment
 
   std::uint64_t per_packet = 0;
   struct Batch {
@@ -404,26 +426,6 @@ TEST(FluidClosedForm, SenderFlushChunksLongSegments) {
   EXPECT_EQ(total, sender.packets_sent());
   EXPECT_EQ(total, 70'000u);  // everything due strictly before 1400 s
   sender.stop();
-}
-
-TEST(FluidClosedForm, SamplerPreSampleHookRunsBeforeEveryRow) {
-  sim::Simulator simulator;
-  telemetry::TimeSeriesSampler sampler;
-  std::uint64_t hooks = 0;
-  std::uint64_t settled = 0;
-  sampler.set_pre_sample_hook([&] {
-    ++hooks;
-    settled = hooks;  // what the probe must observe
-  });
-  sampler.add_gauge("settled", [&] { return static_cast<double>(settled); });
-  sampler.start(simulator, Duration::seconds(1));
-  simulator.run_until(TimePoint::at(Duration::millis(5'500)));
-  sampler.stop();
-  ASSERT_EQ(sampler.rows(), 5u);
-  EXPECT_EQ(hooks, 5u);
-  for (std::size_t r = 0; r < sampler.rows(); ++r) {
-    EXPECT_EQ(sampler.value(0, r), static_cast<double>(r + 1));
-  }
 }
 
 }  // namespace
