@@ -1,30 +1,16 @@
 #include "exp/topology.hpp"
 
 #include <algorithm>
-#include <array>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "exp/report_util.hpp"
 #include "net/portal.hpp"
-#include "net/trunk.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::exp {
 
 namespace {
-
-/// The hub's SIP hosts (caller, receiver, dispatcher) as seen from one side
-/// of a hub <-> backend boundary.
-using HostIds = std::array<net::NodeId, 3>;
-
-net::NodeId translate(net::NodeId id, const HostIds& from, const HostIds& to) {
-  for (std::size_t k = 0; k < from.size(); ++k) {
-    if (from[k] == id) return to[k];
-  }
-  throw std::logic_error{"topology: untranslatable node id"};
-}
 
 rtp::FluidConfig fluid_config(const Topology& topology) {
   rtp::FluidConfig config = topology.fluid;
@@ -40,20 +26,13 @@ struct Experiment::Remote {
   Shard shard;
   net::PortalNode portal;                      // P_i: the PBX's stand-in on the hub
   net::PortalNode to_switch{"portal-switch"};  // S_i: the switch's stand-in here
-  // Unlinked stand-ins so the backend resolver has ids for the hub's SIP
-  // hosts, in HostIds order; they never receive locally (the PBX is
-  // single-homed).
-  std::array<net::PortalNode, 3> stubs{net::PortalNode{"stub-sipp-client"},
-                                       net::PortalNode{"stub-sipp-server"},
-                                       net::PortalNode{"stub-dispatcher"}};
 };
 
 Experiment::Experiment(const Topology& topology)
     : topo_{topology},
       master_{topology.seed},
       hub_{master_.fork()},
-      fleet_(topology.backends.size() > 1 ? topology.backends.size() : 0),
-      backends_{fleet_.empty() ? std::span{&single_, topology.backends.size()} : std::span{fleet_}},
+      backends_(topology.backends.size()),
       fluid_{hub_.sim, fluid_config(topology)} {
   // Fork order: hub impairments, arrivals, then one impairment stream per
   // backend shard, so both placements offer the same arrival stream.
@@ -70,19 +49,19 @@ Experiment::Experiment(const Topology& topology)
       shard = &remotes_.emplace_back(std::make_unique<Remote>(master_.fork(), config.host))->shard;
       if (hub_.tel != nullptr) shard->tel = &shard->own.emplace(hub_.tel->config());
     }
-    backends_[i].emplace(config, *shard);
+    backends_[i].emplace(config, *shard, resolver_);
     hosts.push_back(config.host);
   }
-  caller_.emplace("sipp-client.unb.br", std::move(hosts), hub_.sim, hub_.resolver, ssrcs_,
+  caller_.emplace("sipp-client.unb.br", std::move(hosts), hub_.sim, resolver_, ssrcs_,
                   *topology.scenario, arrivals);
-  receiver_.emplace("sipp-server.unb.br", hub_.sim, hub_.resolver, ssrcs_, *topology.scenario);
+  receiver_.emplace("sipp-server.unb.br", hub_.sim, resolver_, ssrcs_, *topology.scenario);
   if (topology.dispatcher != nullptr) {
     // A real node on the LAN, so its OPTIONS probes cross the switch like
     // any other SIP traffic. Routing is redirect-style: the caller asks, then
     // talks to the backend directly, so the Fig. 2 ladder and the media path
     // are unchanged.
     dispatcher_.emplace("dispatcher.unb.br", topology.routes, *topology.dispatcher, hub_.sim,
-                        hub_.resolver);
+                        resolver_);
   }
 
   hub_.net.attach(lan_switch_);
@@ -149,15 +128,12 @@ void Experiment::connect_backend(std::size_t i, const net::LinkConfig& cross) {
   if (remotes_.empty()) {
     b.uplink = &hub_.net.connect(b.pbx, lan_switch_, topo_.uplink);
   } else {
+    // The backend shard knows each host by its hub id: the PBX is P_i and
+    // the switch's stand-in is the switch.
     Remote& r = *remotes_[i];
     b.uplink = &hub_.net.connect(r.portal, lan_switch_, cross);
-    hub_.resolver.add(b.pbx.sip_host(), r.portal.id());
-    r.shard.net.attach(r.to_switch);
-    for (net::PortalNode& stub : r.stubs) r.shard.net.attach(stub);
-    r.shard.resolver.add(caller_->sip_host(), r.stubs[0].id());
-    r.shard.resolver.add(receiver_->sip_host(), r.stubs[1].id());
-    if (dispatcher_) r.shard.resolver.add(dispatcher_->sip_host(), r.stubs[2].id());
-    r.shard.net.attach(b.pbx);
+    r.shard.net.attach(r.to_switch, lan_switch_.id());
+    r.shard.net.attach(b.pbx, r.portal.id());
     b.pbx_half = &r.shard.net.connect(b.pbx, r.to_switch, cross);
   }
   b.pbx.bind();
@@ -176,63 +152,24 @@ void Experiment::connect_backend(std::size_t i, const net::LinkConfig& cross) {
 
 void Experiment::wire_boundary(std::size_t i) {
   Remote& r = *remotes_[i];
-  const HostIds hub_hosts{caller_->id(), receiver_->id(),
-                          dispatcher_ ? dispatcher_->id() : net::kInvalidNode};
-  const HostIds be_hosts{r.stubs[0].id(), r.stubs[1].id(), r.stubs[2].id()};
-  const net::NodeId portal = r.portal.id();        // P_i: the pbx on the hub
-  const net::NodeId to_switch = r.to_switch.id();  // S_i: the switch on the backend
-  const net::NodeId pbx = backends_[i]->pbx.id();
-  const net::NodeId hub_switch = lan_switch_.id();
-  const std::size_t shard = i + 1;
   ShardExecutor* exec = &*exec_;
-
-  // hub -> backend: the packet was heading for portal P_i; it enters the
-  // backend shard off the uplink as a delivery to the pbx.
-  hub_.net.set_remote_sink(portal, [exec, hub_hosts, be_hosts, to_switch, pbx, shard,
-                                    into = &r.shard.net](net::Packet&& pkt, net::NodeId /*from*/,
-                                                         TimePoint deliver_at) {
-    if (pkt.kind == net::PacketKind::kTrunk) {
-      // Trunk shell off the hub half of the uplink: translate every
-      // aggregated frame like a bare delivery; the shell itself is link-local
-      // framing and just needs backend-valid endpoints.
-      net::remap_trunk_frames(pkt, [&](net::Packet& inner) {
-        inner.src = translate(inner.src, hub_hosts, be_hosts);
-        inner.dst = pbx;
-      });
-      pkt.src = to_switch;
-    } else {
-      pkt.src = translate(pkt.src, hub_hosts, be_hosts);
-    }
-    pkt.dst = pbx;
-    exec->post(0, shard, deliver_at.ns(), [into, p = std::move(pkt), to_switch] {
-      into->deliver(p, to_switch, p.dst);
-    });
-  });
-
-  // backend -> hub: the packet was heading for portal S_i; it enters the hub
-  // shard off the uplink as a delivery to the switch, which re-routes by dst
-  // (paying its processing delay) exactly as in the monolithic run.
-  r.shard.net.set_remote_sink(to_switch, [exec, hub_hosts, be_hosts, portal, pbx, hub_switch, shard,
-                                          into = &hub_.net](net::Packet&& pkt,
-                                                            net::NodeId /*from*/,
-                                                            TimePoint deliver_at) {
-    if (pkt.src != pbx) throw std::logic_error{"topology: unexpected backend egress source"};
-    pkt.src = portal;
-    if (pkt.kind == net::PacketKind::kTrunk) {
-      // The shell is unwrapped at the hub switch; each aggregated frame then
-      // re-routes by its own translated dst.
-      net::remap_trunk_frames(pkt, [&](net::Packet& inner) {
-        inner.src = portal;
-        inner.dst = translate(inner.dst, be_hosts, hub_hosts);
-      });
-      pkt.dst = hub_switch;
-    } else {
-      pkt.dst = translate(pkt.dst, be_hosts, hub_hosts);
-    }
-    exec->post(shard, 0, deliver_at.ns(), [into, p = std::move(pkt), portal, hub_switch] {
-      into->deliver(p, portal, hub_switch);
-    });
-  });
+  // A packet crosses as it is: every shard knows each host by the same id.
+  // It arrives over the far half of the uplink, from the portal's peer, at
+  // the host the portal stands for.
+  const auto sink = [exec](std::size_t src, std::size_t dst, net::Network* into, net::NodeId to) {
+    return [exec, src, dst, into, to](net::Packet&& pkt, net::NodeId from, TimePoint deliver_at) {
+      auto deliver = [into, p = std::move(pkt), from, to] { into->deliver(p, from, to); };
+      static_assert(sim::Callback::stores_inline<decltype(deliver)>(),
+                    "boundary delivery closure must stay on the allocation-free SBO path");
+      exec->post(src, dst, deliver_at.ns(), std::move(deliver));
+    };
+  };
+  const std::size_t shard = i + 1;
+  // hub -> backend: into the PBX.
+  hub_.net.set_remote_sink(r.portal.id(), sink(0, shard, &r.shard.net, r.portal.id()));
+  // backend -> hub: into the switch, which re-routes by dst (paying its
+  // processing delay) exactly as in the monolithic run.
+  r.shard.net.set_remote_sink(r.to_switch.id(), sink(shard, 0, &hub_.net, r.to_switch.id()));
 }
 
 void Experiment::arm_faults(Shard& shard, const fault::FaultTargets& targets) {

@@ -8,11 +8,13 @@
 // keeps it alive while the front end reads results back.
 //
 // A placement maps each backend to a shard: one sim::Simulator with its own
-// network, resolver, telemetry sink and fault injector. Monolithic runs put
-// every backend on shard 0 (no portals, native uplink propagation, and
+// network, telemetry sink and fault injector. Monolithic runs put every
+// backend on shard 0 (no portals, native uplink propagation, and
 // ShardExecutor's one-shard path is a plain run_until). Sharded runs put
 // backend i on shard 1 + i behind a portal pair on its uplink, with
-// cross-shard propagation floored to the executor lookahead.
+// cross-shard propagation floored to the executor lookahead. Either way a
+// host has one NodeId in every shard's network and one resolver names every
+// host, so a packet crosses a shard boundary unchanged.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +83,6 @@ class Experiment {
     explicit Shard(sim::Random impairment) : net{sim, std::move(impairment)} {}
     sim::Simulator sim;
     net::Network net;
-    sip::HostResolver resolver;
     std::optional<telemetry::Telemetry> own;  // a backend shard's private sink
     /// The enabled sink: the caller's on shard 0, else the private one; null
     /// when telemetry is off. A probe added before run() goes to the sink of
@@ -90,8 +91,8 @@ class Experiment {
     std::optional<fault::FaultInjector> injector;
   };
   struct Backend {
-    Backend(const pbx::PbxConfig& config, Shard& on)
-        : shard{on}, pbx{config, on.sim, on.resolver} {}
+    Backend(const pbx::PbxConfig& config, Shard& on, sip::HostResolver& resolver)
+        : shard{on}, pbx{config, on.sim, resolver} {}
     Shard& shard;
     pbx::AsteriskPbx pbx;
     net::Link* uplink{nullptr};    // switch side: the whole uplink, or its hub half
@@ -141,11 +142,9 @@ class Experiment {
   net::SwitchNode lan_switch_{"switch"};
   std::optional<net::WifiCell> wifi_;
   std::vector<std::unique_ptr<Remote>> remotes_;
-  // A Backend cannot move. A one-backend graph keeps its Backend inline (no
-  // heap work); a fleet keeps them in a vector sized once.
-  std::optional<Backend> single_;
-  std::vector<std::optional<Backend>> fleet_;
-  std::span<std::optional<Backend>> backends_;
+  // Written only while the graph is built; shard workers only read it.
+  sip::HostResolver resolver_;
+  std::vector<std::optional<Backend>> backends_;  // sized once: a Backend cannot move
   std::optional<loadgen::SipCaller> caller_;
   std::optional<loadgen::SipReceiver> receiver_;
   std::optional<dispatch::Dispatcher> dispatcher_;

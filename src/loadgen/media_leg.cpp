@@ -115,11 +115,11 @@ void SippHost::on_receive(const net::Packet& pkt) {
       MediaLeg& leg = *it->second;
       // Nominal per-packet arrivals: departure grid shifted by the constant
       // path latency the batch accumulated hop by hop.
-      const TimePoint first_arrival = batch->first_departure + batch->path_latency;
+      const TimePoint first_arrival = batch->first_departure + pkt.path_latency;
       leg.rx_.on_batch(batch->first, first_arrival, batch->spacing,
                        leg.codec_.timestamp_step(), pkt.batch);
       leg.jbuf_.on_batch(batch->first, first_arrival, batch->spacing, pkt.batch);
-      leg.transit_s_.add_repeated(batch->path_latency.to_seconds(), pkt.batch);
+      leg.transit_s_.add_repeated(pkt.path_latency.to_seconds(), pkt.batch);
     }
   } else if (pkt.kind == net::PacketKind::kRtcp) {
     if (const auto* rtcp = pkt.payload_as<rtp::RtcpPayload>()) {

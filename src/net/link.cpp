@@ -149,10 +149,10 @@ void Link::transmit_batch(NodeId from, Packet pkt) {
   dir.stats.busy_time += tx * static_cast<std::int64_t>(n);
   dir.stats.packets_sent += n;
   dir.stats.bytes_sent += static_cast<std::uint64_t>(pkt.size_bytes) * n;
-  add_batch_latency(pkt, tx + config_.propagation);
+  pkt.path_latency += tx + config_.propagation;
   if (network_.is_remote(to)) {
     // Cross-shard batch: the nominal per-packet timing is already in the
-    // payload; the executor clamps the hand-off to its next window so the
+    // packet; the executor clamps the hand-off to its next window so the
     // destination shard never sees it in its past.
     network_.deliver_remote(std::move(pkt), from, to, network_.simulator().now());
     return;
@@ -230,7 +230,6 @@ void Link::flush_trunk(NodeId from) {
   shell.dst = peer_of(from);
   shell.kind = PacketKind::kTrunk;
   shell.size_bytes = trunk_wire_size(payload->frames);
-  shell.sent_at = network_.simulator().now();
   shell.payload = std::move(payload);
   // The shell is one wire frame: it queues, serializes, and is lost or
   // jittered as a unit (losing it loses every call's frame for this window,

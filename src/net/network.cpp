@@ -10,18 +10,24 @@ namespace pbxcap::net {
 Network::Network(sim::Simulator& simulator, sim::Random impairment_rng)
     : simulator_{simulator}, rng_{impairment_rng} {}
 
-NodeId Network::attach(Node& node) {
+NodeId Network::attach(Node& node) { return attach(node, static_cast<NodeId>(nodes_.size())); }
+
+NodeId Network::attach(Node& node, NodeId id) {
   if (node.network_ != nullptr) throw std::logic_error{"Network::attach: node already attached"};
-  const auto id = static_cast<NodeId>(nodes_.size());
+  if (id == kInvalidNode) throw std::out_of_range{"Network::attach: bad id"};
+  if (attached(id)) throw std::logic_error{"Network::attach: id already taken"};
+  if (id >= nodes_.size()) {
+    nodes_.resize(id + 1, nullptr);
+    homing_.resize(id + 1);
+  }
   node.id_ = id;
   node.network_ = this;
-  nodes_.push_back(&node);
-  homing_.emplace_back();
+  nodes_[id] = &node;
   return id;
 }
 
 Node& Network::node(NodeId id) const {
-  if (id >= nodes_.size()) throw std::out_of_range{"Network::node: bad id"};
+  if (!attached(id)) throw std::out_of_range{"Network::node: no node attached under this id"};
   return *nodes_[id];
 }
 
@@ -62,18 +68,17 @@ void Network::send_from(NodeId src_node, Packet pkt) {
   if (homing.links > 1) {
     throw std::logic_error{"Network::send_from: multihomed node must transmit on a chosen link"};
   }
-  pkt.sent_at = simulator_.now();
   homing.first->transmit(src_node, std::move(pkt));
 }
 
 void Network::set_remote_sink(NodeId node, RemoteSink sink) {
-  if (node >= nodes_.size()) throw std::out_of_range{"Network::set_remote_sink: bad id"};
+  if (!attached(node)) throw std::out_of_range{"Network::set_remote_sink: bad id"};
   if (remote_.size() <= node) remote_.resize(nodes_.size());
   remote_[node] = std::move(sink);
 }
 
 void Network::add_tap(NodeId node, PacketTap tap) {
-  if (node >= nodes_.size()) throw std::out_of_range{"Network::add_tap: bad id"};
+  if (!attached(node)) throw std::out_of_range{"Network::add_tap: bad id"};
   if (node_taps_.size() <= node) node_taps_.resize(node + 1);
   node_taps_[node].push_back(std::move(tap));
 }

@@ -1,9 +1,15 @@
 // Network fabric: owns nodes, links, and the packet-level event plumbing.
 //
-// One Network per simulation run. It wires Node::send to the attached Link,
-// delivers packets through the Simulator, and exposes a tap interface so the
-// monitor module can observe deliveries (the Wireshark substitute): on the
-// whole network, or only on the hops into and out of one node.
+// One Network per simulator (one per shard of a sharded run). It wires
+// Node::send to the attached Link, delivers packets through the Simulator,
+// and exposes a tap interface so the monitor module can observe deliveries
+// (the Wireshark substitute): on the whole network, or only on the hops into
+// and out of one node.
+//
+// Node ids are one space across shards. A one-shard run numbers its nodes
+// densely from 0. A backend shard attaches each of its nodes under the id
+// the hub's network gave that host, so a packet's src and dst mean the same
+// host in every shard and cross a boundary unchanged.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +32,11 @@ namespace pbxcap::net {
 using PacketTap = std::function<void(const Packet& pkt, NodeId from, NodeId to)>;
 
 /// Cross-shard egress hook. A node with a remote sink is a *portal*: it
-/// stands in for a host simulated by another shard. Packets a Link would
-/// deliver to it are handed to the sink at transmit time together with the
-/// computed delivery timestamp, and become timestamped messages for the
-/// destination shard (see sim/shard.hpp) instead of local simulator events.
+/// stands in for a host simulated by another shard, under that host's id.
+/// Packets a Link would deliver to it are handed to the sink at transmit
+/// time together with the computed delivery timestamp, and become
+/// timestamped messages for the destination shard (see sim/shard.hpp)
+/// instead of local simulator events.
 using RemoteSink = std::function<void(Packet&& pkt, NodeId from, TimePoint deliver_at)>;
 
 class Network {
@@ -39,8 +46,14 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Registers a node; the Network does not own it. Returns its id.
+  /// Registers a node under the next id past the highest one in use; the
+  /// Network does not own it. Returns its id.
   NodeId attach(Node& node);
+  /// Registers a node under `id`, the id another shard's network already
+  /// gave the host it stands for, so a packet keeps its src and dst across
+  /// the boundary. Ids left unused in between stay empty. Throws if `id` is
+  /// taken.
+  NodeId attach(Node& node, NodeId id);
 
   /// Creates a link between two attached nodes. Non-switch nodes may have at
   /// most one link (hosts in Fig. 4 are single-homed).
@@ -74,6 +87,7 @@ class Network {
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
   [[nodiscard]] sim::Random& impairment_rng() noexcept { return rng_; }
 
+  /// Throws on an id no node is attached under.
   [[nodiscard]] Node& node(NodeId id) const;
   [[nodiscard]] const std::vector<std::unique_ptr<Link>>& links() const noexcept { return links_; }
   /// Links attached to `node_id`.
@@ -84,10 +98,13 @@ class Network {
 
  private:
   void fire_taps(const Packet& pkt, NodeId from, NodeId to) const;
+  [[nodiscard]] bool attached(NodeId id) const noexcept {
+    return id < nodes_.size() && nodes_[id] != nullptr;
+  }
 
   sim::Simulator& simulator_;
   sim::Random rng_;
-  std::vector<Node*> nodes_;
+  std::vector<Node*> nodes_;  // indexed by NodeId; null where no node is attached
   std::vector<std::unique_ptr<Link>> links_;
   // Per node (indexed by NodeId): its first link and how many it has, so a
   // host's send is one lookup, not a scan of every link.

@@ -36,7 +36,8 @@ enum class PacketKind : std::uint8_t { kSip, kRtp, kRtcp, kTrunk, kOther };
   return "?";
 }
 
-/// Base class for anything carried inside a Packet.
+/// Base class for anything carried inside a Packet. Each payload type
+/// derives from it directly and is final (see Packet::payload_as).
 struct Payload {
   Payload() = default;
   Payload(const Payload&) = default;
@@ -59,31 +60,31 @@ struct Packet {
   NodeId src{kInvalidNode};
   NodeId dst{kInvalidNode};
   PacketKind kind{PacketKind::kOther};
-  /// Fluid-mode batch marker: the packet stands for `batch` wire packets and
-  /// carries a BatchPayload; links/switches move it synchronously instead of
-  /// scheduling per-hop events. A link or switch tells a batch from a
-  /// single frame by this one byte, without looking at the payload.
+  /// Fluid-mode batch marker: the packet stands for `batch` wire packets;
+  /// links/switches move it synchronously instead of scheduling per-hop
+  /// events. A link or switch tells a batch from a single frame by this one
+  /// byte, without looking at the payload.
   bool fluid{false};
   /// Number of wire packets this Packet stands for. 1 for ordinary traffic;
-  /// >= 1 when `fluid`, with per-packet timing in the BatchPayload. Every
+  /// >= 1 when `fluid`, with the departure grid in the payload. Every
   /// counter along the path accrues `batch`, not 1.
   std::uint16_t batch{1};
   std::uint32_t size_bytes{0};  // full on-wire size including headers
-  TimePoint sent_at{};
+  /// Fluid batches only: the nominal one-way latency of each of its packets,
+  /// accumulated hop by hop while the batch crosses the topology with no
+  /// simulator events. Receivers reconstruct nominal arrivals from it.
+  Duration path_latency{};
   std::shared_ptr<const Payload> payload;
 
   /// Typed payload access; nullptr if the payload is of a different type.
-  /// A `final` T is matched by comparing type_info, which costs a pointer
-  /// compare on a hit instead of a dynamic_cast's walk of the hierarchy;
-  /// every payload type on the per-packet path is final.
+  /// Every payload type is final, so the match compares type_info: a
+  /// pointer compare on a hit instead of a dynamic_cast's walk of the
+  /// hierarchy.
   template <typename T>
   [[nodiscard]] const T* payload_as() const noexcept {
+    static_assert(std::is_final_v<T>, "payload_as matches final payload types only");
     const Payload* p = payload.get();
-    if constexpr (std::is_final_v<T>) {
-      return p != nullptr && typeid(*p) == typeid(T) ? static_cast<const T*>(p) : nullptr;
-    } else {
-      return dynamic_cast<const T*>(p);
-    }
+    return p != nullptr && typeid(*p) == typeid(T) ? static_cast<const T*>(p) : nullptr;
   }
 };
 
@@ -91,28 +92,6 @@ struct Packet {
 // context and must stay within sim::Callback's 64-byte inline buffer, so the
 // batch count has to live in existing padding rather than grow the struct.
 static_assert(sizeof(Packet) == 48, "Packet must stay within the SBO budget of hot closures");
-
-/// Base for batch payloads: carries the nominal per-packet one-way latency
-/// accumulated hop by hop while a batch traverses the topology synchronously
-/// (no simulator events). Hops that would delay a packet clone-and-add via
-/// add_batch_latency instead of scheduling; receivers reconstruct nominal
-/// arrival times from it.
-struct BatchPayload : Payload {
-  Duration path_latency{Duration::zero()};
-
-  [[nodiscard]] virtual std::shared_ptr<BatchPayload> clone_batch() const = 0;
-};
-
-/// Adds `extra` to the batch payload's accumulated path latency,
-/// copy-on-write (the original may still be referenced upstream). No-op for
-/// non-batch payloads.
-inline void add_batch_latency(Packet& pkt, Duration extra) {
-  if (const auto* batch = pkt.payload_as<BatchPayload>()) {
-    auto copy = batch->clone_batch();
-    copy->path_latency += extra;
-    pkt.payload = std::move(copy);
-  }
-}
 
 /// Full wire size for an application payload of `app_bytes`.
 [[nodiscard]] constexpr std::uint32_t wire_size(std::uint32_t app_bytes) noexcept {

@@ -1,13 +1,12 @@
 // Stand-in node for a host simulated by another shard.
 //
-// A sharded cluster run (exp/topology.cpp) keeps each shard's Network
-// self-contained: every remote host a shard talks to is represented by a
-// PortalNode in the local id space. Portals that sit on a cross-shard link
-// get a Network::set_remote_sink and never receive locally; portals that
-// exist only so the HostResolver has an id to hand out (the backend shards'
-// view of the caller bank) are never linked at all. Either way a local
-// delivery reaching on_receive indicates a wiring bug, so it is counted
-// rather than silently dropped.
+// A sharded cluster run (exp/topology.cpp) splits each uplink into two
+// half-links, one per shard. A PortalNode is the far end of a half-link: it
+// is attached under the id of the host it stands for (Network::attach(Node&,
+// NodeId)) and carries a Network::set_remote_sink, so packets addressed to
+// it leave for that host's shard unchanged and it never receives locally. A
+// local delivery reaching on_receive indicates a wiring bug, so it is
+// counted rather than silently dropped.
 #pragma once
 
 #include <cstdint>

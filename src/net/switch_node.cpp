@@ -37,7 +37,7 @@ void SwitchNode::on_receive(const Packet& pkt) {
     // Fluid batch: forward inline on the flush call stack; the per-packet
     // processing latency folds into the batch's nominal path latency.
     Packet batched = pkt;
-    add_batch_latency(batched, processing_delay_);
+    batched.path_latency += processing_delay_;
     out->transmit(id(), std::move(batched));
     return;
   }

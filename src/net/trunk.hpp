@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -34,8 +33,9 @@ inline constexpr std::uint32_t kTrunkMiniHeaderBytes = 4;
 inline constexpr std::uint32_t kTrunkStrippedPerPacketBytes = kWireOverheadBytes + 12;
 
 /// Shell payload: the media packets aggregated into one trunk frame, in
-/// arrival order. Each keeps its own src/dst/sent_at/payload untouched so
-/// the unwrap at the far end of the hop re-delivers them verbatim.
+/// arrival order. Each keeps its own src/dst/payload untouched so the
+/// unwrap at the far end of the hop (in this shard or the next) re-delivers
+/// them verbatim.
 struct TrunkPayload final : Payload {
   std::vector<Packet> frames;
 };
@@ -51,18 +51,6 @@ struct TrunkPayload final : Payload {
     app_bytes += kTrunkMiniHeaderBytes + carried;
   }
   return wire_size(app_bytes);
-}
-
-/// Applies `remap` to every aggregated frame (cross-shard NodeId
-/// translation). Copy-on-write: the shell's payload may still be referenced
-/// on the sending shard. No-op for non-trunk packets.
-template <typename Fn>
-void remap_trunk_frames(Packet& shell, Fn&& remap) {
-  const auto* trunk = shell.payload_as<TrunkPayload>();
-  if (trunk == nullptr) return;
-  auto copy = std::make_shared<TrunkPayload>(*trunk);
-  for (Packet& inner : copy->frames) remap(inner);
-  shell.payload = std::move(copy);
 }
 
 }  // namespace pbxcap::net

@@ -760,7 +760,7 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
   if (batch != nullptr) {
     // Deposit the relay cost at each packet's nominal arrival instant so
     // per-second CPU buckets match per-packet mode bit for bit.
-    cpu_.on_rtp_packets(batch->first_departure + batch->path_latency, batch->spacing,
+    cpu_.on_rtp_packets(batch->first_departure + pkt.path_latency, batch->spacing,
                         pkt.batch, extra);
   } else {
     cpu_.on_rtp_packet(now, extra);
@@ -790,6 +790,7 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
   out.kind = pkt.kind;
   out.fluid = pkt.fluid;
   out.batch = pkt.batch;
+  out.path_latency = pkt.path_latency;
   out.size_bytes = pkt.size_bytes;
   if (bridge.transcoded && is_media) {
     // Re-framed into the out-leg codec: the relayed copy leaves at that

@@ -29,16 +29,13 @@ struct RtpPayload final : net::Payload {
 /// Fluid-mode batch: stands for Packet::batch consecutive RTP packets of one
 /// stream. Packet i (0-based) has header fields first.{sequence,timestamp}
 /// advanced i steps, nominal departure first_departure + i * spacing, and
-/// nominal arrival departure + path_latency (accumulated hop by hop). The
+/// nominal arrival departure + the carrying Packet's path_latency. The
+/// payload is immutable from the sender on, so every hop shares it. The
 /// headers themselves are never materialized; receivers apply the closed
 /// forms over the whole run of packets.
-struct RtpBatchPayload final : net::BatchPayload {
+struct RtpBatchPayload final : net::Payload {
   RtpBatchPayload(RtpHeader first_header, Duration packet_spacing, TimePoint departure)
       : first{first_header}, spacing{packet_spacing}, first_departure{departure} {}
-
-  [[nodiscard]] std::shared_ptr<net::BatchPayload> clone_batch() const override {
-    return std::make_shared<RtpBatchPayload>(*this);
-  }
 
   RtpHeader first;
   Duration spacing{};

@@ -12,13 +12,12 @@
 // Wall-clock figures (timed_ns, latency histogram) are host noise by nature
 // and are kept in separate fields that exporters can exclude.
 //
-// Overhead contract: with no profile attached the fire path pays one
-// predictable null-pointer branch (benched in bench_telemetry_overhead,
-// <= 2%). With a profile attached every fire pays one slot increment plus a
-// mask test on the incremented count; only every `sample_period`-th fire of
-// a category is bracketed with steady_clock reads (enabled-path budget
-// <= 5% on the Table-I macro workload: perfbench's telemetry.overhead_pct
-// for table1-packet).
+// Cost: with no profile attached the fire path pays one predictable
+// null-pointer branch, which is not measured on its own. With a profile
+// attached every fire pays one slot increment plus a mask test on the
+// incremented count; only every `sample_period`-th fire of a category is
+// bracketed with steady_clock reads. perfbench's telemetry.overhead_pct
+// measures that enabled cost on the Table-I workload (table1-packet).
 #pragma once
 
 #include <array>

@@ -3,9 +3,10 @@
 //
 // Components take a nullable `Telemetry*` via set_telemetry(): with nullptr
 // they register nothing and every instrumentation site reduces to one
-// predictable null-handle branch — the fully-disabled path measured by
-// bench_telemetry_overhead. Not thread-safe: like the Simulator,
-// each run owns its own instance; parallelism happens across runs.
+// predictable null-handle branch, which is not measured on its own
+// (perfbench's telemetry.overhead_pct measures the enabled cost). Not
+// thread-safe: like the Simulator, each run owns its own instance;
+// parallelism happens across runs.
 #pragma once
 
 #include <cstddef>

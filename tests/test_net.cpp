@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -59,6 +61,59 @@ TEST_F(NetFixture, DirectLinkDelivers) {
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0].size_bytes, 1000u);
   EXPECT_EQ(b.received[0].src, a.id());
+}
+
+TEST_F(NetFixture, AttachUnderATakenIdThrows) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  SinkNode c{"c"};
+  EXPECT_EQ(network.attach(a), 0u);
+  EXPECT_EQ(network.attach(b, 5), 5u);
+  EXPECT_THROW(network.attach(c, 0), std::logic_error);
+  EXPECT_THROW(network.attach(c, 5), std::logic_error);
+  EXPECT_THROW(network.attach(c, net::kInvalidNode), std::out_of_range);
+  EXPECT_EQ(c.network(), nullptr);  // a refused attach leaves the node detached
+  EXPECT_EQ(network.attach(c, 3), 3u);
+  EXPECT_EQ(&network.node(0), &a);
+  EXPECT_EQ(&network.node(3), &c);
+  EXPECT_EQ(&network.node(5), &b);
+}
+
+TEST_F(NetFixture, NodeOnAGapThrows) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  network.attach(a, 2);
+  for (const net::NodeId gap : {0u, 1u, 3u}) {
+    EXPECT_THROW((void)network.node(gap), std::out_of_range) << "id " << gap;
+  }
+  EXPECT_THROW(network.add_tap(1, [](const Packet&, net::NodeId, net::NodeId) {}),
+               std::out_of_range);
+  EXPECT_THROW(network.set_remote_sink(1, [](Packet&&, net::NodeId, TimePoint) {}),
+               std::out_of_range);
+  EXPECT_EQ(network.attach(b), 3u);  // the dense path continues past the highest id
+}
+
+TEST_F(NetFixture, NodeUnderAForeignIdSendsAndReceives) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  network.attach(a, 7);
+  network.attach(b, 2);
+  network.connect(a, b, {});
+  std::vector<std::pair<net::NodeId, net::NodeId>> hops;
+  network.add_tap(7, [&hops](const Packet&, net::NodeId from, net::NodeId to) {
+    hops.emplace_back(from, to);
+  });
+  a.transmit_to(2, 100);
+  b.transmit_to(7, 100);
+  simulator.run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].src, 7u);
+  EXPECT_EQ(b.received[0].dst, 2u);
+  ASSERT_EQ(a.received.size(), 1u);
+  EXPECT_EQ(a.received[0].src, 2u);
+  EXPECT_EQ(a.received[0].dst, 7u);
+  EXPECT_EQ(hops, (std::vector<std::pair<net::NodeId, net::NodeId>>{{7, 2}, {2, 7}}));
+  EXPECT_EQ(network.packets_delivered(), 2u);
 }
 
 TEST_F(NetFixture, SerializationPlusPropagationDelay) {

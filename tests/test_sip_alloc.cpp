@@ -80,8 +80,8 @@ TEST(SipAllocationBudget, PerCompletedCallStaysUnderTheBound) {
               static_cast<unsigned long long>(setup.allocs),
               static_cast<unsigned long long>(run.allocs),
               static_cast<unsigned long long>(run.completed), per_call);
-  // Measured 291.8 per call; the bound sits just above it.
-  constexpr double kBudgetPerCall = 300.0;
+  // Measured 267.9 per call; the bound sits just above it.
+  constexpr double kBudgetPerCall = 275.0;
   EXPECT_LE(per_call, kBudgetPerCall);
 }
 

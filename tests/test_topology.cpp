@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "exp/cluster.hpp"
@@ -258,8 +259,7 @@ TEST(TopologyDigest, ClusterFluidTrunkedG729) {
                  0x4e14763d01e494fcULL, 0xdd601b57685c3955ULL);
 }
 
-TEST(TopologyDigest, ClusterAcd) {
-  auto config = small_cluster();
+exp::ClusterConfig acd_queue(exp::ClusterConfig config) {
   config.scenario.acd.fraction = 0.5;
   config.scenario.acd.queue = "support";
   config.acd.enabled = true;
@@ -267,7 +267,11 @@ TEST(TopologyDigest, ClusterAcd) {
   queue.name = "support";
   queue.agents = {pbx::AcdAgentSpec{.count = 3}};
   config.acd.queues = {queue};
-  expect_digests(cluster_digests(config, {}),
+  return config;
+}
+
+TEST(TopologyDigest, ClusterAcd) {
+  expect_digests(cluster_digests(acd_queue(small_cluster()), {}),
                  0xf8f73fd0aa239c3fULL, 0x57d9a245d6c7f01fULL);
 }
 
@@ -304,6 +308,120 @@ TEST(TopologyDigest, ShardedTrunkedG729) {
                          0xc202aafd962bd1b6ULL, 0x22dc6b9c0d21d8d4ULL);
 }
 
+// ---- sharded vs monolithic --------------------------------------------------
+
+/// What two placements of one cluster must agree on: every call outcome and
+/// the SIP/RTP census at the PBX NICs, by name so a mismatch reads clearly.
+using Census = std::vector<std::pair<std::string_view, std::int64_t>>;
+
+Census census(const monitor::ExperimentReport& r) {
+  const auto i = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+  return {{"attempted", i(r.calls_attempted)},
+          {"completed", i(r.calls_completed)},
+          {"blocked", i(r.calls_blocked)},
+          {"failed", i(r.calls_failed)},
+          {"retried", i(r.calls_retried)},
+          {"rejected_488", i(r.codec_rejections_488)},
+          {"acd_served", i(r.acd.served)},
+          {"acd_abandoned", i(r.acd.abandoned)},
+          {"acd_timed_out", i(r.acd.timed_out)},
+          {"acd_voicemail", i(r.acd.voicemail)},
+          {"acd_blocked_full", i(r.acd.blocked_full)},
+          {"channels_peak", i(r.channels_peak)},
+          {"sip_total", i(r.sip_total)},
+          {"sip_invite", i(r.sip_invite)},
+          {"sip_100", i(r.sip_100)},
+          {"sip_180", i(r.sip_180)},
+          {"sip_200", i(r.sip_200)},
+          {"sip_ack", i(r.sip_ack)},
+          {"sip_bye", i(r.sip_bye)},
+          {"sip_errors", i(r.sip_errors)},
+          {"sip_retransmissions", i(r.sip_retransmissions)},
+          {"rtp_packets_at_pbx", i(r.rtp_packets_at_pbx)},
+          {"rtp_relayed", i(r.rtp_relayed)}};
+}
+
+Census cluster_census(exp::ClusterConfig config, bool sharded) {
+  config.shard.enabled = sharded;
+  config.shard.threads = 1;  // the digests above pin every worker count to one result
+  return census(exp::run_cluster(config).report);
+}
+
+/// The fields where `a` and `b` differ, as a - b.
+Census minus(const Census& a, const Census& b) {
+  Census out;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].second != b[k].second) out.emplace_back(a[k].first, a[k].second - b[k].second);
+  }
+  return out;
+}
+
+/// The backends and dispatcher routes of a homogeneous cluster, named and
+/// weighted as run_cluster names and weights them.
+struct Fleet {
+  std::vector<pbx::PbxConfig> backends;
+  std::vector<dispatch::BackendConfig> routes;
+};
+
+Fleet fleet_of(const exp::ClusterConfig& config) {
+  Fleet fleet;
+  fleet.backends.resize(config.servers);
+  for (std::size_t i = 0; i < fleet.backends.size(); ++i) {
+    fleet.backends[i].host = util::format("pbx%u.unb.br", static_cast<unsigned>(i));
+    fleet.backends[i].max_channels = config.channels_per_server;
+    fleet.routes.push_back({fleet.backends[i].host, config.channels_per_server});
+  }
+  return fleet;
+}
+
+/// dispatcher_crash(small_cluster()) built the way run_cluster builds it,
+/// monolithic, with its uplinks' propagation raised to the 1 ms lookahead
+/// that the sharded placement floors them to.
+Census floored_dispatcher_crash() {
+  const exp::ClusterConfig config = dispatcher_crash(small_cluster());
+  Fleet fleet = fleet_of(config);
+  const exp::Topology topology{.scenario = &config.scenario,
+                               .seed = config.seed,
+                               .drain = config.drain,
+                               .backends = fleet.backends,
+                               .uplink = {.propagation = config.shard.lookahead},
+                               .dispatcher = &config.dispatcher,
+                               .routes = std::move(fleet.routes),
+                               .faults = config.faults,
+                               .fault_backend = config.fault_backend};
+  exp::Experiment experiment{topology};  // keeps a reference to `topology`
+  experiment.run();
+  return census(experiment.report());
+}
+
+TEST(TopologyPlacement, ShardedMatchesMonolithic) {
+  auto fluid = small_cluster();
+  fluid.fluid.enabled = true;
+  auto fluid_trunked = trunked_g729(small_cluster());
+  fluid_trunked.fluid.enabled = true;
+  const std::vector<std::pair<const char*, exp::ClusterConfig>> cases{
+      {"dns", small_cluster()},
+      {"fluid", fluid},
+      {"fluid trunked g729", fluid_trunked},
+      {"acd", acd_queue(small_cluster())}};
+  for (const auto& [name, config] : cases) {
+    SCOPED_TRACE(name);
+    const Census monolithic = cluster_census(config, false);
+    EXPECT_GT(monolithic[1].second, 0);  // calls completed
+    EXPECT_EQ(cluster_census(config, true), monolithic);
+  }
+
+  // The crash at 8 s cuts media mid-flight, so the uplink delay shows: the
+  // monolithic run at its native 5 us uplinks gets 2 more packets to the
+  // PBX and relays 4 more than the sharded run, whose uplinks are floored
+  // to 1 ms. Floored to 1 ms, the monolithic run matches exactly.
+  const auto crash = dispatcher_crash(small_cluster());
+  const Census sharded = cluster_census(crash, true);
+  EXPECT_EQ(floored_dispatcher_crash(), sharded);
+  EXPECT_EQ(minus(cluster_census(crash, false), sharded),
+            (Census{{"rtp_packets_at_pbx", 2}, {"rtp_relayed", 4}}));
+}
+
 // ---- hop conservation -------------------------------------------------------
 
 /// Builds and runs `topology` to its horizon; every call has ended by then,
@@ -329,21 +447,15 @@ TEST(HopConservation, DrainedDispatcherCluster) {
   // The dispatcher probes every backend once a second, to the end of the
   // run: end half-way between two probe rounds, when none is in flight.
   config.drain += Duration::millis(500);
-  std::vector<pbx::PbxConfig> backends(config.servers);
-  std::vector<dispatch::BackendConfig> routes;
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    backends[i].host = util::format("pbx%u.unb.br", static_cast<unsigned>(i));
-    backends[i].max_channels = config.channels_per_server;
-    routes.push_back({backends[i].host, config.channels_per_server});
-  }
+  Fleet fleet = fleet_of(config);
   dispatch::DispatcherConfig dispatcher;
   dispatcher.policy = dispatch::Policy::kLeastLoaded;
   EXPECT_EQ(run_hop_imbalances({.scenario = &config.scenario,
                                 .seed = config.seed,
                                 .drain = config.drain,
-                                .backends = backends,
+                                .backends = fleet.backends,
                                 .dispatcher = &dispatcher,
-                                .routes = std::move(routes)}),
+                                .routes = std::move(fleet.routes)}),
             std::vector<std::string>{});
 }
 

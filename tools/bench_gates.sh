@@ -71,10 +71,9 @@ cmds[profile]='$B/tools/pbxcap profile 100 --window 30 --json-out profile.json -
 outputs[profile]="profile.json profile_counters.json"
 checks[profile]='python3 $T/check_telemetry.py --profile profile.json $T/profile_events.json'
 
-targets[perf]="bench_perf_engine bench_telemetry_overhead"
-cmds[perf]='$B/bench/bench_perf_engine --benchmark_out=perf.json --benchmark_out_format=json --benchmark_format=console
-$B/bench/bench_telemetry_overhead --json telemetry_overhead.json'
-archive[perf]="perf.json:BENCH_perf.json telemetry_overhead.json:BENCH_telemetry_overhead.json"
+targets[perf]="bench_perf_engine"
+cmds[perf]='$B/bench/bench_perf_engine --benchmark_out=perf.json --benchmark_out_format=json --benchmark_format=console'
+archive[perf]="perf.json:BENCH_perf.json"
 
 # Lines carrying host timing; everything else must match byte for byte.
 wall_filter='(wall_[a-z_]*s|speedup)'
