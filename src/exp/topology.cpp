@@ -25,7 +25,9 @@ struct Experiment::Remote {
       : shard{std::move(impairment)}, portal{"portal-" + host} {}
   Shard shard;
   net::PortalNode portal;                      // P_i: the PBX's stand-in on the hub
-  net::PortalNode to_switch{"portal-switch"};  // S_i: the switch's stand-in here
+  // S_i: the switch's stand-in here. It pays the switch's delay, so the hub
+  // receives each packet when the switch would finish processing it.
+  net::PortalNode to_switch{"portal-switch", net::SwitchNode::kProcessingDelay};
 };
 
 Experiment::Experiment(const Topology& topology)
@@ -167,8 +169,8 @@ void Experiment::wire_boundary(std::size_t i) {
   const std::size_t shard = i + 1;
   // hub -> backend: into the PBX.
   hub_.net.set_remote_sink(r.portal.id(), sink(0, shard, &r.shard.net, r.portal.id()));
-  // backend -> hub: into the switch, which re-routes by dst (paying its
-  // processing delay) exactly as in the monolithic run.
+  // backend -> hub: into the switch, which re-routes by dst exactly as in
+  // the monolithic run; the delivery time already includes its delay.
   r.shard.net.set_remote_sink(r.to_switch.id(), sink(shard, 0, &hub_.net, r.to_switch.id()));
 }
 
@@ -349,7 +351,12 @@ std::vector<std::string> Experiment::hop_imbalances() const {
       for (const net::NodeId end : {link->endpoint_a(), link->endpoint_b()}) {
         const net::LinkDirectionStats& stats = link->stats_from(end);
         sent += stats.packets_sent;
-        if (hub && end == sw) egress += stats.packets_sent + stats.dropped_total();
+        // A trunk shell counts once as sent or dropped; the switch
+        // forwarded each packet inside it.
+        if (hub && end == sw) {
+          egress += stats.packets_sent + stats.dropped_total() - stats.trunk_frames +
+                    stats.trunk_mini_frames;
+        }
       }
     }
   };

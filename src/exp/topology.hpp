@@ -75,6 +75,8 @@ struct Topology {
 class Experiment {
  public:
   explicit Experiment(const Topology& topology);
+  /// A temporary Topology would dangle: the Experiment keeps a reference.
+  Experiment(const Topology&&) = delete;
   ~Experiment();
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
@@ -123,9 +125,9 @@ class Experiment {
 
   /// Hop conservation of a finished run with no traffic left in flight: the
   /// LAN switch forwarded exactly what its egress directions sent or
-  /// dropped, and, without trunking, the shards' networks delivered exactly
-  /// what their links sent. One line per broken identity; empty when both
-  /// hold.
+  /// dropped, a trunk shell counting the packets inside it, and, without
+  /// trunking, the shards' networks delivered exactly what their links
+  /// sent. One line per broken identity; empty when both hold.
   [[nodiscard]] std::vector<std::string> hop_imbalances() const;
 
  private:

@@ -29,9 +29,6 @@ void FaultInjector::arm() {
   if (armed_) return;
   armed_ = true;
   const sim::CategoryScope cat_scope{simulator_, sim::Category::kFault};
-  for (const FaultEvent& event : plan_.events()) {
-    if (net::Link* link = link_for(event)) link->announce_edit(TimePoint::at(event.at));
-  }
   for (std::size_t i = 0; i < plan_.events().size(); ++i) {
     const auto fire = [this, i] { apply(plan_.events()[i]); };
     static_assert(sim::Callback::stores_inline<decltype(fire)>());

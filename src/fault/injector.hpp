@@ -38,8 +38,7 @@ class FaultInjector {
  public:
   FaultInjector(sim::Simulator& simulator, FaultPlan plan, FaultTargets targets);
 
-  /// Schedules every plan event at its absolute simulated time, and
-  /// announces each link edit to its link (Link::announce_edit). Call once,
+  /// Schedules every plan event at its absolute simulated time. Call once,
   /// before (or at) t = 0 of the run.
   void arm();
 

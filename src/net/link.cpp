@@ -32,6 +32,8 @@ Link::Link(Network& network, NodeId a, NodeId b, const LinkConfig& config)
   if (config.queue_limit_packets == 0) {
     throw std::invalid_argument{"Link: queue limit must be at least 1"};
   }
+  directions_[0].receive_delay = network.node(b).receive_delay();
+  directions_[1].receive_delay = network.node(a).receive_delay();
 }
 
 void Link::apply_impairment(const LinkImpairment& impairment) {
@@ -60,10 +62,6 @@ void Link::apply_impairment(const LinkImpairment& impairment) {
   if (impairment.blackout) blackout_ = *impairment.blackout;
 }
 
-void Link::announce_edit(TimePoint at) {
-  edits_.insert(std::upper_bound(edits_.begin(), edits_.end(), at), at);
-}
-
 Link::Direction& Link::direction_from(NodeId from) {
   if (from == a_) return directions_[0];
   if (from == b_) return directions_[1];
@@ -75,17 +73,12 @@ void Link::drain(const Direction& dir) const {
   auto& frames = dir.frames;
   frames.erase(frames.begin(),
                std::find_if(frames.begin(), frames.end(),
-                            [now](const Frame& f) { return f.serialized > now; }));
+                            [now](TimePoint serialized) { return serialized > now; }));
 }
 
 std::uint32_t Link::in_flight(const Direction& dir) const {
   drain(dir);
-  // Frames folded ahead of their offer time sit at the back; they are not
-  // on the link yet.
-  const TimePoint now = network_.simulator().now();
-  auto offered = dir.frames.end();
-  while (offered != dir.frames.begin() && std::prev(offered)->offered > now) --offered;
-  return static_cast<std::uint32_t>(offered - dir.frames.begin());
+  return static_cast<std::uint32_t>(dir.frames.size());
 }
 
 Duration Link::tx_time(Direction& dir, std::uint32_t bytes) {
@@ -95,20 +88,6 @@ Duration Link::tx_time(Direction& dir, std::uint32_t bytes) {
         Duration::from_seconds(static_cast<double>(bytes) * 8.0 / config_.bandwidth_bps);
   }
   return dir.tx_memo;
-}
-
-bool Link::folds(const Direction& dir, TimePoint at) const {
-  // A step still pending offers its frame first; trunking flushes on the
-  // clock's grid; loss and jitter draw from the network's shared RNG, whose
-  // draws must keep their order.
-  if (dir.steps_pending != 0 || config_.trunk_window > Duration::zero() ||
-      config_.loss_probability > 0.0 || config_.jitter_stddev > Duration::zero() ||
-      config_.jitter_mean > Duration::zero()) {
-    return false;
-  }
-  // An edit before now has been applied; one at now may still be pending.
-  const auto next = std::lower_bound(edits_.begin(), edits_.end(), network_.simulator().now());
-  return next == edits_.end() || *next > at;
 }
 
 std::uint32_t Link::backlog_from(NodeId from) const {
@@ -135,9 +114,10 @@ void Link::transmit_batch(NodeId from, Packet pkt) {
   // traffic) over a steady-state link (no loss, no jitter, backlog below the
   // near-saturation threshold — the engine's entry conditions). Each packet
   // would have serialized on an otherwise idle medium, so the per-packet
-  // latency is the nominal tx_time + propagation; stats accrue exactly as
-  // per-packet mode would have accrued them, and delivery happens inline on
-  // the flush call stack — no simulator events, no backlog churn.
+  // latency is the nominal tx_time + propagation + the receiver's delay;
+  // stats accrue exactly as per-packet mode would have accrued them, and
+  // delivery happens inline on the flush call stack — no simulator events,
+  // no backlog churn.
   Direction& dir = direction_from(from);
   const NodeId to = peer_of(from);
   if (blackout_) {
@@ -149,7 +129,7 @@ void Link::transmit_batch(NodeId from, Packet pkt) {
   dir.stats.busy_time += tx * static_cast<std::int64_t>(n);
   dir.stats.packets_sent += n;
   dir.stats.bytes_sent += static_cast<std::uint64_t>(pkt.size_bytes) * n;
-  pkt.path_latency += tx + config_.propagation;
+  pkt.path_latency += tx + config_.propagation + dir.receive_delay;
   if (network_.is_remote(to)) {
     // Cross-shard batch: the nominal per-packet timing is already in the
     // packet; the executor clamps the hand-off to its next window so the
@@ -173,25 +153,7 @@ void Link::transmit(NodeId from, Packet pkt) {
     enqueue_trunk(from, std::move(pkt));
     return;
   }
-  transmit_now(from, std::move(pkt), network_.simulator().now());
-}
-
-void Link::forward(NodeId from, Packet pkt, Duration delay) {
-  Direction& dir = direction_from(from);
-  auto& sim = network_.simulator();
-  const TimePoint at = sim.now() + delay;
-  if (folds(dir, at)) {
-    transmit_now(from, std::move(pkt), at);
-    return;
-  }
-  ++dir.steps_pending;
-  auto step = [this, from, pkt = std::move(pkt)]() mutable {
-    --direction_from(from).steps_pending;
-    transmit(from, std::move(pkt));
-  };
-  static_assert(sim::Callback::stores_inline<decltype(step)>(),
-                "switch step closure must stay on the allocation-free SBO path");
-  sim.schedule_at(at, std::move(step));
+  transmit_now(from, std::move(pkt));
 }
 
 void Link::enqueue_trunk(NodeId from, Packet pkt) {
@@ -234,10 +196,10 @@ void Link::flush_trunk(NodeId from) {
   // The shell is one wire frame: it queues, serializes, and is lost or
   // jittered as a unit (losing it loses every call's frame for this window,
   // exactly like a real trunk datagram).
-  transmit_now(from, std::move(shell), network_.simulator().now());
+  transmit_now(from, std::move(shell));
 }
 
-void Link::transmit_now(NodeId from, Packet pkt, TimePoint at) {
+void Link::transmit_now(NodeId from, Packet pkt) {
   Direction& dir = direction_from(from);
   const NodeId to = peer_of(from);
   auto& sim = network_.simulator();
@@ -250,24 +212,20 @@ void Link::transmit_now(NodeId from, Packet pkt, TimePoint at) {
     return;
   }
 
-  // Drop-tail: refuse the packet if the serialization backlog is full at
-  // its offer time. Every frame ahead of it is already queued (forward()
-  // folds only then); those done serializing by `at` no longer count.
+  // Drop-tail: refuse the packet if the serialization backlog is full; the
+  // frames done serializing by now no longer count.
   drain(dir);
   auto& frames = dir.frames;
-  const auto ahead = std::find_if(frames.begin(), frames.end(),
-                                  [at](const Frame& f) { return f.serialized > at; });
-  if (static_cast<std::uint32_t>(frames.end() - ahead) >= config_.queue_limit_packets) {
+  if (frames.size() >= config_.queue_limit_packets) {
     ++dir.stats.dropped_queue_full;
     return;
   }
 
-  // The frame starts when the medium frees up: at its offer time, or the
-  // end of the youngest frame still serializing.
+  // The frame starts when the medium frees up: now, or the end of the
+  // youngest frame still serializing.
   const Duration tx = tx_time(dir, pkt.size_bytes);
-  const TimePoint start = frames.empty() ? at : std::max(at, frames.back().serialized);
-  const TimePoint serialized = start + tx;
-  frames.push_back({at, serialized});
+  const TimePoint serialized = (frames.empty() ? sim.now() : frames.back()) + tx;
+  frames.push_back(serialized);
   dir.stats.busy_time += tx;
 
   // Random loss still consumes the medium (the frame is sent, then lost),
@@ -283,7 +241,7 @@ void Link::transmit_now(NodeId from, Packet pkt, TimePoint at) {
     extra = Duration::from_seconds(std::max(0.0, jitter_s));
   }
 
-  const TimePoint delivery = serialized + config_.propagation + extra;
+  const TimePoint delivery = serialized + config_.propagation + extra + dir.receive_delay;
   // The hop's one wire event, the delivery, is attributed by packet kind, so
   // the profiler splits link traffic into signalling vs media regardless of
   // which subsystem's callback sent the packet.

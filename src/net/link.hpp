@@ -69,20 +69,15 @@ struct LinkDirectionStats {
 
 class Link {
  public:
-  /// Built by Network::connect; `a` and `b` are the endpoints' node ids.
+  /// Built by Network::connect; `a` and `b` are the endpoints' node ids,
+  /// both attached to `network`. Each direction adds its receiver's
+  /// Node::receive_delay to every delivery.
   Link(Network& network, NodeId a, NodeId b, const LinkConfig& config);
 
   /// Transmits `pkt` from endpoint `from` toward the opposite endpoint.
-  /// Applies queueing, serialization delay, propagation, loss and jitter.
+  /// Applies queueing, serialization delay, propagation, loss, jitter and
+  /// the receiver's delay.
   void transmit(NodeId from, Packet pkt);
-
-  /// Transmits per-packet `pkt` from `from` once `delay` has passed: the
-  /// processing step of a forwarding node that alone transmits in this
-  /// direction and always waits the same `delay` (SwitchNode). Where the
-  /// result is the same, the frame is queued at once with offer time
-  /// now + delay and no event is scheduled; otherwise one step event calls
-  /// transmit() then. switch_node.hpp gives the exactness argument.
-  void forward(NodeId from, Packet pkt, Duration delay);
 
   [[nodiscard]] NodeId endpoint_a() const noexcept { return a_; }
   [[nodiscard]] NodeId endpoint_b() const noexcept { return b_; }
@@ -94,26 +89,17 @@ class Link {
   /// packets already serialized keep their original delivery schedule.
   /// Validates like the constructor; throws std::invalid_argument on bad
   /// values (non-positive bandwidth, zero queue limit, loss outside [0,1]).
-  /// An edit made while frames flow must be announced with announce_edit()
-  /// when it is armed: forward() queues a frame ahead of its offer time
-  /// and must know whether an edit lands before that offer. The link tells
-  /// no one of the edit: a link the fluid engine watches must be edited
-  /// through a FaultInjector whose pre-apply hook flushes the engine first.
+  /// The link tells no one of the edit: a link the fluid engine watches
+  /// must be edited through a FaultInjector whose pre-apply hook flushes the
+  /// engine first.
   void apply_impairment(const LinkImpairment& impairment);
-
-  /// Announces that apply_impairment will be called at `at`. Until then,
-  /// forward() keeps the step event of every frame offered at or after
-  /// `at`, so the edit applies to it exactly as without the fold.
-  void announce_edit(TimePoint at);
 
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool blacked_out() const noexcept { return blackout_; }
   /// Packets queued or in serialization in the `from`->peer direction (the
   /// fluid engine's near-saturation signal). A frame leaves the backlog at
   /// its serialization end: a read at exactly that instant no longer counts
-  /// it, whatever the order of the events sharing the timestamp. A frame
-  /// that forward() queued ahead of its offer time joins the backlog at
-  /// that offer time, as it would have without the fold.
+  /// it, whatever the order of the events sharing the timestamp.
   [[nodiscard]] std::uint32_t backlog_from(NodeId from) const;
   /// Stats for the direction whose source is `from`.
   [[nodiscard]] const LinkDirectionStats& stats_from(NodeId from) const;
@@ -123,23 +109,17 @@ class Link {
   [[nodiscard]] double utilization_from(NodeId from, TimePoint now) const;
 
  private:
-  /// A frame accepted onto the wire.
-  struct Frame {
-    TimePoint offered;     // its offer time; after now while folded ahead of it
-    TimePoint serialized;  // when its last bit leaves
-  };
-
   struct Direction {
-    /// The frames accepted onto the wire, oldest first. One sender and FIFO
-    /// serialization make both times ascending, so the drained frames
-    /// (serialized <= now) are a prefix, which the readers erase: the medium
+    /// When each frame accepted onto the wire ends serializing, oldest
+    /// first. FIFO serialization makes the times ascending, so the drained
+    /// frames (end <= now) are a prefix, which the readers erase: the medium
     /// needs no event of its own when a frame finishes serializing. The
     /// queue limit bounds the length; an idle link allocates nothing.
-    mutable std::vector<Frame> frames;
+    mutable std::vector<TimePoint> frames;
     LinkDirectionStats stats;
+    Duration receive_delay{Duration::zero()};  // the receiver's, added to each delivery
     std::vector<Packet> trunk_pending;  // media awaiting the window flush
     bool trunk_flush_scheduled{false};
-    std::uint32_t steps_pending{0};  // forward() step events not yet fired
     /// The last serialization time computed, by frame size: a direction's
     /// frames mostly share one size. {0, 0} is exact, so it is the reset.
     std::uint32_t tx_memo_bytes{0};
@@ -149,18 +129,14 @@ class Link {
   Direction& direction_from(NodeId from);
   /// Drops the frames of `dir` done serializing by now.
   void drain(const Direction& dir) const;
-  /// Frames of `dir` offered by now and still queued or serializing.
+  /// Frames of `dir` still queued or serializing.
   std::uint32_t in_flight(const Direction& dir) const;
   /// Serialization time of a `bytes`-byte frame at the current bandwidth.
   Duration tx_time(Direction& dir, std::uint32_t bytes);
-  /// True when forward() may queue a frame of `dir` offered at `at` now:
-  /// the same frames ahead of it, the same config and no impairment draw.
-  bool folds(const Direction& dir, TimePoint at) const;
   void transmit_batch(NodeId from, Packet pkt);
-  /// The pre-trunking per-packet path for a frame offered at `at` >= now:
-  /// queueing, serialization, loss, jitter, delivery. Trunk shells re-enter
-  /// here once assembled.
-  void transmit_now(NodeId from, Packet pkt, TimePoint at);
+  /// The pre-trunking per-packet path: queueing, serialization, loss,
+  /// jitter, delivery. Trunk shells re-enter here once assembled.
+  void transmit_now(NodeId from, Packet pkt);
   void enqueue_trunk(NodeId from, Packet pkt);
   void flush_trunk(NodeId from);
 
@@ -170,7 +146,6 @@ class Link {
   LinkConfig config_;
   bool blackout_{false};
   std::array<Direction, 2> directions_{};  // [0]: a->b, [1]: b->a
-  std::vector<TimePoint> edits_;  // announced edit times, ascending
 };
 
 }  // namespace pbxcap::net

@@ -13,7 +13,8 @@ class Network;
 /// on_receive; sending goes through the owning Network.
 class Node {
  public:
-  explicit Node(std::string name) : name_{std::move(name)} {}
+  explicit Node(std::string name, Duration receive_delay = Duration::zero())
+      : name_{std::move(name)}, receive_delay_{receive_delay} {}
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
   virtual ~Node() = default;
@@ -29,6 +30,11 @@ class Node {
   /// plain hosts are single-homed.
   [[nodiscard]] virtual bool multihomed() const noexcept { return false; }
 
+  /// Constant time from a packet reaching this node to its on_receive (a
+  /// switch's processing step). A link adds it to every hop into the node,
+  /// so paying it costs no event.
+  [[nodiscard]] Duration receive_delay() const noexcept { return receive_delay_; }
+
  protected:
   /// Hands the packet to the attached link. No-op with a warning counter if
   /// the node is detached.
@@ -37,6 +43,7 @@ class Node {
  private:
   friend class Network;
   std::string name_;
+  Duration receive_delay_;
   NodeId id_{kInvalidNode};
   Network* network_{nullptr};
 };

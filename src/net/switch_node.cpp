@@ -33,15 +33,7 @@ void SwitchNode::on_receive(const Packet& pkt) {
     return;
   }
   forwarded_ += pkt.batch;
-  if (pkt.fluid) {
-    // Fluid batch: forward inline on the flush call stack; the per-packet
-    // processing latency folds into the batch's nominal path latency.
-    Packet batched = pkt;
-    batched.path_latency += processing_delay_;
-    out->transmit(id(), std::move(batched));
-    return;
-  }
-  out->forward(id(), pkt, processing_delay_);
+  out->transmit(id(), pkt);
 }
 
 }  // namespace pbxcap::net

@@ -5,26 +5,11 @@
 // single switch, so a directly-attached lookup suffices; static routes allow
 // multi-switch topologies if an experiment needs them.
 //
-// The processing step is folded into the egress link (Link::forward): a
-// per-packet frame received at `now` is queued on its egress direction at
-// once, with offer time now + d, and the switch schedules no event. A relayed
-// RTP packet then costs 5 kernel events (its pacing tick and one delivery per
-// hop) instead of 7. The fold is exact. Only the switch transmits on its
-// egress directions, and d is constant, so every frame that could start
-// before now + d is already queued, in offer order: the drop-tail count at
-// the offer time, the start time and the delivery time are the ones the
-// step would have computed. Three cases keep the scheduled step, which then
-// offers the frame at its own time through Link::transmit:
-//   - the egress link has a trunk window: trunk flushes follow the clock's
-//     grid, not the offer order;
-//   - the egress link has loss or jitter: the impairment RNG is shared by
-//     the whole network, and its draws must not move earlier in event order;
-//   - an impairment edit is announced on that link (FaultInjector::arm) at or
-//     before the offer time: the edit must apply to the frame as it would at
-//     the step. While a step is pending on a direction, later frames of that
-//     direction take steps too, so the offer order never changes.
-// Link statistics count a folded frame from its arrival at the switch, not
-// from its offer d later; backlog_from() counts it from its offer time.
+// The processing step is the switch's receive delay (Node::receive_delay):
+// the link into the switch adds it to the hop's delivery, so on_receive runs
+// when the step ends and transmits on the egress link at once. A relayed RTP
+// packet costs 5 kernel events on any link: its pacing tick and one delivery
+// per hop.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +24,10 @@ class Link;
 
 class SwitchNode : public Node {
  public:
-  explicit SwitchNode(std::string name, Duration processing_delay = Duration::micros(10))
-      : Node{std::move(name)}, processing_delay_{processing_delay} {}
+  /// Store-and-forward time from receiving a frame to offering it on egress.
+  static constexpr Duration kProcessingDelay = Duration::micros(10);
+
+  explicit SwitchNode(std::string name) : Node{std::move(name), kProcessingDelay} {}
 
   void on_receive(const Packet& pkt) override;
   [[nodiscard]] bool multihomed() const noexcept override { return true; }
@@ -54,7 +41,6 @@ class SwitchNode : public Node {
  private:
   [[nodiscard]] Link* route_for(NodeId dst);
 
-  Duration processing_delay_;
   std::unordered_map<NodeId, Link*> static_routes_;
   std::unordered_map<NodeId, Link*> learned_;  // cache of attached-peer lookups
   std::uint64_t forwarded_{0};

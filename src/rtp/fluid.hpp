@@ -2,11 +2,11 @@
 //
 // At Table-I scale the 20 ms RTP pacing tick dominates the event population: a
 // relayed packet costs 5 events, its pacing tick and one delivery per link hop
-// (sender->switch, switch->PBX, PBX->switch, switch->receiver); the switch
-// queues on its egress link as it receives (Link::forward) and the PBX relays
-// inline. While a stream's path is in steady state — no pending impairment
-// edits, watched links loss-free, jitter-free, and far from queue
-// saturation — per-packet simulation adds no information:
+// (sender->switch, switch->PBX, PBX->switch, switch->receiver); the switch's
+// delay rides on the hop into it and the PBX relays inline. While a stream's
+// path is in steady state — no pending impairment edits, watched links
+// loss-free, jitter-free, and far from queue saturation — per-packet
+// simulation adds no information:
 // every packet departs on the pacing grid, traverses the same fixed latency,
 // and lands in the same statistics in closed form. The FluidEngine lets such
 // streams *coast*: their pacing ticks are suspended and the accumulated packet

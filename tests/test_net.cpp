@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -396,12 +398,13 @@ TEST_F(NetFixture, DropTailAcceptsAgainOnceTheOldestFrameDrains) {
 // A switch offers a per-packet frame to its egress link d = 10 us after it
 // receives it. These cases pin, by hand-computed values, the queueing, order
 // and timing that result, and how an impairment edit inside that delay
-// applies. The step is folded into the egress link where that is exact
-// (Link::forward); none of these values may move with it.
+// applies. The link into the switch pays d on its delivery, so the switch
+// offers the frame as it receives it, d after the frame reached it.
 
 /// Hosts `a` and `b` (and `c`, the sink) on a switch. Access links carry
 /// 10 bytes/us, so a 1000-byte frame reaches the switch 105 us after it is
-/// sent; the egress link to `c` carries 1 byte/us (1000 us per frame).
+/// sent and the switch receives it at 115 us; the egress link to `c` carries
+/// 1 byte/us (1000 us per frame) unless `slow` says otherwise.
 struct SwitchFixture : NetFixture {
   SinkNode a{"a"};
   SinkNode b{"b"};
@@ -409,15 +412,12 @@ struct SwitchFixture : NetFixture {
   net::SwitchNode sw{"sw"};
   net::Link* egress{nullptr};
 
-  explicit SwitchFixture(std::uint32_t egress_queue_limit = 256) {
+  explicit SwitchFixture(const LinkConfig& slow = {.bandwidth_bps = 8'000'000.0}) {
     for (net::Node* n : std::initializer_list<net::Node*>{&a, &b, &c, &sw}) network.attach(*n);
     LinkConfig access;
     access.bandwidth_bps = 80'000'000.0;
     network.connect(a, sw, access);
     network.connect(b, sw, access);
-    LinkConfig slow;
-    slow.bandwidth_bps = 8'000'000.0;
-    slow.queue_limit_packets = egress_queue_limit;
     egress = &network.connect(c, sw, slow);
   }
 
@@ -425,7 +425,7 @@ struct SwitchFixture : NetFixture {
 };
 
 struct SwitchQueueFixture : SwitchFixture {
-  SwitchQueueFixture() : SwitchFixture{2} {}
+  SwitchQueueFixture() : SwitchFixture{{.bandwidth_bps = 8'000'000.0, .queue_limit_packets = 2}} {}
 };
 
 TEST_F(SwitchQueueFixture, TwoSendersShareOneEgressQueueInOfferOrder) {
@@ -506,10 +506,10 @@ TEST_F(SwitchFixture, BandwidthEditArmedInsideTheSwitchDelayAppliesToTheFrame) {
   EXPECT_EQ(c.arrival_times[0], at_us(115 + 100 + 5));
 }
 
-TEST_F(SwitchFixture, FrameBehindAPendingStepKeepsItsPlace) {
-  // The egress starts lossy, so a1 (at the switch at 105 us) takes the step
-  // and is offered at 115. The edit at 106 us makes the egress loss-free
-  // before b1 reaches the switch at 108 us; b1 is offered at 118, behind a1.
+TEST_F(SwitchFixture, FrameBehindALossFreeEditKeepsItsPlace) {
+  // The egress starts lossy; a1 reaches the switch at 105 us and is offered
+  // at 115. The edit at 106 us makes the egress loss-free before b1 reaches
+  // the switch at 108 us; b1 is offered at 118, behind a1.
   net::LinkImpairment lossy;
   lossy.loss_probability = 1e-9;
   egress->apply_impairment(lossy);
@@ -524,23 +524,62 @@ TEST_F(SwitchFixture, FrameBehindAPendingStepKeepsItsPlace) {
   EXPECT_EQ(c.arrival_times, (std::vector<TimePoint>{at_us(1120), at_us(2120)}));
 }
 
-TEST_F(SwitchFixture, FoldedHopSchedulesNoSwitchEvent) {
-  a.transmit_to(c.id(), 1000);
-  simulator.run();
-  ASSERT_EQ(c.arrival_times.size(), 1u);
-  EXPECT_EQ(c.arrival_times[0], at_us(1120));
-  EXPECT_EQ(simulator.events_processed(), 2u);  // the two deliveries
+/// Engine outputs `rng` has drawn since it was `start`; -1 past 8.
+int draws_since(sim::Random start, sim::Random rng) {
+  const std::uint64_t next = rng.engine()();
+  for (int n = 0; n <= 8; ++n) {
+    if (sim::Random probe = start; probe.engine()() == next) return n;
+    (void)start.engine()();
+  }
+  return -1;
 }
 
-TEST_F(SwitchFixture, LossyEgressKeepsTheSwitchStep) {
-  net::LinkImpairment lossy;
-  lossy.loss_probability = 1e-9;  // draws from the shared RNG, loses nothing here
-  egress->apply_impairment(lossy);
-  a.transmit_to(c.id(), 1000);
+/// One 1000-byte frame from `a` to `c` over an egress link of each kind.
+struct EgressRow {
+  const char* name;
+  LinkConfig egress;
+  net::PacketKind kind;
+  std::int64_t arrival_us;
+  int draws;                // impairment-RNG engine outputs
+  std::uint64_t events;     // kernel events of the whole run
+};
+
+/// Names the row in test listings.
+void PrintTo(const EgressRow& row, std::ostream* os) { *os << row.name; }
+
+struct SwitchEgress : SwitchFixture, ::testing::WithParamInterface<EgressRow> {
+  SwitchEgress() : SwitchFixture{GetParam().egress} {}
+};
+
+TEST_P(SwitchEgress, OneEventPerHop) {
+  const EgressRow& row = GetParam();
+  a.transmit_to(c.id(), 1000, row.kind);
   simulator.run();
-  ASSERT_EQ(c.received.size(), 1u);
-  EXPECT_EQ(simulator.events_processed(), 3u);  // delivery, step, delivery
+  ASSERT_EQ(c.arrival_times.size(), 1u);
+  EXPECT_EQ(c.arrival_times[0], at_us(row.arrival_us));
+  EXPECT_EQ(draws_since(sim::Random{7}, network.impairment_rng()), row.draws);
+  EXPECT_EQ(simulator.events_processed(), row.events);
+  EXPECT_EQ(egress->stats_from(sw.id()).packets_sent, 1u);
 }
+
+// Each frame is offered at 115 us. A loss draw is one engine output and a
+// jitter draw two (Box-Muller). The trunk holds the RTP frame to the next
+// 100 us boundary of the clock, 200 us, and its one-frame shell is 1000
+// bytes again, so it arrives at 200 + 1000 + 5; the flush is the run's third
+// event.
+INSTANTIATE_TEST_SUITE_P(
+    Rows, SwitchEgress,
+    ::testing::Values(
+        EgressRow{"plain", {.bandwidth_bps = 8'000'000.0}, net::PacketKind::kOther, 1120, 0, 2},
+        EgressRow{"lossy",
+                  {.bandwidth_bps = 8'000'000.0, .loss_probability = 1e-9},
+                  net::PacketKind::kOther, 1120, 1, 2},
+        EgressRow{"jittery",
+                  {.bandwidth_bps = 8'000'000.0, .jitter_mean = Duration::micros(3)},
+                  net::PacketKind::kOther, 1123, 2, 2},
+        EgressRow{"trunked",
+                  {.bandwidth_bps = 8'000'000.0, .trunk_window = Duration::micros(100)},
+                  net::PacketKind::kRtp, 1205, 0, 3}));
 
 TEST(LinkValidation, RejectsBadConfigs) {
   sim::Simulator simulator;

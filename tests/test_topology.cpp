@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -191,7 +192,7 @@ TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
   auto config = small_testbed();
   config.faults = &plan;
   expect_digests(testbed_digests(config, full_telemetry()),
-                 0x69450cbffab042e2ULL, 0xf980e40896de4893ULL);
+                 0x69450cbffab042e2ULL, 0x9e827681c642ac87ULL);
 }
 
 /// Fluid needs point-to-point links: with a shared-medium Wi-Fi cell the
@@ -256,7 +257,7 @@ TEST(TopologyDigest, ClusterFluidTrunkedG729) {
   auto config = trunked_g729(small_cluster());
   config.fluid.enabled = true;
   expect_digests(cluster_digests(config, {}),
-                 0x4e14763d01e494fcULL, 0xdd601b57685c3955ULL);
+                 0x4e14763d01e494fcULL, 0xab33704925498cf1ULL);
 }
 
 exp::ClusterConfig acd_queue(exp::ClusterConfig config) {
@@ -305,7 +306,7 @@ TEST(TopologyDigest, ShardedDispatcherCrash) {
 
 TEST(TopologyDigest, ShardedTrunkedG729) {
   expect_sharded_digests(trunked_g729(small_cluster()),
-                         0xc202aafd962bd1b6ULL, 0x22dc6b9c0d21d8d4ULL);
+                         0xc202aafd962bd1b6ULL, 0x5e1076b1a6c313d0ULL);
 }
 
 // ---- sharded vs monolithic --------------------------------------------------
@@ -424,6 +425,10 @@ TEST(TopologyPlacement, ShardedMatchesMonolithic) {
 
 // ---- hop conservation -------------------------------------------------------
 
+// A temporary Topology would dangle inside the Experiment.
+static_assert(!std::is_constructible_v<exp::Experiment, exp::Topology&&>);
+static_assert(std::is_constructible_v<exp::Experiment, const exp::Topology&>);
+
 /// Builds and runs `topology` to its horizon; every call has ended by then,
 /// so no packet is left in flight.
 std::vector<std::string> run_hop_imbalances(const exp::Topology& topology) {
@@ -439,6 +444,25 @@ TEST(HopConservation, DrainedPerPacketTestbed) {
                                 .seed = config.seed,
                                 .drain = config.drain,
                                 .backends = {&config.pbx, 1}}),
+            std::vector<std::string>{});
+}
+
+TEST(HopConservation, DrainedImpairedTrunkedTestbed) {
+  // The switch's egress draws loss and jitter toward the caller and trunks
+  // toward the PBX.
+  const exp::TestbedConfig config = small_testbed();
+  net::LinkConfig client;
+  client.loss_probability = 0.02;
+  client.jitter_mean = Duration::millis(2);
+  client.jitter_stddev = Duration::millis(1);
+  net::LinkConfig uplink;
+  uplink.trunk_window = Duration::millis(20);
+  EXPECT_EQ(run_hop_imbalances({.scenario = &config.scenario,
+                                .seed = config.seed,
+                                .drain = config.drain,
+                                .backends = {&config.pbx, 1},
+                                .client_link = client,
+                                .uplink = uplink}),
             std::vector<std::string>{});
 }
 
