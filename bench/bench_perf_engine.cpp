@@ -426,7 +426,7 @@ void BM_TxnMatch(benchmark::State& state) {
     bye.to() = {sip::Uri{"recv-1", "pbx.unb.br"}, "tag-b"};
     bye.set_call_id("call-" + std::to_string(i) + "@client.unb.br");
     bye.set_cseq({2, sip::Method::kBye});
-    layer.on_message(bye, 1);
+    layer.on_message(std::make_shared<const sip::SipPayload>(bye), 1);
     requests.push_back(std::move(bye));
   }
   std::size_t next = 0;

@@ -237,7 +237,7 @@ void Dispatcher::send_probe(std::size_t i) {
   options.set_cseq({1, Method::kOptions});
 
   send_request_to(
-      std::move(options), b.cfg.host,
+      std::move(options), resolver().resolve(b.cfg.host),
       [this, i, seq](const Message& resp) {
         if (sip::is_final(resp.status_code())) on_probe_result(i, seq, true);
       },

@@ -125,9 +125,9 @@ class Experiment {
 
   /// Hop conservation of a finished run with no traffic left in flight: the
   /// LAN switch forwarded exactly what its egress directions sent or
-  /// dropped, a trunk shell counting the packets inside it, and, without
-  /// trunking, the shards' networks delivered exactly what their links
-  /// sent. One line per broken identity; empty when both hold.
+  /// dropped, and the shards' networks delivered exactly what their links
+  /// sent; in both, a trunk shell counts as the packets inside it. One line
+  /// per broken identity; empty when both hold.
   [[nodiscard]] std::vector<std::string> hop_imbalances() const;
 
  private:

@@ -208,16 +208,14 @@ void SipCaller::send_invite(Call& call) {
   offer.audio.payload_types = {call.media.codec().payload_type};
   for (const auto& share : scenario_.codec_mix) {
     const std::uint8_t pt = share.codec.payload_type;
-    if (std::find(offer.audio.payload_types.begin(), offer.audio.payload_types.end(), pt) ==
-        offer.audio.payload_types.end()) {
-      offer.audio.payload_types.push_back(pt);
-    }
+    if (!offer.audio.payload_types.contains(pt)) offer.audio.payload_types.push_back(pt);
   }
   offer.audio.ssrc = call.media.local_ssrc();
   invite.set_body(offer.to_string(), "application/sdp");
 
+  call.pbx_node = resolver().resolve(call.pbx_host);
   const sip::ClientTransaction& txn = send_request_to(
-      std::move(invite), call.pbx_host,
+      std::move(invite), call.pbx_node,
       [this, index](const Message& resp) { on_invite_response(index, resp); },
       [this, index] { on_invite_timeout(index); });
   call.invite = txn.request_payload();
@@ -311,13 +309,12 @@ void SipCaller::on_invite_response(std::uint64_t index, const Message& resp) {
       call->setup_span = 0;
     }
     call->dialog = sip::Dialog::from_uac(call->invite->msg, resp);
-    send_stateless_to(call->dialog.make_ack(), call->pbx_host);
+    send_stateless_to(call->dialog.make_ack(), call->pbx_node);
     if (const auto answer = Sdp::parse(resp.body())) {
       call->media.on_answer(*answer);
       if (answer->audio.ssrc != 0) by_remote_ssrc_[answer->audio.ssrc] = &call->media;
     }
-    call->media.start(*this, resolver().resolve(call->pbx_host), scenario_.rtcp ? &rng_ : nullptr,
-                      call->journey);
+    call->media.start(*this, call->pbx_node, scenario_.rtcp ? &rng_ : nullptr, call->journey);
     const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kLoadgen};
     call->bye_timer =
         network()->simulator().schedule_in(call->hold, [this, index] { send_bye(index); });
@@ -403,7 +400,7 @@ void SipCaller::send_bye(std::uint64_t index) {
     fluid_engine_->exit_stream(call->media.remote_ssrc());
   }
   send_request_to(
-      call->dialog.make_request(Method::kBye), call->pbx_host,
+      call->dialog.make_request(Method::kBye), call->pbx_node,
       [this, index](const Message& resp) {
         if (sip::is_final(resp.status_code())) {
           finish(index, monitor::CallOutcome::kCompleted);

@@ -44,29 +44,32 @@ void SipReceiver::handle_invite(const Message& req, sip::ServerTransaction& txn)
   // outlived its server transaction (which ends on the 2xx). Answer it with
   // the session's 200 OK again and set up nothing new.
   if (const auto it = sessions_.find(req.call_id()); it != sessions_.end()) {
-    txn.respond(answer_ok(req, it->second->dialog.local().tag, it->second->media));
+    txn.respond(answer_ok(req, it->second->dialog.identity(), it->second->media));
     return;
   }
-  // Carry the 180's tag through to answer() so 180 and 200 agree.
-  Message invite = req;
-  invite.to().tag = new_tag();
+  // The tagged identity is built once: the 180, the 200 and the dialog
+  // share it, so 180 and 200 agree.
+  auto tagged = sip::DialogIdentity::of(req.identity()).with_to_tag(new_tag());
   Message ringing = Message::response_to(req, sip::status::kRinging);
-  ringing.to().tag = invite.to().tag;
+  ringing.set_identity(tagged);
   txn.respond(std::move(ringing));
   if (scenario_.answer_delay > Duration::zero()) {
     const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kLoadgen};
     network()->simulator().schedule_in(
         scenario_.answer_delay,
-        [this, invite = std::move(invite), &txn] { answer(invite, txn); });
+        [this, &txn, tagged = std::move(tagged)]() mutable { answer(txn, std::move(tagged)); });
   } else {
-    answer(invite, txn);
+    answer(txn, std::move(tagged));
   }
 }
 
-void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
+void SipReceiver::answer(sip::ServerTransaction& txn,
+                         std::shared_ptr<const sip::DialogIdentity> tagged) {
+  const Message& invite = txn.request_payload()->msg;
   const auto offer = Sdp::parse(invite.body());
   if (!offer || offer->audio.payload_types.empty()) {
     Message resp = Message::response_to(invite, sip::status::kBadRequest);
+    resp.set_identity(std::move(tagged));
     txn.respond(std::move(resp));
     return;
   }
@@ -80,7 +83,7 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
       supported.audio.payload_types.push_back(entry.payload_type);
     }
   } else {
-    supported.audio.payload_types = scenario_.receiver_payload_types;
+    supported.audio.payload_types = sip::PayloadTypes{scenario_.receiver_payload_types};
   }
   const auto negotiated_pt = Sdp::negotiate(*offer, supported);
   std::optional<rtp::Codec> codec;
@@ -89,6 +92,7 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
     ++rejected_488_;
     if (tm_rejected_488_ != nullptr) tm_rejected_488_->add();
     Message resp = Message::response_to(invite, 488);
+    resp.set_identity(std::move(tagged));
     txn.respond(std::move(resp));
     return;
   }
@@ -102,17 +106,19 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
       .media = MediaLeg{*codec, ssrcs_.allocate(), offer->audio.ssrc},
   });
 
-  Message ok = answer_ok(invite, invite.to().tag, session->media);  // tag from the 180
+  Message ok = answer_ok(invite, std::move(tagged), session->media);
   session->dialog = sip::Dialog::from_uas(invite, ok);
   txn.respond(std::move(ok));
   // Store the session before publishing a pointer into it.
-  Session& stored = *sessions_.emplace(invite.call_id(), std::move(session)).first->second;
+  const std::string_view call_id = session->dialog.call_id();
+  Session& stored = *sessions_.emplace(call_id, std::move(session)).first->second;
   if (offer->audio.ssrc != 0) by_remote_ssrc_[offer->audio.ssrc] = &stored.media;
   ++answered_;
   if (tm_answered_ != nullptr) tm_answered_->add();
 }
 
-Message SipReceiver::answer_ok(const Message& invite, const std::string& tag,
+Message SipReceiver::answer_ok(const Message& invite,
+                               std::shared_ptr<const sip::DialogIdentity> tagged,
                                const MediaLeg& media) const {
   Sdp answer_sdp;
   answer_sdp.connection_host = sip_host();
@@ -120,7 +126,7 @@ Message SipReceiver::answer_ok(const Message& invite, const std::string& tag,
   answer_sdp.audio.payload_types = {media.codec().payload_type};
   answer_sdp.audio.ssrc = media.local_ssrc();
   Message ok = Message::response_to(invite, sip::status::kOk);
-  ok.to().tag = tag;
+  ok.set_identity(std::move(tagged));
   ok.set_contact(sip::Uri{invite.request_uri().user(), sip_host()});
   ok.set_body(answer_sdp.to_string(), "application/sdp");
   return ok;

@@ -17,7 +17,8 @@ std::string summarize(const net::Packet& pkt, std::string& call_id_out) {
       return std::string{to_string(sip->msg.method())} + " " +
              sip->msg.request_uri().to_string();
     }
-    return util::format("%d %s", sip->msg.status_code(), sip->msg.reason().c_str());
+    return util::format("%d %.*s", sip->msg.status_code(),
+                        static_cast<int>(sip->msg.reason().size()), sip->msg.reason().data());
   }
   if (const auto* rtp = pkt.payload_as<rtp::RtpPayload>()) {
     return util::format("RTP ssrc=%u seq=%u", rtp->header.ssrc, rtp->header.sequence);

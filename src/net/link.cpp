@@ -184,8 +184,9 @@ void Link::flush_trunk(NodeId from) {
   auto payload = std::make_shared<TrunkPayload>();
   payload->frames = std::move(dir.trunk_pending);
   dir.trunk_pending.clear();  // moved-from: restore a known-empty queue
+  const std::uint64_t inner = payload->frames.size();
   dir.stats.trunk_frames += 1;
-  dir.stats.trunk_mini_frames += payload->frames.size();
+  dir.stats.trunk_mini_frames += inner;
   Packet shell;
   shell.id = network_.next_packet_id();
   shell.src = from;
@@ -196,10 +197,13 @@ void Link::flush_trunk(NodeId from) {
   // The shell is one wire frame: it queues, serializes, and is lost or
   // jittered as a unit (losing it loses every call's frame for this window,
   // exactly like a real trunk datagram).
-  transmit_now(from, std::move(shell));
+  if (transmit_now(from, std::move(shell))) {
+    dir.stats.trunk_frames_sent += 1;
+    dir.stats.trunk_mini_frames_sent += inner;
+  }
 }
 
-void Link::transmit_now(NodeId from, Packet pkt) {
+bool Link::transmit_now(NodeId from, Packet pkt) {
   Direction& dir = direction_from(from);
   const NodeId to = peer_of(from);
   auto& sim = network_.simulator();
@@ -209,7 +213,7 @@ void Link::transmit_now(NodeId from, Packet pkt) {
   // telemetry counters the testbed mirrors them into), not silent.
   if (blackout_) {
     ++dir.stats.dropped_impairment;
-    return;
+    return false;
   }
 
   // Drop-tail: refuse the packet if the serialization backlog is full; the
@@ -218,7 +222,7 @@ void Link::transmit_now(NodeId from, Packet pkt) {
   auto& frames = dir.frames;
   if (frames.size() >= config_.queue_limit_packets) {
     ++dir.stats.dropped_queue_full;
-    return;
+    return false;
   }
 
   // The frame starts when the medium frees up: now, or the end of the
@@ -249,7 +253,7 @@ void Link::transmit_now(NodeId from, Packet pkt) {
 
   if (lost) {
     ++dir.stats.dropped_random_loss;
-    return;
+    return false;
   }
 
   ++dir.stats.packets_sent;
@@ -260,7 +264,7 @@ void Link::transmit_now(NodeId from, Packet pkt) {
     // loss, and jitter above are all decided on this side — the remote half
     // only runs the receiver — so the stats stay identical to a local hop.
     network_.deliver_remote(std::move(pkt), from, to, delivery);
-    return;
+    return true;
   }
   auto deliver = [this, from, to, pkt = std::move(pkt)]() mutable {
     network_.deliver(pkt, from, to);
@@ -271,6 +275,7 @@ void Link::transmit_now(NodeId from, Packet pkt) {
   static_assert(sim::Callback::stores_inline<decltype(deliver)>(),
                 "per-packet delivery closure must stay on the allocation-free SBO path");
   sim.schedule_at(delivery, std::move(deliver));
+  return true;
 }
 
 }  // namespace pbxcap::net

@@ -60,6 +60,11 @@ struct LinkDirectionStats {
   std::uint64_t dropped_impairment{0};  // injected blackout ate the packet
   std::uint64_t trunk_frames{0};        // aggregation shells put on the wire
   std::uint64_t trunk_mini_frames{0};   // media packets carried inside them
+  // The shells of trunk_frames counted in packets_sent (not dropped), and
+  // the media packets inside them: the receiving network delivers those
+  // packets one by one, not the shell.
+  std::uint64_t trunk_frames_sent{0};
+  std::uint64_t trunk_mini_frames_sent{0};
   Duration busy_time{Duration::zero()};  // cumulative serialization time
 
   [[nodiscard]] std::uint64_t dropped_total() const noexcept {
@@ -135,8 +140,9 @@ class Link {
   Duration tx_time(Direction& dir, std::uint32_t bytes);
   void transmit_batch(NodeId from, Packet pkt);
   /// The pre-trunking per-packet path: queueing, serialization, loss,
-  /// jitter, delivery. Trunk shells re-enter here once assembled.
-  void transmit_now(NodeId from, Packet pkt);
+  /// jitter, delivery. Trunk shells re-enter here once assembled. False
+  /// when the packet was dropped.
+  bool transmit_now(NodeId from, Packet pkt);
   void enqueue_trunk(NodeId from, Packet pkt);
   void flush_trunk(NodeId from);
 

@@ -427,7 +427,7 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
 
   // Codec filtering, as Asterisk applies its allow/disallow lists.
   Sdp filtered = *offer;
-  std::erase_if(filtered.audio.payload_types, [this](std::uint8_t pt) {
+  filtered.audio.payload_types.erase_if([this](std::uint8_t pt) {
     return std::find(config_.allowed_payload_types.begin(), config_.allowed_payload_types.end(),
                      pt) == config_.allowed_payload_types.end();
   });
@@ -447,20 +447,14 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
                   blocked_retry_after());
   }
 
-  Bridge& bridge = bridges_[req.call_id()];
+  Bridge& bridge = open_bridge(req);
   bridge.port_a = port_a;
   bridge.port_b = port_b;
-  bridge.call_id_a = req.call_id();
-  bridge.caller_user = req.from().uri.user();
-  ++active_calls_by_user_[bridge.caller_user];
-  bridge.caller_host = req.from().uri.host();
-  bridge.msg_a = req;
+  bridge.msg_a = txn.request_payload();
   bridge.invite_txn_a = &txn;
-  bridge.to_tag_a = new_tag();
   bridge.ssrc_a = offer->audio.ssrc;
   bridge.pt_offer_a = filtered.audio.payload_types.front();
-  bridge.caller_node = resolver().resolve(bridge.caller_host);
-  bridge.callee_host = *route;
+  bridge.callee_node = resolver().resolve(*route);
   bridge.cdr = cdr;
 
   // 100 Trying toward the caller (the Fig. 2 ladder's first response).
@@ -468,36 +462,47 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
 
   // Re-originate leg B with anchored media.
   // "b2b-<n>@<host>": 4 + at most 20 digits + 1 + host.
-  bridge.call_id_b.assign("b2b-");
-  bridge.call_id_b.reserve(sip_host().size() + 25);
-  util::append_uint(bridge.call_id_b, ++b2b_counter_);
-  bridge.call_id_b += '@';
-  bridge.call_id_b += sip_host();
+  std::string call_id_b;
+  call_id_b.reserve(sip_host().size() + 25);
+  call_id_b += "b2b-";
+  util::append_uint(call_id_b, ++b2b_counter_);
+  call_id_b += '@';
+  call_id_b += sip_host();
   Message invite_b = Message::request(Method::kInvite, sip::Uri{req.request_uri().user(), *route});
   invite_b.from() = sip::NameAddr{sip::Uri{req.from().uri.user(), sip_host()}, new_tag()};
   invite_b.to() = sip::NameAddr{sip::Uri{req.request_uri().user(), *route}, ""};
-  invite_b.set_call_id(bridge.call_id_b);
+  invite_b.set_call_id(std::move(call_id_b));
   invite_b.set_cseq({1, Method::kInvite});
   invite_b.set_contact(sip::Uri{"asterisk", sip_host()});
   invite_b.set_body(anchored_sdp(filtered, bridge.port_b).to_string(), "application/sdp");
 
-  by_call_id_b_.emplace(bridge.call_id_b, &bridge);
   if (tm_active_channels_ != nullptr) {
     tm_active_channels_->set(static_cast<double>(channels_.in_use()));
   }
   if (tracer_ != nullptr) {
-    bridge.span_track = tracer_->track_id(bridge.call_id_a);
+    bridge.span_track = tracer_->track_id(bridge.call_id_a());
     bridge.setup_span = tracer_->begin(span_setup_name_, bridge.span_track, now);
   }
 
+  // The handlers run only while leg B's client transaction lives, and it
+  // holds the INVITE whose identity block owns this Call-ID.
+  const std::string* leg_b = &invite_b.call_id();
   const sip::ClientTransaction& txn_b = send_request_to(
-      std::move(invite_b), *route,
-      [this, call_id_b = bridge.call_id_b](const Message& resp) {
-        on_leg_b_response(call_id_b, resp);
-      },
-      [this, call_id_b = bridge.call_id_b] { on_leg_b_timeout(call_id_b); });
+      std::move(invite_b), bridge.callee_node,
+      [this, leg_b](const Message& resp) { on_leg_b_response(*leg_b, resp); },
+      [this, leg_b] { on_leg_b_timeout(*leg_b); });
   bridge.invite_b = txn_b.request_payload();
+  by_call_id_b_.emplace(bridge.invite_b->msg.call_id(), &bridge);
   return &bridge;
+}
+
+AsteriskPbx::Bridge& AsteriskPbx::open_bridge(const Message& req) {
+  auto id_a = sip::DialogIdentity::of(req.identity()).with_to_tag(new_tag());
+  Bridge& bridge = bridges_.try_emplace(id_a->call_id).first->second;
+  bridge.id_a = std::move(id_a);
+  ++active_calls_by_user_[bridge.caller_user()];
+  bridge.caller_node = resolver().resolve(req.from().uri.host());
+  return bridge;
 }
 
 AcdSubsystem::ServeOutcome AsteriskPbx::acd_serve(const Message& req,
@@ -525,14 +530,8 @@ bool AsteriskPbx::start_voicemail(const Message& req, sip::ServerTransaction& tx
     return false;
   }
 
-  Bridge& bridge = bridges_[req.call_id()];
-  bridge.call_id_a = req.call_id();
-  bridge.caller_user = req.from().uri.user();
-  ++active_calls_by_user_[bridge.caller_user];
-  bridge.caller_host = req.from().uri.host();
-  bridge.to_tag_a = new_tag();
+  Bridge& bridge = open_bridge(req);
   bridge.ssrc_a = offer->audio.ssrc;
-  bridge.caller_node = resolver().resolve(bridge.caller_host);
   bridge.cdr = cdr;
   bridge.voicemail = true;
   bridge.port_a = port;
@@ -540,14 +539,14 @@ bool AsteriskPbx::start_voicemail(const Message& req, sip::ServerTransaction& tx
   // Answer straight into the "recording": one-way media, no leg B. The
   // answer advertises no SSRC — nothing will ever flow back to the caller.
   Message ok = Message::response_to(req, sip::status::kOk);
-  ok.to().tag = bridge.to_tag_a;
+  ok.set_identity(bridge.id_a);
   ok.set_contact(sip::Uri{"asterisk", sip_host()});
   Sdp answer = anchored_sdp(*offer, port);
   answer.audio.ssrc = 0;
   ok.set_body(answer.to_string(), "application/sdp");
   bridge.dialog_a = sip::Dialog::from_uas(req, ok);
-  txn.respond(ok);
-  bridge.msg_a = std::move(ok);
+  bridge.msg_a = std::make_shared<const sip::SipPayload>(std::move(ok));
+  txn.respond(bridge.msg_a);
 
   register_media(bridge);
   cdrs_.mark_answered(cdr, now);
@@ -566,7 +565,7 @@ sip::Sdp AsteriskPbx::anchored_sdp(const Sdp& original, std::uint16_t port) {
   return anchored;
 }
 
-void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message& resp) {
+void AsteriskPbx::on_leg_b_response(std::string_view call_id_b, const Message& resp) {
   const auto it = by_call_id_b_.find(call_id_b);
   if (it == by_call_id_b_.end()) return;  // the bridge closed first
   Bridge& bridge = *it->second;
@@ -574,8 +573,8 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
 
   if (sip::is_provisional(code)) {
     if (code == sip::status::kRinging && bridge.invite_txn_a != nullptr) {
-      Message ringing = Message::response_to(bridge.msg_a, sip::status::kRinging);
-      ringing.to().tag = bridge.to_tag_a;
+      Message ringing = Message::response_to(bridge.msg_a->msg, sip::status::kRinging);
+      ringing.set_identity(bridge.id_a);
       bridge.invite_txn_a->respond(std::move(ringing));
     }
     return;
@@ -584,14 +583,13 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
   if (sip::is_success(code)) {
     // Leg B answered: complete leg A and start relaying.
     bridge.dialog_b = sip::Dialog::from_uac(bridge.invite_b->msg, resp);
-    send_stateless_to(bridge.dialog_b.make_ack(), bridge.callee_host);
+    send_stateless_to(bridge.dialog_b.make_ack(), bridge.callee_node);
 
     const auto answer = Sdp::parse(resp.body());
     if (answer) bridge.ssrc_b = answer->audio.ssrc;
-    bridge.callee_node = resolver().resolve(bridge.callee_host);
 
-    Message ok = Message::response_to(bridge.msg_a, sip::status::kOk);
-    ok.to().tag = bridge.to_tag_a;
+    Message ok = Message::response_to(bridge.msg_a->msg, sip::status::kOk);
+    ok.set_identity(bridge.id_a);
     ok.set_contact(sip::Uri{"asterisk", sip_host()});
     if (answer) {
       Sdp answer_a = *answer;
@@ -618,12 +616,12 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
       }
       ok.set_body(anchored_sdp(answer_a, bridge.port_a).to_string(), "application/sdp");
     }
-    bridge.dialog_a = sip::Dialog::from_uas(bridge.msg_a, ok);
+    bridge.dialog_a = sip::Dialog::from_uas(bridge.msg_a->msg, ok);
+    bridge.msg_a = std::make_shared<const sip::SipPayload>(std::move(ok));
     if (bridge.invite_txn_a != nullptr) {
-      bridge.invite_txn_a->respond(ok);
+      bridge.invite_txn_a->respond(bridge.msg_a);
       bridge.invite_txn_a = nullptr;  // 2xx terminates the transaction
     }
-    bridge.msg_a = std::move(ok);
 
     cdrs_.mark_answered(bridge.cdr, network()->simulator().now());
     if (tm_answered_ != nullptr) tm_answered_->add();
@@ -641,22 +639,22 @@ void AsteriskPbx::on_leg_b_response(const std::string& call_id_b, const Message&
   cpu_.on_error_event(network()->simulator().now());
   if (tm_failed_ != nullptr) tm_failed_->add();
   if (bridge.invite_txn_a != nullptr) {
-    Message err = Message::response_to(bridge.msg_a, code);
-    err.to().tag = bridge.to_tag_a;
+    Message err = Message::response_to(bridge.msg_a->msg, code);
+    err.set_identity(bridge.id_a);
     bridge.invite_txn_a->respond(std::move(err));
   }
   close_bridge(bridge, Disposition::kFailed);
 }
 
-void AsteriskPbx::on_leg_b_timeout(const std::string& call_id_b) {
+void AsteriskPbx::on_leg_b_timeout(std::string_view call_id_b) {
   const auto it = by_call_id_b_.find(call_id_b);
   if (it == by_call_id_b_.end()) return;
   Bridge& bridge = *it->second;
   cpu_.on_error_event(network()->simulator().now());
   if (tm_failed_ != nullptr) tm_failed_->add();
   if (bridge.invite_txn_a != nullptr) {
-    Message err = Message::response_to(bridge.msg_a, 504);
-    err.to().tag = bridge.to_tag_a;
+    Message err = Message::response_to(bridge.msg_a->msg, 504);
+    err.set_identity(bridge.id_a);
     bridge.invite_txn_a->respond(std::move(err));
   }
   close_bridge(bridge, Disposition::kFailed);
@@ -673,7 +671,7 @@ void AsteriskPbx::handle_bye(const Message& req, sip::ServerTransaction& txn) {
     reject(req, txn, 481);  // Call/Transaction Does Not Exist
     return;
   }
-  const bool is_leg_a = req.call_id() == bridge->call_id_a;
+  const bool is_leg_a = req.call_id() == bridge->call_id_a();
 
   // Voicemail legs have no leg B: answer the BYE and fold.
   if (bridge->voicemail) {
@@ -699,9 +697,8 @@ void AsteriskPbx::handle_bye(const Message& req, sip::ServerTransaction& txn) {
   }
 
   sip::Dialog& other = is_leg_a ? bridge->dialog_b : bridge->dialog_a;
-  const std::string& other_host = is_leg_a ? bridge->callee_host : bridge->caller_host;
   send_request_to(
-      other.make_request(Method::kBye), other_host,
+      other.make_request(Method::kBye), is_leg_a ? bridge->callee_node : bridge->caller_node,
       [this, teardown](const Message&) {
         if (tracer_ != nullptr) tracer_->end(teardown, network()->simulator().now());
       },
@@ -816,13 +813,13 @@ void AsteriskPbx::close_bridge(Bridge& bridge, Disposition disposition) {
     tracer_->end(bridge.setup_span, now);
     tracer_->end(bridge.media_span, now);
   }
-  if (const auto it = active_calls_by_user_.find(bridge.caller_user);
+  if (const auto it = active_calls_by_user_.find(bridge.caller_user());
       it != active_calls_by_user_.end() && --it->second == 0) {
     active_calls_by_user_.erase(it);
   }
   if (bridge.ssrc_a != 0) by_ssrc_.erase(bridge.ssrc_a);
   if (bridge.ssrc_b != 0) by_ssrc_.erase(bridge.ssrc_b);
-  by_call_id_b_.erase(bridge.call_id_b);
+  if (bridge.invite_b != nullptr) by_call_id_b_.erase(bridge.invite_b->msg.call_id());
   cdrs_.close(bridge.cdr, disposition, now);
   if (disposition == Disposition::kAnswered &&
       config_.admission == AdmissionPolicy::kErlangPredictive) {
@@ -831,7 +828,7 @@ void AsteriskPbx::close_bridge(Bridge& bridge, Disposition disposition) {
   const bool acd_tracked = bridge.acd_tracked;
   const std::size_t acd_queue = bridge.acd_queue;
   const std::uint32_t acd_agent = bridge.acd_agent;
-  bridges_.erase(bridges_.find(bridge.call_id_a));
+  bridges_.erase(bridges_.find(bridge.call_id_a()));
   // ACD last, with the bridge gone: dispatching may re-enter start_bridge.
   if (acd_tracked) {
     acd_.on_agent_released(acd_queue, acd_agent);

@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -166,17 +168,16 @@ class AsteriskPbx final : public sip::SipEndpoint {
  private:
   /// One live call. It exists from admission until close_bridge erases it,
   /// so a Call-ID or SSRC that finds no bridge belongs to a closed call.
+  /// The Call-IDs, the caller's user and the peers' hosts are read from the
+  /// shared identity blocks and payloads below, not copied.
   struct Bridge {
-    std::string call_id_a;            // leg A (caller-facing) Call-ID
-    std::string call_id_b;            // leg B (callee-facing) Call-ID
-    std::string caller_user;          // for per-user policy accounting
-    std::string caller_host;
-    std::string callee_host;
     /// Leg A's INVITE, for building responses, until the call is answered;
     /// then the 200 OK that answered it, resent to a late retransmission.
-    sip::Message msg_a;
+    std::shared_ptr<const sip::SipPayload> msg_a;
     std::shared_ptr<const sip::SipPayload> invite_b;  // our re-originated INVITE, as sent
-    std::string to_tag_a;             // tag we assign on leg A responses
+    /// Leg A's identity with the To-tag we assign, built once and shared by
+    /// every leg A response and dialog_a. Its Call-ID keys bridges_.
+    std::shared_ptr<const sip::DialogIdentity> id_a;
     sip::ServerTransaction* invite_txn_a{nullptr};  // valid until final sent
     sip::Dialog dialog_a;             // established leg A dialog (UAS side)
     sip::Dialog dialog_b;             // established leg B dialog (UAC side)
@@ -209,8 +210,15 @@ class AsteriskPbx final : public sip::SipEndpoint {
     telemetry::SpanTracer::SpanId setup_span{0};
     telemetry::SpanTracer::SpanId media_span{0};
 
-    [[nodiscard]] bool answered() const noexcept { return msg_a.is_response(); }
+    [[nodiscard]] const std::string& call_id_a() const noexcept { return id_a->call_id; }
+    [[nodiscard]] const std::string& caller_user() const noexcept {
+      return id_a->from.uri.user();
+    }
+    [[nodiscard]] bool answered() const noexcept { return msg_a->msg.is_response(); }
   };
+  // Measured: at 1 KiB or more, each call's bridges_ node allocation takes
+  // glibc's large-bin path and runs malloc_consolidate once per call.
+  static_assert(sizeof(Bridge) < 1000, "a bridge must stay under 1 KiB");
 
   void handle_request(const sip::Message& req, sip::ServerTransaction& txn);
   void handle_invite(const sip::Message& req, sip::ServerTransaction& txn);
@@ -219,10 +227,13 @@ class AsteriskPbx final : public sip::SipEndpoint {
   /// Returns the new bridge, or null after rejecting the call (the channel
   /// is released and the CDR closed).
   Bridge* start_bridge(const sip::Message& req, sip::ServerTransaction& txn, std::size_t cdr);
+  /// Adds the bridge for the INVITE `req`: leg A's tagged identity (a fresh
+  /// To-tag), the caller's node and the per-user call count.
+  Bridge& open_bridge(const sip::Message& req);
   void admit_invite(const sip::Message& req, sip::ServerTransaction& txn);
   void handle_bye(const sip::Message& req, sip::ServerTransaction& txn);
-  void on_leg_b_response(const std::string& call_id_b, const sip::Message& resp);
-  void on_leg_b_timeout(const std::string& call_id_b);
+  void on_leg_b_response(std::string_view call_id_b, const sip::Message& resp);
+  void on_leg_b_timeout(std::string_view call_id_b);
   void reject(const sip::Message& req, sip::ServerTransaction& txn, int code,
               Duration retry_after = Duration::zero());
   /// Enqueues a SIP packet into the single-worker service model.
@@ -261,9 +272,10 @@ class AsteriskPbx final : public sip::SipEndpoint {
   ErlangPredictiveCac cac_;
 
   /// Live bridges by leg A Call-ID. The two indexes below point into it
-  /// (node-based, so the pointers survive inserts of other bridges).
-  std::unordered_map<std::string, Bridge> bridges_;
-  std::unordered_map<std::string, Bridge*> by_call_id_b_;
+  /// (node-based, so the pointers survive inserts of other bridges). Each
+  /// key views a Call-ID in its bridge's own id_a or invite_b.
+  std::unordered_map<std::string_view, Bridge> bridges_;
+  std::unordered_map<std::string_view, Bridge*> by_call_id_b_;
   std::unordered_map<std::uint32_t, Bridge*> by_ssrc_;
 
   /// Live calls per caller, for the per-user limit; no zero entries.

@@ -64,24 +64,24 @@ void SipEndpoint::on_receive(const net::Packet& pkt) {
   }
   ++received_;
   if (tm_received_ != nullptr) tm_received_->add();
-  layer_.on_message(payload->msg, pkt.src);
+  layer_.on_message(std::static_pointer_cast<const SipPayload>(pkt.payload), pkt.src);
 }
 
-ClientTransaction& SipEndpoint::send_request_to(Message msg, const std::string& dst_host,
+ClientTransaction& SipEndpoint::send_request_to(Message msg, net::NodeId dst,
                                                 ClientTransaction::ResponseHandler on_response,
                                                 ClientTransaction::TimeoutHandler on_timeout) {
-  const net::NodeId dst = resolver_.resolve(dst_host);
   if (dst == net::kInvalidNode) {
-    throw std::invalid_argument{"send_request_to: unknown host " + dst_host};
+    throw std::invalid_argument{"send_request_to: unresolved peer for " +
+                                msg.request_uri().to_string()};
   }
   msg.vias().insert(msg.vias().begin(), Via{host_, layer_.new_branch()});
   return layer_.send_request(std::move(msg), dst, std::move(on_response), std::move(on_timeout));
 }
 
-void SipEndpoint::send_stateless_to(Message msg, const std::string& dst_host) {
-  const net::NodeId dst = resolver_.resolve(dst_host);
+void SipEndpoint::send_stateless_to(Message msg, net::NodeId dst) {
   if (dst == net::kInvalidNode) {
-    util::log_warn("sip", "send_stateless_to: unknown host " + dst_host);
+    util::log_warn("sip", "send_stateless_to: unresolved peer for " +
+                              msg.request_uri().to_string());
     return;
   }
   msg.vias().insert(msg.vias().begin(), Via{host_, layer_.new_branch()});

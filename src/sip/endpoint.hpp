@@ -66,14 +66,17 @@ class SipEndpoint : public net::Node, public Transport {
   [[nodiscard]] std::string new_tag();
 
  protected:
-  /// Convenience: resolve + send a request through a new client transaction.
-  /// Adds the top Via (this host, fresh branch) before handing to the layer.
-  ClientTransaction& send_request_to(Message msg, const std::string& dst_host,
+  /// Sends a request through a new client transaction to `dst`, a peer the
+  /// TU resolved once per call (resolver().resolve). Adds the top Via (this
+  /// host, fresh branch) before handing to the layer. Throws
+  /// std::invalid_argument for an unresolved peer (net::kInvalidNode).
+  ClientTransaction& send_request_to(Message msg, net::NodeId dst,
                                      ClientTransaction::ResponseHandler on_response,
                                      ClientTransaction::TimeoutHandler on_timeout = {});
 
-  /// Stateless send (2xx ACKs) with Via stamping.
-  void send_stateless_to(Message msg, const std::string& dst_host);
+  /// Stateless send (2xx ACKs) with Via stamping. An unresolved peer is
+  /// logged and nothing is sent.
+  void send_stateless_to(Message msg, net::NodeId dst);
 
  private:
   std::string host_;

@@ -70,6 +70,40 @@ std::optional<NameAddr> NameAddr::parse(std::string_view text) {
   return out;
 }
 
+std::shared_ptr<const DialogIdentity> DialogIdentity::with_to_tag(std::string tag) const {
+  return std::make_shared<DialogIdentity>(
+      DialogIdentity{call_id, from, NameAddr{to.uri, std::move(tag)}});
+}
+
+const std::vector<Via>& Message::no_vias() noexcept {
+  static const std::vector<Via> none;
+  return none;
+}
+
+const DialogIdentity& DialogIdentity::none() noexcept {
+  static const DialogIdentity empty;
+  return empty;
+}
+
+DialogIdentity& Message::own_identity() {
+  if (!owns_id_ || id_.use_count() != 1) {
+    id_ = id_ != nullptr ? std::make_shared<DialogIdentity>(*id_)
+                         : std::make_shared<DialogIdentity>();
+    owns_id_ = true;
+  }
+  // Built non-const by the branch above (now or in an earlier call).
+  return const_cast<DialogIdentity&>(*id_);
+}
+
+std::vector<Via>& Message::vias() {
+  if (!owns_vias_ || vias_.use_count() != 1) {
+    vias_ = vias_ != nullptr ? std::make_shared<std::vector<Via>>(*vias_)
+                             : std::make_shared<std::vector<Via>>();
+    owns_vias_ = true;
+  }
+  return const_cast<std::vector<Via>&>(*vias_);
+}
+
 Message Message::request(Method method, Uri request_uri) {
   Message msg;
   msg.is_request_ = true;
@@ -82,11 +116,9 @@ Message Message::response_to(const Message& req, int status_code) {
   Message msg;
   msg.is_request_ = false;
   msg.status_code_ = status_code;
-  msg.reason_ = std::string{reason_phrase(status_code)};
-  msg.vias_ = req.vias_;
-  msg.from_ = req.from_;
-  msg.to_ = req.to_;
-  msg.call_id_ = req.call_id_;
+  msg.reason_ = reason_phrase(status_code);
+  msg.set_vias(req.vias_);
+  msg.set_identity(req.id_);
   msg.cseq_ = req.cseq_;
   return msg;
 }

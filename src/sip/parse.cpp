@@ -9,11 +9,12 @@ namespace pbxcap::sip {
 struct MessageCodec {
   static Message make_request(Method m, Uri uri) { return Message::request(m, std::move(uri)); }
 
-  static Message make_response(int code, std::string reason) {
+  static Message make_response(int code, std::string_view reason) {
     Message msg;
     msg.is_request_ = false;
     msg.status_code_ = code;
-    msg.reason_ = std::move(reason);
+    msg.reason_text_ = std::make_shared<const std::string>(reason);
+    msg.reason_ = *msg.reason_text_;
     return msg;
   }
 
@@ -95,7 +96,7 @@ ParseResult MessageCodec::parse(std::string_view text) {
       return {std::nullopt, "bad status code"};
     }
     msg = make_response(static_cast<int>(code),
-                        std::string{has_reason ? util::trim(reason) : std::string_view{}});
+                        has_reason ? util::trim(reason) : std::string_view{});
   } else {
     // Request line: <METHOD> <uri> SIP/2.0
     const auto parts = util::split(start_line, ' ');
@@ -109,6 +110,8 @@ ParseResult MessageCodec::parse(std::string_view text) {
     msg = make_request(m, *uri);
   }
 
+  auto vias = std::make_shared<std::vector<Via>>();
+  auto id = std::make_shared<DialogIdentity>();
   bool have_from = false;
   bool have_to = false;
   bool have_call_id = false;
@@ -119,19 +122,19 @@ ParseResult MessageCodec::parse(std::string_view text) {
     if (util::iequals(name, "Via") || util::iequals(name, "v")) {
       const auto via = Via::parse(value);
       if (!via) return {std::nullopt, "bad Via"};
-      msg.vias_.push_back(*via);
+      vias->push_back(*via);
     } else if (util::iequals(name, "From") || util::iequals(name, "f")) {
       const auto addr = NameAddr::parse(value);
       if (!addr) return {std::nullopt, "bad From"};
-      msg.from_ = *addr;
+      id->from = *addr;
       have_from = true;
     } else if (util::iequals(name, "To") || util::iequals(name, "t")) {
       const auto addr = NameAddr::parse(value);
       if (!addr) return {std::nullopt, "bad To"};
-      msg.to_ = *addr;
+      id->to = *addr;
       have_to = true;
     } else if (util::iequals(name, "Call-ID") || util::iequals(name, "i")) {
-      msg.call_id_ = std::string{value};
+      id->call_id = std::string{value};
       have_call_id = true;
     } else if (util::iequals(name, "CSeq")) {
       const auto cseq = CSeq::parse(value);
@@ -165,6 +168,9 @@ ParseResult MessageCodec::parse(std::string_view text) {
   if (!have_cseq) return {std::nullopt, "missing CSeq"};
   if (declared_length > body.size()) return {std::nullopt, "truncated body"};
   msg.body_ = std::string{body.substr(0, declared_length)};
+  msg.vias_ = std::move(vias);
+  msg.id_ = std::move(id);
+  msg.owns_vias_ = msg.owns_id_ = true;
 
   return {std::move(msg), {}};
 }

@@ -104,6 +104,7 @@ std::optional<Sdp> Sdp::parse(std::string_view text) {
       do {
         std::uint64_t pt = 0;
         if (!util::parse_u64(field, pt) || pt > 127) return std::nullopt;
+        if (sdp.audio.payload_types.full()) return std::nullopt;
         sdp.audio.payload_types.push_back(static_cast<std::uint8_t>(pt));
       } while (parts.next(field));
       have_media = true;
@@ -124,10 +125,7 @@ std::optional<Sdp> Sdp::parse(std::string_view text) {
 
 std::optional<std::uint8_t> Sdp::negotiate(const Sdp& offer, const Sdp& answer) {
   for (const auto pt : offer.audio.payload_types) {
-    if (std::find(answer.audio.payload_types.begin(), answer.audio.payload_types.end(), pt) !=
-        answer.audio.payload_types.end()) {
-      return pt;
-    }
+    if (answer.audio.payload_types.contains(pt)) return pt;
   }
   return std::nullopt;
 }

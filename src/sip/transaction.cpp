@@ -89,7 +89,7 @@ void TransactionLayer::set_telemetry(telemetry::Telemetry* tel) {
 ClientTransaction& TransactionLayer::send_request(
     Message request, net::NodeId dst, ClientTransaction::ResponseHandler on_response,
     ClientTransaction::TimeoutHandler on_timeout) {
-  if (request.vias().empty() || request.vias().front().branch.empty()) {
+  if (request.top_via() == nullptr || request.top_via()->branch.empty()) {
     throw std::invalid_argument{"send_request: request needs a top Via with a branch"};
   }
   auto txn = std::unique_ptr<ClientTransaction>{new ClientTransaction{
@@ -107,7 +107,9 @@ void TransactionLayer::send_stateless(Message msg, net::NodeId dst) {
   transport_.send_sip(std::make_shared<const SipPayload>(std::move(msg)), dst);
 }
 
-void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
+void TransactionLayer::on_message(const std::shared_ptr<const SipPayload>& payload,
+                                  net::NodeId from) {
+  const Message& msg = payload->msg;
   if (msg.is_response()) {
     if (msg.top_via() == nullptr) return;  // malformed; drop
     const Key key = client_key(msg.top_via()->branch, msg.cseq().method);
@@ -138,7 +140,7 @@ void TransactionLayer::on_message(const Message& msg, net::NodeId from) {
     it->second->handle_retransmission();
     return;
   }
-  auto txn = std::unique_ptr<ServerTransaction>{new ServerTransaction{*this, msg, from}};
+  auto txn = std::unique_ptr<ServerTransaction>{new ServerTransaction{*this, payload, from}};
   ServerTransaction& ref = *txn;
   servers_.emplace(Key{ref.branch_, ref.method_}, std::move(txn));
   if (tm_server_started_ != nullptr) tm_server_started_->add();
@@ -152,7 +154,7 @@ ClientTransaction::ClientTransaction(TransactionLayer& layer, Message request, n
     : layer_{layer},
       request_{std::make_shared<const SipPayload>(std::move(request))},
       dst_{dst},
-      branch_{this->request().vias().front().branch},
+      branch_{this->request().top_via()->branch},
       state_{this->request().cseq().method == Method::kInvite ? State::kCalling
                                                                : State::kTrying},
       on_response_{std::move(on_response)},
@@ -221,14 +223,14 @@ void ClientTransaction::fire_timeout() {
 }
 
 void ClientTransaction::ack_non_2xx(const Message& response) {
-  // RFC 3261 §17.1.1.3: ACK reuses the INVITE's Request-URI, branch and CSeq
-  // number, takes the To from the response (it carries the remote tag).
+  // RFC 3261 §17.1.1.3: ACK reuses the INVITE's Request-URI, Via (branch)
+  // and CSeq number, and takes the To from the response (it carries the
+  // remote tag). The response echoes the INVITE's From and Call-ID, so the
+  // ACK shares the response's identity block and the INVITE's Via list.
   const Message& invite = request();
   Message ack = Message::request(Method::kAck, invite.request_uri());
-  ack.vias() = invite.vias();
-  ack.from() = invite.from();
-  ack.to() = response.to();
-  ack.set_call_id(invite.call_id());
+  ack.set_vias(invite.via_list());
+  ack.set_identity(response.identity());
   ack.set_cseq({invite.cseq().number, Method::kAck});
   layer_.transport().send_sip(std::make_shared<const SipPayload>(std::move(ack)), dst_);
 }
@@ -296,28 +298,33 @@ void ClientTransaction::terminate() {
 
 // ----------------------------------------------------- server transaction ----
 
-ServerTransaction::ServerTransaction(TransactionLayer& layer, const Message& request,
-                                     net::NodeId peer)
+ServerTransaction::ServerTransaction(TransactionLayer& layer,
+                                     std::shared_ptr<const SipPayload> request, net::NodeId peer)
     : layer_{layer},
-      branch_{request.top_via()->branch},
-      method_{request.method()},
+      request_{std::move(request)},
+      branch_{request_->msg.top_via()->branch},
+      method_{request_->msg.method()},
       peer_{peer},
       state_{method_ == Method::kInvite ? State::kProceeding : State::kTrying},
       retransmit_interval_{kT1} {
   if (layer_.tracer_ != nullptr) {
     auto& tracer = *layer_.tracer_;
     span_ = tracer.begin(txn_span_name(tracer, "uas:", method_),
-                         tracer.track_id(request.call_id()), layer_.simulator().now());
+                         tracer.track_id(request_->msg.call_id()), layer_.simulator().now());
   }
 }
 
 void ServerTransaction::respond(Message response) {
+  respond(std::make_shared<const SipPayload>(std::move(response)));
+}
+
+void ServerTransaction::respond(std::shared_ptr<const SipPayload> response) {
   if (state_ == State::kTerminated) {
     util::log_warn("sip", "respond() on terminated server transaction");
     return;
   }
-  const int code = response.status_code();
-  last_response_ = std::make_shared<const SipPayload>(std::move(response));
+  const int code = response->msg.status_code();
+  last_response_ = std::move(response);
   layer_.transport().send_sip(last_response_, peer_);
   if (is_provisional(code)) {
     state_ = State::kProceeding;

@@ -45,7 +45,7 @@ class ClientTransaction {
   using ResponseHandler = std::function<void(const Message& response)>;
   using TimeoutHandler = std::function<void()>;
 
-  [[nodiscard]] const std::string& branch() const noexcept { return branch_; }
+  [[nodiscard]] std::string_view branch() const noexcept { return branch_; }
   [[nodiscard]] Method method() const noexcept { return request().cseq().method; }
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] std::uint32_t retransmissions() const noexcept { return retransmissions_; }
@@ -72,7 +72,7 @@ class ClientTransaction {
   TransactionLayer& layer_;
   std::shared_ptr<const SipPayload> request_;  // sent by start() and timers A/E
   net::NodeId dst_;
-  std::string branch_;
+  std::string_view branch_;  // the top Via branch of *request_
   State state_;
   ResponseHandler on_response_;
   TimeoutHandler on_timeout_;
@@ -92,15 +92,24 @@ class ServerTransaction {
   /// Sends a response within this transaction (TU-facing). The response is
   /// moved into the payload that timer G and request retransmissions re-send.
   void respond(Message response);
+  /// Sends an already built response payload (a stored 2xx re-sent to a
+  /// late INVITE retransmission, say) without copying it.
+  void respond(std::shared_ptr<const SipPayload> response);
 
-  [[nodiscard]] const std::string& branch() const noexcept { return branch_; }
+  [[nodiscard]] std::string_view branch() const noexcept { return branch_; }
   [[nodiscard]] Method method() const noexcept { return method_; }
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] net::NodeId peer() const noexcept { return peer_; }
+  /// The request that opened the transaction, as received. A TU that needs
+  /// the request later keeps this, not a copy.
+  [[nodiscard]] const std::shared_ptr<const SipPayload>& request_payload() const noexcept {
+    return request_;
+  }
 
  private:
   friend class TransactionLayer;
-  ServerTransaction(TransactionLayer& layer, const Message& request, net::NodeId peer);
+  ServerTransaction(TransactionLayer& layer, std::shared_ptr<const SipPayload> request,
+                    net::NodeId peer);
 
   void handle_retransmission();
   void handle_ack();
@@ -108,7 +117,8 @@ class ServerTransaction {
   void terminate();
 
   TransactionLayer& layer_;
-  std::string branch_;
+  std::shared_ptr<const SipPayload> request_;
+  std::string_view branch_;  // the top Via branch of *request_
   Method method_;
   net::NodeId peer_;
   State state_;
@@ -138,8 +148,9 @@ class TransactionLayer {
   /// Sends a message outside any transaction (ACK for a 2xx response).
   void send_stateless(Message msg, net::NodeId dst);
 
-  /// Entry point for every SIP message the endpoint receives.
-  void on_message(const Message& msg, net::NodeId from);
+  /// Entry point for every SIP message the endpoint receives. A request
+  /// that opens a server transaction is kept by it (request_payload()).
+  void on_message(const std::shared_ptr<const SipPayload>& payload, net::NodeId from);
 
   /// Allocates an RFC 3261 branch token (magic cookie + unique suffix).
   [[nodiscard]] std::string new_branch();
@@ -185,8 +196,9 @@ class TransactionLayer {
 
   /// Matches a message to its transaction (RFC 3261 §17.1.3/§17.2.3): the
   /// top Via branch plus the method, since a CANCEL reuses its INVITE's
-  /// branch. A stored key views its transaction's own branch_; a lookup
-  /// views the message's top Via, so matching builds no string.
+  /// branch. A stored key views the top Via of the request its transaction
+  /// keeps; a lookup views the message's top Via, so matching builds no
+  /// string.
   struct Key {
     std::string_view branch;
     Method method;

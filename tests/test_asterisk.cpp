@@ -54,7 +54,7 @@ class TestUa final : public sip::SipEndpoint {
     }
     last_invite = std::make_unique<Message>(msg);
     send_request_to(
-        msg, pbx_host,
+        msg, resolver().resolve(pbx_host),
         [this](const Message& resp) {
           if (sip::is_final(resp.status_code())) {
             final_codes.push_back(resp.status_code());
@@ -71,11 +71,11 @@ class TestUa final : public sip::SipEndpoint {
     ASSERT_NE(last_final, nullptr);
     ASSERT_TRUE(sip::is_success(last_final->status_code()));
     dialog = sip::Dialog::from_uac(*last_invite, *last_final);
-    send_stateless_to(dialog.make_ack(), pbx_host);
+    send_stateless_to(dialog.make_ack(), resolver().resolve(pbx_host));
   }
 
   void bye(const std::string& pbx_host) {
-    send_request_to(dialog.make_request(Method::kBye), pbx_host,
+    send_request_to(dialog.make_request(Method::kBye), resolver().resolve(pbx_host),
                     [this](const Message& resp) { bye_codes.push_back(resp.status_code()); });
   }
 
@@ -93,7 +93,7 @@ class TestUa final : public sip::SipEndpoint {
       msg.set_contact(sip::Uri{user, sip_host()});
       if (expires) msg.add_header("Expires", std::to_string(*expires));
     }
-    send_request_to(msg, pbx_host, [this](const Message& resp) {
+    send_request_to(msg, resolver().resolve(pbx_host), [this](const Message& resp) {
       if (sip::is_final(resp.status_code())) final_codes.push_back(resp.status_code());
     });
   }

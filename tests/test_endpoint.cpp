@@ -32,7 +32,7 @@ class EchoEndpoint final : public sip::SipEndpoint {
     msg.to() = {sip::Uri{"", dst_host}, ""};
     msg.set_call_id("probe-1@" + sip_host());
     msg.set_cseq({1, Method::kOptions});
-    send_request_to(msg, dst_host, [this](const Message& resp) {
+    send_request_to(msg, resolver().resolve(dst_host), [this](const Message& resp) {
       last_response_code = resp.status_code();
     });
   }

@@ -44,7 +44,7 @@ class OverloadUa final : public sip::SipEndpoint {
     msg.set_body(offer.to_string(), "application/sdp");
     last_invite = std::make_unique<Message>(msg);
     send_request_to(
-        msg, pbx_host,
+        msg, resolver().resolve(pbx_host),
         [this](const Message& resp) {
           if (sip::is_final(resp.status_code())) {
             finals.push_back(resp);
@@ -58,7 +58,7 @@ class OverloadUa final : public sip::SipEndpoint {
     ASSERT_FALSE(finals.empty());
     ASSERT_TRUE(sip::is_success(finals.back().status_code()));
     dialog = sip::Dialog::from_uac(*last_invite, finals.back());
-    send_stateless_to(dialog.make_ack(), pbx_host);
+    send_stateless_to(dialog.make_ack(), resolver().resolve(pbx_host));
   }
 
   void options(const std::string& pbx_host) {
@@ -67,7 +67,7 @@ class OverloadUa final : public sip::SipEndpoint {
     msg.to() = {sip::Uri{"tester", pbx_host}, ""};
     msg.set_call_id("oc-opt-" + std::to_string(++counter_) + "@" + sip_host());
     msg.set_cseq({1, Method::kOptions});
-    send_request_to(msg, pbx_host, [this](const Message& resp) {
+    send_request_to(msg, resolver().resolve(pbx_host), [this](const Message& resp) {
       if (sip::is_final(resp.status_code())) {
         finals.push_back(resp);
         final_times.push_back(network()->simulator().now());

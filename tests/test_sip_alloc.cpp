@@ -16,6 +16,7 @@
 
 #include "dispatch/dispatcher.hpp"
 #include "exp/cluster.hpp"
+#include "sip/message.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -80,9 +81,26 @@ TEST(SipAllocationBudget, PerCompletedCallStaysUnderTheBound) {
               static_cast<unsigned long long>(setup.allocs),
               static_cast<unsigned long long>(run.allocs),
               static_cast<unsigned long long>(run.completed), per_call);
-  // Measured 267.9 per call; the bound sits just above it.
-  constexpr double kBudgetPerCall = 275.0;
+  // Measured 142.1 per call; the bound sits just above it.
+  constexpr double kBudgetPerCall = 146.0;
   EXPECT_LE(per_call, kBudgetPerCall);
+}
+
+TEST(SipAllocationBudget, ResponseToCopiesNoString) {
+  // Every field longer than the 15-byte small-string buffer, so a copied
+  // string would allocate.
+  sip::Message invite = sip::Message::request(sip::Method::kInvite,
+                                              sip::Uri{"receiver-000001", "sipp-server.unb.br"});
+  invite.vias().push_back({"sipp-client.unb.br", "z9hG4bK-sipp-client.unb.br-1"});
+  invite.set_identity(std::make_shared<const sip::DialogIdentity>(sip::DialogIdentity{
+      "call-000001@sipp-client.unb.br",
+      {sip::Uri{"caller-000001", "sipp-client.unb.br"}, "sipp-client.unb.br-tag1"},
+      {sip::Uri{"receiver-000001", "sipp-server.unb.br"}, ""}}));
+  invite.set_cseq({1, sip::Method::kInvite});
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const sip::Message ringing = sip::Message::response_to(invite, sip::status::kRinging);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0U);
+  EXPECT_EQ(ringing.call_id(), invite.call_id());
 }
 
 }  // namespace

@@ -212,7 +212,7 @@ TEST(MessageCodecTest, MutatedBytesNeverCrash) {
 }
 
 /// SDP offers shaped like the ones SipCaller puts in its INVITEs.
-sip::Sdp caller_offer(std::vector<std::uint8_t> payload_types) {
+sip::Sdp caller_offer(sip::PayloadTypes payload_types) {
   sip::Sdp offer;
   offer.connection_host = "sipp-client.unb.br";
   offer.audio.rtp_port = 30'014;
@@ -436,6 +436,105 @@ TEST(MessageCodecTest, CountedWireSizeIsExact) {
   }
 }
 
+/// A response shares its request's identity and Via list; it copies
+/// neither.
+TEST(MessageSharing, ResponseSharesTheRequestIdentityBlock) {
+  const Message invite = make_invite();
+  const Message ringing = Message::response_to(invite, 180);
+  ASSERT_NE(invite.identity(), nullptr);
+  EXPECT_EQ(ringing.identity().get(), invite.identity().get());
+  EXPECT_EQ(ringing.via_list().get(), invite.via_list().get());
+  EXPECT_EQ(ringing.reason(), "Ringing");
+}
+
+/// Setting a To-tag on a response copies the shared block first: the
+/// request's To keeps no tag, and the tagged block shared onward stays one
+/// block.
+TEST(MessageSharing, ToTagOnAResponseLeavesTheRequestUntouched) {
+  const Message invite = make_invite();
+  Message ok = Message::response_to(invite, 200);
+  ok.to().tag = "tag-b";
+  EXPECT_EQ(ok.to().tag, "tag-b");
+  EXPECT_EQ(invite.to().tag, "");
+  EXPECT_NE(ok.identity().get(), invite.identity().get());
+  EXPECT_EQ(ok.call_id(), invite.call_id());
+  EXPECT_EQ(ok.from(), invite.from());
+
+  const auto tagged = invite.identity()->with_to_tag("tag-c");
+  Message ringing = Message::response_to(invite, 180);
+  ringing.set_identity(tagged);
+  Message answer = Message::response_to(invite, 200);
+  answer.set_identity(tagged);
+  EXPECT_EQ(ringing.identity().get(), answer.identity().get());
+  EXPECT_EQ(answer.to().tag, "tag-c");
+  EXPECT_EQ(invite.to().tag, "");
+
+  // A request copied before its Via list is stamped keeps the old list.
+  Message copy = invite;
+  copy.vias().insert(copy.vias().begin(), {"pbx.unb.br", "z9hG4bK-top"});
+  ASSERT_EQ(copy.vias().size(), 2u);
+  EXPECT_EQ(copy.vias()[0].branch, "z9hG4bK-top");
+  EXPECT_EQ(copy.vias()[1].branch, "z9hG4bK-test-1");
+  EXPECT_EQ(invite.vias().size(), 1u);
+}
+
+/// The dialog's in-dialog requests on the wire, byte for byte: the UAC's
+/// ACK and BYE share the 2xx's identity block, the UAS's BYE swaps From and
+/// To.
+TEST(MessageSharing, DialogRequestsSerializeToGoldenText) {
+  const Message invite = make_invite();
+  Message ok = Message::response_to(invite, 200);
+  ok.to().tag = "tag-b";
+  ok.set_contact(*sip::Uri::parse("sip:recv-1@server.unb.br"));
+  sip::Dialog uac = sip::Dialog::from_uac(invite, ok);
+  sip::Dialog uas = sip::Dialog::from_uas(invite, ok);
+
+  const Message ack = uac.make_ack();
+  EXPECT_EQ(ack.identity().get(), ok.identity().get());
+  EXPECT_EQ(sip::serialize(ack),
+            "ACK sip:recv-1@server.unb.br SIP/2.0\r\n"
+            "Max-Forwards: 70\r\n"
+            "From: <sip:caller-1@client.unb.br>;tag=tag-a\r\n"
+            "To: <sip:recv-1@pbx.unb.br>;tag=tag-b\r\n"
+            "Call-ID: call-1@client.unb.br\r\n"
+            "CSeq: 1 ACK\r\n"
+            "Content-Length: 0\r\n"
+            "\r\n");
+  const Message bye = uac.make_request(Method::kBye);
+  EXPECT_EQ(bye.identity().get(), ok.identity().get());
+  EXPECT_EQ(sip::serialize(bye),
+            "BYE sip:recv-1@server.unb.br SIP/2.0\r\n"
+            "Max-Forwards: 70\r\n"
+            "From: <sip:caller-1@client.unb.br>;tag=tag-a\r\n"
+            "To: <sip:recv-1@pbx.unb.br>;tag=tag-b\r\n"
+            "Call-ID: call-1@client.unb.br\r\n"
+            "CSeq: 2 BYE\r\n"
+            "Content-Length: 0\r\n"
+            "\r\n");
+  EXPECT_EQ(sip::serialize(uas.make_request(Method::kBye)),
+            "BYE sip:caller-1@client.unb.br SIP/2.0\r\n"
+            "Max-Forwards: 70\r\n"
+            "From: <sip:recv-1@pbx.unb.br>;tag=tag-b\r\n"
+            "To: <sip:caller-1@client.unb.br>;tag=tag-a\r\n"
+            "Call-ID: call-1@client.unb.br\r\n"
+            "CSeq: 1 BYE\r\n"
+            "Content-Length: 0\r\n"
+            "\r\n");
+}
+
+/// A parsed status line keeps its own reason phrase, even one that is not
+/// reason_phrase()'s, through a copy and back onto the wire.
+TEST(MessageSharing, ParsedReasonPhraseRoundTrips) {
+  const std::string wire = sip::serialize(Message::response_to(make_invite(), 486));
+  const std::string custom = "SIP/2.0 486 Gone Fishing" + wire.substr(wire.find("\r\n"));
+  const auto parsed = sip::parse_message(custom);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const Message copy = *parsed.message;
+  EXPECT_EQ(copy.reason(), "Gone Fishing");
+  EXPECT_EQ(sip::serialize(copy), custom);
+  EXPECT_EQ(sip::wire_bytes(copy), custom.size());
+}
+
 TEST(ViaHeader, ParseAndPrint) {
   const auto via = sip::Via::parse("SIP/2.0/UDP pbx.unb.br;branch=z9hG4bK-42");
   ASSERT_TRUE(via);
@@ -475,7 +574,7 @@ TEST(SdpTest, RoundTripWithSsrc) {
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->connection_host, "client.unb.br");
   EXPECT_EQ(parsed->audio.rtp_port, 30'000);
-  EXPECT_EQ(parsed->audio.payload_types, (std::vector<std::uint8_t>{0, 8}));
+  EXPECT_EQ(parsed->audio.payload_types, (sip::PayloadTypes{0, 8}));
   EXPECT_EQ(parsed->audio.ssrc, 1234u);
 }
 
@@ -518,7 +617,7 @@ TEST(SdpTest, ParseKeepsFieldSemantics) {
       sip::Sdp::parse(head + "m=video 6000 RTP/AVP 31\r\nm=video x\r\nm=audio 5004 RTP/AVP 0 8\r\n");
   ASSERT_TRUE(video_first);
   EXPECT_EQ(video_first->audio.rtp_port, 5004);
-  EXPECT_EQ(video_first->audio.payload_types, (std::vector<std::uint8_t>{0, 8}));
+  EXPECT_EQ(video_first->audio.payload_types, (sip::PayloadTypes{0, 8}));
 
   // c= takes its third field: two fields give no host, and a doubled space
   // shifts the fields.
@@ -558,12 +657,12 @@ TEST(SdpTest, ParseKeepsFieldSemantics) {
     ASSERT_TRUE(parsed) << text;
     EXPECT_EQ(parsed->connection_host, "a");
     EXPECT_EQ(parsed->audio.rtp_port, 5004);
-    EXPECT_EQ(parsed->audio.payload_types, (std::vector<std::uint8_t>{0, 8}));
+    EXPECT_EQ(parsed->audio.payload_types, (sip::PayloadTypes{0, 8}));
     EXPECT_EQ(parsed->audio.ssrc, 9U);
   }
   const auto last_m_unterminated = sip::Sdp::parse("c=IN IP4 a\r\nm=audio 5004 RTP/AVP 0");
   ASSERT_TRUE(last_m_unterminated);
-  EXPECT_EQ(last_m_unterminated->audio.payload_types, (std::vector<std::uint8_t>{0}));
+  EXPECT_EQ(last_m_unterminated->audio.payload_types, (sip::PayloadTypes{0}));
 }
 
 TEST(SdpTest, RejectsMissingMedia) {
@@ -609,8 +708,8 @@ TEST(SdpTest, NegotiationTable) {
   // RFC 3264 answer selection over the codec tier's interesting cases:
   // offerer preference wins, answer order is irrelevant, disjoint sets fail.
   struct Case {
-    std::vector<std::uint8_t> offer;
-    std::vector<std::uint8_t> answer;
+    sip::PayloadTypes offer;
+    sip::PayloadTypes answer;
     std::optional<std::uint8_t> expect;
   };
   const std::vector<Case> cases = {

@@ -16,6 +16,11 @@ using namespace pbxcap;
 using sip::Message;
 using sip::Method;
 
+/// `msg` as it arrives off the wire.
+std::shared_ptr<const sip::SipPayload> payload_of(const Message& msg) {
+  return std::make_shared<const sip::SipPayload>(msg);
+}
+
 /// A fake transport that forwards messages to a peer layer after a delay,
 /// optionally dropping the first `drop_next` sends. Keeps every payload it
 /// was handed, in order, so tests can compare retransmitted pointers.
@@ -37,7 +42,7 @@ class FakeWire final : public sip::Transport {
       return;
     }
     if (peer_ == nullptr || dst != peer_id_) return;
-    simulator_.schedule_in(delay, [this, payload] { peer_->on_message(payload->msg, self_); });
+    simulator_.schedule_in(delay, [this, payload] { peer_->on_message(payload, self_); });
   }
 
   [[nodiscard]] const Message* last_sent() const {
@@ -201,8 +206,8 @@ TEST_F(TxnFixture, AbsorbedRequestRetransmissionResendsTheSamePayload) {
     txn.respond(Message::response_to(req, 200));
   };
   const Message bye = make_bye();
-  layer_b.on_message(bye, 1);
-  layer_b.on_message(bye, 1);
+  layer_b.on_message(payload_of(bye), 1);
+  layer_b.on_message(payload_of(bye), 1);
   ASSERT_EQ(wire_b.log.size(), 2u);
   EXPECT_TRUE(all_same_payload(wire_b.log));
 }
@@ -265,8 +270,8 @@ TEST_F(TxnFixture, CancelOnTheInviteBranchOpensItsOwnServerTransaction) {
   cancel.set_call_id(invite.call_id());
   cancel.set_cseq({invite.cseq().number, Method::kCancel});
 
-  layer_b.on_message(invite, 1);
-  layer_b.on_message(cancel, 1);
+  layer_b.on_message(payload_of(invite), 1);
+  layer_b.on_message(payload_of(cancel), 1);
   EXPECT_EQ(delivered, (std::vector<Method>{Method::kInvite, Method::kCancel}));
   EXPECT_EQ(layer_b.active_server_transactions(), 2U);
   EXPECT_TRUE(layer_b.matches_server_transaction(cancel));
@@ -274,7 +279,7 @@ TEST_F(TxnFixture, CancelOnTheInviteBranchOpensItsOwnServerTransaction) {
   // An INVITE retransmission is still absorbed by the INVITE transaction:
   // it re-sends the 180 and never reaches the TU.
   wire_b.log.clear();
-  layer_b.on_message(invite, 1);
+  layer_b.on_message(payload_of(invite), 1);
   EXPECT_EQ(delivered.size(), 2U);
   EXPECT_EQ(layer_b.total_retransmissions(), 1U);
   ASSERT_EQ(wire_b.log.size(), 1U);
@@ -292,10 +297,10 @@ TEST_F(TxnFixture, RetransmissionAtTheTerminationInstantIsAbsorbed) {
     txn.respond(Message::response_to(req, 200));
   };
   const Message bye = make_bye();
-  layer_b.on_message(bye, 1);
+  layer_b.on_message(payload_of(bye), 1);
   ASSERT_EQ(tu_deliveries, 1);
   const TimePoint timer_j = TimePoint::origin() + Duration::millis(500) * 64;
-  simulator.schedule_at(timer_j, [&] { layer_b.on_message(bye, 1); });
+  simulator.schedule_at(timer_j, [&] { layer_b.on_message(payload_of(bye), 1); });
   simulator.run();
   EXPECT_EQ(tu_deliveries, 1);
   EXPECT_EQ(layer_b.total_retransmissions(), 0U);  // no live transaction re-sent the 200
@@ -342,8 +347,8 @@ TEST_F(TxnFixture, RetransmittedRequestAbsorbedByServerTransaction) {
   };
   // Send the same BYE twice (simulating a retransmission arriving late).
   const Message bye = make_bye();
-  layer_b.on_message(bye, 1);
-  layer_b.on_message(bye, 1);
+  layer_b.on_message(payload_of(bye), 1);
+  layer_b.on_message(payload_of(bye), 1);
   simulator.run_until(TimePoint::origin() + Duration::seconds(1));
   EXPECT_EQ(tu_deliveries, 1);
   // The second arrival triggered a response retransmission instead.
@@ -368,7 +373,7 @@ TEST_F(TxnFixture, StrayResponseGoesToHandler) {
   layer_a.on_stray_response = [&](const Message&) { ++strays; };
   Message invite = make_invite();
   Message late = Message::response_to(invite, 200);
-  layer_a.on_message(late, 2);
+  layer_a.on_message(payload_of(late), 2);
   EXPECT_EQ(strays, 1);
 }
 
@@ -384,7 +389,7 @@ TEST_F(TxnFixture, TwoHundredAckBypassesTransactions) {
   ack.to() = {sip::Uri{"callee", "b.host"}, "tag-b"};
   ack.set_call_id("cid-1");
   ack.set_cseq({1, Method::kAck});
-  layer_b.on_message(ack, 1);
+  layer_b.on_message(payload_of(ack), 1);
   EXPECT_EQ(acks, 1);
 }
 

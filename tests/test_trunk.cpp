@@ -141,6 +141,39 @@ TEST_F(TrunkFixture, FlushesOnTheWindowGrid) {
   EXPECT_EQ(link.stats_from(a.id()).trunk_mini_frames, 3u);
 }
 
+TEST_F(TrunkFixture, LostShellsStayOutOfTheSentCounts) {
+  // A lost shell loses every packet inside it: the receiving network
+  // delivers exactly the packets of the sent shells, which the link counts
+  // apart from those of all shells.
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  network.attach(a);
+  network.attach(b);
+  net::LinkConfig cfg;
+  cfg.trunk_window = Duration::millis(20);
+  cfg.loss_probability = 0.5;
+  net::Link& link = network.connect(a, b, cfg);
+
+  // Three media packets in each of 40 windows.
+  for (int ms = 5; ms < 800; ms += 20) {
+    simulator.schedule_at(TimePoint::at(Duration::millis(ms)), [&a, &b] {
+      for (int i = 0; i < 3; ++i) a.transmit_to(b.id(), 78, net::PacketKind::kRtp);
+    });
+  }
+  simulator.run();
+
+  const net::LinkDirectionStats& stats = link.stats_from(a.id());
+  EXPECT_EQ(stats.trunk_frames, 40u);
+  EXPECT_EQ(stats.trunk_mini_frames, 120u);
+  ASSERT_GT(stats.dropped_random_loss, 0u);
+  ASSERT_GT(stats.trunk_frames_sent, 0u);
+  EXPECT_EQ(stats.trunk_frames_sent + stats.dropped_random_loss, stats.trunk_frames);
+  EXPECT_EQ(stats.trunk_mini_frames_sent, 3 * stats.trunk_frames_sent);
+  EXPECT_EQ(b.received.size(), stats.trunk_mini_frames_sent);
+  EXPECT_EQ(network.packets_delivered(),
+            stats.packets_sent - stats.trunk_frames_sent + stats.trunk_mini_frames_sent);
+}
+
 // --------------------------------------------------------------- cluster
 
 exp::ClusterConfig g729_cluster(Duration trunk_window) {
