@@ -73,11 +73,11 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
     // Mirror the NIC-tap message census and ring drop counts into the
     // registry so one Prometheus snapshot carries the full picture.
     auto& reg = tel->registry();
-    for (const auto& [key, v] : sip_capture.counters().all()) {
-      reg.counter("pbxcap_sip_messages_observed_total", {{"type", key}},
+    sip_capture.for_each_type([&reg](std::string_view type, std::uint64_t v) {
+      reg.counter("pbxcap_sip_messages_observed_total", {{"type", std::string{type}}},
                   "SIP messages by method/status observed at the PBX NIC")
           .add(v);
-    }
+    });
     reg.counter("pbxcap_sip_errors_observed_total", {},
                 "Error responses (>= 400) observed at the PBX NIC")
         .add(sip_capture.errors());

@@ -162,9 +162,12 @@ void SipReceiver::handle_ack(const Message& ack) {
 }
 
 void SipReceiver::handle_bye(const Message& req, sip::ServerTransaction& txn) {
-  txn.respond(Message::response_to(req, sip::status::kOk));
   const auto it = sessions_.find(req.call_id());
-  if (it == sessions_.end()) return;
+  if (it == sessions_.end()) {
+    txn.respond(Message::response_to(req, 481));  // Call/Transaction Does Not Exist
+    return;
+  }
+  txn.respond(Message::response_to(req, sip::status::kOk));
   Session& session = *it->second;
   session.media.stop();
   if (session.report_quality) finished_[session.call_index] = session.media.heard();

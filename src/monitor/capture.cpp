@@ -1,7 +1,8 @@
 #include "monitor/capture.hpp"
 
+#include <algorithm>
 #include <charconv>
-#include <string_view>
+#include <numeric>
 
 namespace pbxcap::monitor {
 
@@ -24,13 +25,30 @@ void SipCapture::on_packet(const net::Packet& pkt, net::NodeId from, net::NodeId
   const sip::Message& msg = payload->msg;
   ++total_;
   if (msg.is_request()) {
-    counters_.increment(to_string(msg.method()));
+    ++methods_[static_cast<std::size_t>(msg.method())];
   } else {
-    // The key is the decimal status code, formatted on the stack.
-    char code[12];
-    const auto end = std::to_chars(code, code + sizeof code, msg.status_code()).ptr;
-    counters_.increment(std::string_view{code, static_cast<std::size_t>(end - code)});
-    if (sip::is_error(msg.status_code())) ++errors_;
+    const int code = msg.status_code();
+    if (code >= kMinCode && code <= kMaxCode) ++codes_[static_cast<std::size_t>(code - kMinCode)];
+    if (sip::is_error(code)) ++errors_;
+  }
+}
+
+void SipCapture::for_each_type(
+    const std::function<void(std::string_view, std::uint64_t)>& fn) const {
+  for (int code = kMinCode; code <= kMaxCode; ++code) {
+    const std::uint64_t n = responses(code);
+    if (n == 0) continue;
+    char text[4];
+    const auto end = std::to_chars(text, text + sizeof text, code).ptr;
+    fn(std::string_view{text, static_cast<std::size_t>(end - text)}, n);
+  }
+  std::array<std::size_t, kMethods> order{};
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [](std::size_t a, std::size_t b) {
+    return to_string(static_cast<sip::Method>(a)) < to_string(static_cast<sip::Method>(b));
+  });
+  for (const std::size_t m : order) {
+    if (methods_[m] != 0) fn(to_string(static_cast<sip::Method>(m)), methods_[m]);
   }
 }
 

@@ -302,7 +302,8 @@ void AsteriskPbx::handle_invite(const Message& req, sip::ServerTransaction& txn)
     admit_invite(req, txn);
     return;
   }
-  const auto proceed = [this, req, &txn] {
+  const auto proceed = [this, req, &txn, epoch = boot_epoch_] {
+    if (epoch != boot_epoch_) return;  // the transaction died with the crashed process
     const auto user = directory_.lookup(req.from().uri.user());
     if (!user || !user->allowed) {
       const std::size_t cdr = cdrs_.open(req.call_id(), req.from().uri.user(),

@@ -1,11 +1,9 @@
 #include "sip/transaction.hpp"
 
 #include <algorithm>
-
-#include "sim/profile.hpp"
 #include <stdexcept>
 
-#include "util/log.hpp"
+#include "sim/profile.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::sip {
@@ -42,30 +40,14 @@ std::string TransactionLayer::new_branch() {
   return branch;
 }
 
-void TransactionLayer::remove_client(const ClientTransaction& txn) {
-  if (const auto it = clients_.find(client_key(txn.branch_, txn.method())); it != clients_.end()) {
-    clients_.erase(it);
-  }
-}
-
-void TransactionLayer::remove_server(const ServerTransaction& txn) {
-  if (const auto it = servers_.find(Key{txn.branch_, txn.method_}); it != servers_.end()) {
-    servers_.erase(it);
-  }
-}
-
 bool TransactionLayer::matches_server_transaction(const Message& request) const {
   if (!request.is_request() || request.top_via() == nullptr) return false;
   return servers_.contains(Key{request.top_via()->branch, request.method()});
 }
 
 void TransactionLayer::reset() {
-  // Crash semantics: every state machine dies silently — no timeout upcalls,
-  // no final responses, timers cancelled. terminate() defers the actual map
-  // removal by one zero-delay event, so iterating here is safe even though
-  // each call schedules an erase.
-  for (auto& [key, txn] : clients_) txn->terminate();
-  for (auto& [key, txn] : servers_) txn->terminate();
+  clients_.clear();
+  servers_.clear();
 }
 
 void TransactionLayer::set_telemetry(telemetry::Telemetry* tel) {
@@ -161,6 +143,11 @@ ClientTransaction::ClientTransaction(TransactionLayer& layer, Message request, n
       on_timeout_{std::move(on_timeout)},
       retransmit_interval_{kT1} {}
 
+ClientTransaction::~ClientTransaction() {
+  layer_.simulator().cancel(retransmit_timer_);
+  layer_.simulator().cancel(timeout_timer_);
+}
+
 void ClientTransaction::start() {
   layer_.transport().send_sip(request_, dst_);
   auto& sim = layer_.simulator();
@@ -181,18 +168,13 @@ void ClientTransaction::start() {
 }
 
 void ClientTransaction::retransmit() {
-  // Timer A fires only while Calling — a provisional moves an INVITE to
-  // Proceeding and stops request retransmissions (§17.1.1.2). Timer E keeps
-  // firing in Proceeding too: a non-INVITE request must be retransmitted
-  // until a *final* response arrives (§17.1.2.2), just pinned at T2.
-  const bool invite = method() == Method::kInvite;
-  const bool armed = invite ? state_ == State::kCalling
-                            : state_ == State::kTrying || state_ == State::kProceeding;
-  if (!armed) return;
+  // Timer E keeps firing in Proceeding: a non-INVITE request must be
+  // retransmitted until a *final* response arrives (§17.1.2.2), just pinned
+  // at T2. Timer A is cancelled on leaving Calling.
   ++retransmissions_;
   layer_.note_retransmission();
   layer_.transport().send_sip(request_, dst_);
-  if (invite) {
+  if (method() == Method::kInvite) {
     // Timer A doubles unboundedly until Timer B ends the transaction.
     retransmit_interval_ = retransmit_interval_ * 2;
   } else if (state_ == State::kProceeding) {
@@ -206,13 +188,6 @@ void ClientTransaction::retransmit() {
 }
 
 void ClientTransaction::fire_timeout() {
-  // Timer B applies only while Calling (RFC 3261 §17.1.1.2): once a
-  // provisional arrives, an INVITE waits indefinitely (the TU may apply its
-  // own Timer C). Timer F for non-INVITE fires in Trying or Proceeding.
-  const bool applies = method() == Method::kInvite
-                           ? state_ == State::kCalling
-                           : state_ == State::kTrying || state_ == State::kProceeding;
-  if (!applies) return;
   if (layer_.tm_timeouts_ != nullptr) layer_.tm_timeouts_->add();
   if (layer_.tracer_ != nullptr) {
     layer_.tracer_->end(span_, layer_.simulator().now());
@@ -236,10 +211,16 @@ void ClientTransaction::ack_non_2xx(const Message& response) {
 }
 
 void ClientTransaction::handle_response(const Message& response) {
-  if (state_ == State::kTerminated) return;
   const int code = response.status_code();
 
   if (is_provisional(code)) {
+    if (state_ == State::kCalling) {
+      // Timers A and B apply only while Calling (§17.1.1.2): after a
+      // provisional an INVITE waits indefinitely (the TU may apply its own
+      // Timer C). Timer E/F keep running for non-INVITE in Proceeding.
+      layer_.simulator().cancel(retransmit_timer_);
+      layer_.simulator().cancel(timeout_timer_);
+    }
     if (state_ == State::kCalling || state_ == State::kTrying) state_ = State::kProceeding;
     if (on_response_) on_response_(response);
     return;
@@ -285,15 +266,8 @@ void ClientTransaction::handle_response(const Message& response) {
 }
 
 void ClientTransaction::terminate() {
-  if (state_ == State::kTerminated) return;
-  state_ = State::kTerminated;
-  layer_.simulator().cancel(retransmit_timer_);
-  layer_.simulator().cancel(timeout_timer_);
-  // Deferred removal: destroying *this synchronously would free the frame
-  // the caller is still executing in. Until the removal event runs, the
-  // terminated transaction keeps absorbing what matches it.
-  const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
-  layer_.simulator().schedule_in(Duration::zero(), [this] { layer_.remove_client(*this); });
+  auto& clients = layer_.clients_;
+  clients.erase(clients.find(TransactionLayer::client_key(branch_, method())));
 }
 
 // ----------------------------------------------------- server transaction ----
@@ -314,15 +288,16 @@ ServerTransaction::ServerTransaction(TransactionLayer& layer,
   }
 }
 
+ServerTransaction::~ServerTransaction() {
+  layer_.simulator().cancel(retransmit_timer_);
+  layer_.simulator().cancel(timeout_timer_);
+}
+
 void ServerTransaction::respond(Message response) {
   respond(std::make_shared<const SipPayload>(std::move(response)));
 }
 
 void ServerTransaction::respond(std::shared_ptr<const SipPayload> response) {
-  if (state_ == State::kTerminated) {
-    util::log_warn("sip", "respond() on terminated server transaction");
-    return;
-  }
   const int code = response->msg.status_code();
   last_response_ = std::move(response);
   layer_.transport().send_sip(last_response_, peer_);
@@ -359,7 +334,6 @@ void ServerTransaction::respond(std::shared_ptr<const SipPayload> response) {
 }
 
 void ServerTransaction::retransmit_response() {
-  if (state_ != State::kCompleted || last_response_ == nullptr) return;
   layer_.note_retransmission();
   layer_.transport().send_sip(last_response_, peer_);
   retransmit_interval_ = retransmit_interval_ * 2;
@@ -370,7 +344,6 @@ void ServerTransaction::retransmit_response() {
 }
 
 void ServerTransaction::handle_retransmission() {
-  if (state_ == State::kTerminated) return;
   if (last_response_ != nullptr) {
     layer_.note_retransmission();
     layer_.transport().send_sip(last_response_, peer_);
@@ -388,12 +361,8 @@ void ServerTransaction::handle_ack() {
 }
 
 void ServerTransaction::terminate() {
-  if (state_ == State::kTerminated) return;
-  state_ = State::kTerminated;
-  layer_.simulator().cancel(retransmit_timer_);
-  layer_.simulator().cancel(timeout_timer_);
-  const sim::CategoryScope cat_scope{layer_.simulator(), sim::Category::kSip};
-  layer_.simulator().schedule_in(Duration::zero(), [this] { layer_.remove_server(*this); });
+  auto& servers = layer_.servers_;
+  servers.erase(servers.find(TransactionLayer::Key{branch_, method_}));
 }
 
 }  // namespace pbxcap::sip

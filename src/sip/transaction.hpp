@@ -6,6 +6,12 @@
 // J server-non-INVITE). On the simulated switched LAN retransmissions are
 // rare, but they fire for real under queue-overflow loss at the highest
 // offered loads, exactly the regime Table I's "Error Msgs" row captures.
+//
+// Lifecycle: a transaction leaves its layer in the event that ends it — the
+// 2xx, the timer that expires or TransactionLayer::reset() — and its
+// destructor cancels its timers. The one rule a TU keeps: a transaction may
+// not be used after the upcall or respond() that ended it returns. A TU that
+// holds a ServerTransaction* across events drops it when it sends the 2xx.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +46,9 @@ class TransactionLayer;
 /// generation for non-2xx INVITE outcomes.
 class ClientTransaction {
  public:
-  enum class State { kCalling, kTrying, kProceeding, kCompleted, kTerminated };
+  enum class State { kCalling, kTrying, kProceeding, kCompleted };
+
+  ~ClientTransaction();
 
   using ResponseHandler = std::function<void(const Message& response)>;
   using TimeoutHandler = std::function<void()>;
@@ -67,6 +75,7 @@ class ClientTransaction {
   void retransmit();
   void fire_timeout();
   void ack_non_2xx(const Message& response);
+  /// Erases *this from the layer, which destroys it: the caller's last act.
   void terminate();
 
   TransactionLayer& layer_;
@@ -87,7 +96,9 @@ class ClientTransaction {
 /// response until the transaction completes.
 class ServerTransaction {
  public:
-  enum class State { kTrying, kProceeding, kCompleted, kConfirmed, kTerminated };
+  enum class State { kTrying, kProceeding, kCompleted, kConfirmed };
+
+  ~ServerTransaction();
 
   /// Sends a response within this transaction (TU-facing). The response is
   /// moved into the payload that timer G and request retransmissions re-send.
@@ -114,6 +125,7 @@ class ServerTransaction {
   void handle_retransmission();
   void handle_ack();
   void retransmit_response();
+  /// Erases *this from the layer, which destroys it: the caller's last act.
   void terminate();
 
   TransactionLayer& layer_;
@@ -161,9 +173,9 @@ class TransactionLayer {
   /// through instead of answering them out of band.
   [[nodiscard]] bool matches_server_transaction(const Message& request) const;
 
-  /// Silently terminates every active transaction — the state loss of a
-  /// process crash. No timeout/response handlers fire; in-flight responses
-  /// arriving afterwards fall through to on_stray_response.
+  /// Destroys every active transaction — the state loss of a process crash.
+  /// No timeout/response handlers fire; in-flight responses arriving
+  /// afterwards fall through to on_stray_response.
   void reset();
 
   // ---- TU upcalls ----
@@ -214,8 +226,6 @@ class TransactionLayer {
   [[nodiscard]] static Key client_key(std::string_view branch, Method method) noexcept {
     return {branch, method == Method::kAck ? Method::kInvite : method};
   }
-  void remove_client(const ClientTransaction& txn);
-  void remove_server(const ServerTransaction& txn);
 
   sim::Simulator& simulator_;
   Transport& transport_;

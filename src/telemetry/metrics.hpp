@@ -1,5 +1,4 @@
-// Central metrics registry — the typed, exportable successor to the ad-hoc
-// stats::CounterSet plumbing.
+// Central metrics registry: typed, exportable metrics.
 //
 // Metrics are registered once by (name, fixed label set) and addressed
 // through typed handles afterwards: a hot-path update is a pointer

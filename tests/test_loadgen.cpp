@@ -223,4 +223,27 @@ TEST_F(ReceiverFixture, InviteRetransmittedAfterThe200ReusesItsSession) {
   EXPECT_EQ(heard->rtp_received, kPackets);
 }
 
+TEST_F(ReceiverFixture, ByeThatMatchesNoSessionIsAnswered481) {
+  // RFC 3261 §15.1.2: a BYE outside any dialog gets 481, not 200.
+  uac.send_sip(request(sip::Method::kBye, 2, "z9hG4bK-stray", "no-such-tag"), receiver.id());
+  run_for(Duration::seconds(1));
+  ASSERT_EQ(uac.responses.size(), 1u);
+  EXPECT_EQ(uac.responses.back().status_code(), 481);
+
+  // A call, its BYE (200), then a second BYE on a fresh branch (481).
+  uac.send_sip(invite(), receiver.id());
+  run_for(Duration::seconds(1));
+  ASSERT_EQ(uac.responses.back().status_code(), sip::status::kOk);
+  const std::string tag = uac.responses.back().to().tag;
+  uac.send_sip(request(sip::Method::kAck, 1, "z9hG4bK-ack", tag), receiver.id());
+  uac.send_sip(request(sip::Method::kBye, 2, "z9hG4bK-bye", tag), receiver.id());
+  run_for(Duration::seconds(1));
+  EXPECT_EQ(uac.responses.back().status_code(), sip::status::kOk);
+  EXPECT_EQ(receiver.active_sessions(), 0u);
+  uac.send_sip(request(sip::Method::kBye, 3, "z9hG4bK-bye-again", tag), receiver.id());
+  run_for(Duration::seconds(1));
+  EXPECT_EQ(uac.responses.back().status_code(), 481);
+  EXPECT_EQ(uac.responses.size(), 5u);  // 481, 180, 200, 200, 481
+}
+
 }  // namespace

@@ -286,11 +286,11 @@ TEST_F(TxnFixture, CancelOnTheInviteBranchOpensItsOwnServerTransaction) {
   EXPECT_EQ(wire_b.log.front()->msg.status_code(), 180);
 }
 
-TEST_F(TxnFixture, RetransmissionAtTheTerminationInstantIsAbsorbed) {
-  // Timer J ends the BYE server transaction at 64*T1; the map entry goes one
-  // zero-delay event later. A retransmission queued earlier for that very
-  // instant runs between the two: it meets the terminated transaction and is
-  // dropped, not taken for a new request.
+TEST_F(TxnFixture, RetransmissionAfterTimerJAtTheSameInstantIsANewRequest) {
+  // Timer J ends the BYE server transaction at 64*T1 and takes it out of the
+  // layer in that same event. A retransmission queued after Timer J for that
+  // very instant finds no transaction: it reaches the TU as a new request
+  // and is answered.
   int tu_deliveries = 0;
   layer_b.on_request = [&](const Message& req, sip::ServerTransaction& txn) {
     ++tu_deliveries;
@@ -300,11 +300,92 @@ TEST_F(TxnFixture, RetransmissionAtTheTerminationInstantIsAbsorbed) {
   layer_b.on_message(payload_of(bye), 1);
   ASSERT_EQ(tu_deliveries, 1);
   const TimePoint timer_j = TimePoint::origin() + Duration::millis(500) * 64;
-  simulator.schedule_at(timer_j, [&] { layer_b.on_message(payload_of(bye), 1); });
+  std::size_t active_after_timer_j = 99;
+  simulator.schedule_at(timer_j, [&] {
+    active_after_timer_j = layer_b.active_server_transactions();
+    layer_b.on_message(payload_of(bye), 1);
+  });
   simulator.run();
-  EXPECT_EQ(tu_deliveries, 1);
-  EXPECT_EQ(layer_b.total_retransmissions(), 0U);  // no live transaction re-sent the 200
+  EXPECT_EQ(active_after_timer_j, 0U);
+  EXPECT_EQ(tu_deliveries, 2);
+  EXPECT_EQ(layer_b.total_retransmissions(), 0U);  // answered anew, not re-sent
+  ASSERT_EQ(wire_b.log.size(), 2U);
+  EXPECT_NE(wire_b.log.front(), wire_b.log.back());
   EXPECT_EQ(layer_b.active_server_transactions(), 0U);
+}
+
+TEST_F(TxnFixture, ServerTwoHundredEndsTheTransactionBeforeAnyEventRuns) {
+  // The peer id 9 is on no wire: responses go nowhere and schedule nothing.
+  layer_b.on_request = [](const Message& req, sip::ServerTransaction& txn) {
+    txn.respond(Message::response_to(req, 180));
+    txn.respond(Message::response_to(req, 200));
+  };
+  const std::size_t pending = simulator.pending();
+  layer_b.on_message(payload_of(make_invite()), 9);
+  EXPECT_EQ(layer_b.active_server_transactions(), 0U);
+  EXPECT_EQ(simulator.pending(), pending);
+}
+
+TEST_F(TxnFixture, ClientTwoHundredEndsTheTransactionBeforeAnyEventRuns) {
+  int responses = 0;
+  int strays = 0;
+  layer_a.on_stray_response = [&](const Message&) { ++strays; };
+  const std::size_t pending = simulator.pending();
+  const Message invite = make_invite();
+  layer_a.send_request(invite, 9, [&](const Message&) { ++responses; });
+  Message ok = Message::response_to(invite, 200);
+  ok.to().tag = "tag-b";
+  layer_a.on_message(payload_of(ok), 9);
+  EXPECT_EQ(responses, 1);
+  EXPECT_EQ(simulator.pending(), pending);  // timers A and B gone, nothing added
+  // A retransmitted 200 at the same instant matches no transaction.
+  layer_a.on_message(payload_of(ok), 9);
+  EXPECT_EQ(responses, 1);
+  EXPECT_EQ(strays, 1);
+}
+
+TEST_F(TxnFixture, ResetDestroysEveryTransactionAndItsTimers) {
+  const std::size_t pending = simulator.pending();
+  bool handler_ran = false;
+  // Client: an INVITE in Calling (timers A/B) and a BYE in Trying (E/F).
+  layer_a.send_request(make_invite(), 9, [&](const Message&) { handler_ran = true; },
+                       [&] { handler_ran = true; });
+  layer_a.send_request(make_bye(), 9, [&](const Message&) { handler_ran = true; },
+                       [&] { handler_ran = true; });
+  // Server: an INVITE in Completed after a 486 (timers G/H) and a BYE in
+  // Completed after its 200 (timer J).
+  layer_b.on_request = [](const Message& req, sip::ServerTransaction& txn) {
+    txn.respond(Message::response_to(req, req.method() == Method::kInvite ? 486 : 200));
+  };
+  layer_b.on_message(payload_of(make_invite()), 9);
+  layer_b.on_message(payload_of(make_bye()), 9);
+  ASSERT_EQ(layer_b.active_server_transactions(), 2U);
+  ASSERT_GT(simulator.pending(), pending);
+
+  layer_a.reset();
+  layer_b.reset();
+  EXPECT_EQ(simulator.pending(), pending);
+  EXPECT_EQ(layer_b.active_server_transactions(), 0U);
+  const int sent = wire_a.sent + wire_b.sent;
+  simulator.run();
+  EXPECT_EQ(simulator.events_processed(), 0U);
+  EXPECT_FALSE(handler_ran);
+  EXPECT_EQ(wire_a.sent + wire_b.sent, sent);
+}
+
+TEST_F(TxnFixture, ProvisionalStopsInviteTimersAAndB) {
+  // After a 180 an INVITE client transaction waits indefinitely (§17.1.1.2):
+  // 40 s of silence fires no event on the client side.
+  const Message invite = make_invite();
+  bool timed_out = false;
+  layer_a.send_request(invite, 9, [](const Message&) {}, [&] { timed_out = true; });
+  Message ringing = Message::response_to(invite, 180);
+  ringing.to().tag = "tag-b";
+  layer_a.on_message(payload_of(ringing), 9);
+  simulator.run_until(TimePoint::origin() + Duration::seconds(40));
+  EXPECT_EQ(simulator.events_processed(), 0U);
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(layer_a.total_retransmissions(), 0U);
 }
 
 TEST_F(TxnFixture, InviteTimeoutFiresAfterTimerB) {

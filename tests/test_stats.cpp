@@ -1,10 +1,9 @@
-// Unit tests for streaming statistics, counters, and confidence intervals.
+// Unit tests for streaming statistics and confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "stats/confidence.hpp"
-#include "stats/counter.hpp"
 #include "stats/summary.hpp"
 
 namespace {
@@ -108,33 +107,6 @@ TEST(ConfidenceTest, WilsonProportion) {
   EXPECT_DOUBLE_EQ(std::max(zero.lo, 0.0), zero.lo >= 0 ? zero.lo : 0.0);
   EXPECT_GT(zero.hi, 0.0);
   EXPECT_THROW((void)stats::proportion_confidence(5, 3), std::invalid_argument);
-}
-
-TEST(CounterTest, IncrementAndMerge) {
-  stats::CounterSet a;
-  a.increment("INVITE");
-  a.increment("INVITE", 2);
-  a.increment("BYE");
-  EXPECT_EQ(a.value("INVITE"), 3u);
-  EXPECT_EQ(a.value("missing"), 0u);
-  stats::CounterSet b;
-  b.increment("INVITE", 10);
-  a.merge(b);
-  EXPECT_EQ(a.value("INVITE"), 13u);
-  a.reset();
-  EXPECT_EQ(a.value("INVITE"), 0u);
-}
-
-TEST(CounterTest, HeterogeneousLookupDoesNotAllocateNames) {
-  // increment()/value() accept string_view directly; a name is materialised
-  // into a std::string exactly once, at first-seen time.
-  stats::CounterSet set;
-  const std::string_view name{"INVITE/200"};
-  set.increment(name);
-  set.increment(name.substr(0, 6));  // "INVITE" — distinct key
-  EXPECT_EQ(set.value(std::string_view{"INVITE/200"}), 1u);
-  EXPECT_EQ(set.value(std::string_view{"INVITE"}), 1u);
-  EXPECT_EQ(set.all().size(), 2u);
 }
 
 }  // namespace

@@ -164,21 +164,21 @@ Digests testbed_digests(exp::TestbedConfig config, const telemetry::Config& tcfg
 
 TEST(TopologyDigest, TestbedPerPacket) {
   expect_digests(testbed_digests(small_testbed(), {}),
-                 0x5dea8012d3f56d4cULL, 0x62dcae3af1353dd1ULL);
+                 0x5dea8012d3f56d4cULL, 0x14ce64323829dd95ULL);
 }
 
 TEST(TopologyDigest, TestbedFluid) {
   auto config = small_testbed();
   config.fluid.enabled = true;
   expect_digests(testbed_digests(config, {}),
-                 0x940a60bb734262f1ULL, 0xe05309e6393c366aULL);
+                 0x940a60bb734262f1ULL, 0x69ee4bf7a0822c79ULL);
 }
 
 TEST(TopologyDigest, TestbedWifi) {
   auto config = small_testbed();
   config.wifi_cell = net::WifiCellConfig{};
   expect_digests(testbed_digests(config, {}),
-                 0xbd32dbb69820eb6cULL, 0x5198887ba04cfcc6ULL);
+                 0xbd32dbb69820eb6cULL, 0x1435c2840a1fde72ULL);
 }
 
 TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
@@ -192,7 +192,7 @@ TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
   auto config = small_testbed();
   config.faults = &plan;
   expect_digests(testbed_digests(config, full_telemetry()),
-                 0x69450cbffab042e2ULL, 0x9e827681c642ac87ULL);
+                 0x69450cbffab042e2ULL, 0x8bc84266f476de0eULL);
 }
 
 /// Fluid needs point-to-point links: with a shared-medium Wi-Fi cell the
@@ -245,19 +245,19 @@ exp::ClusterConfig trunked_g729(exp::ClusterConfig config) {
 
 TEST(TopologyDigest, ClusterDns) {
   expect_digests(cluster_digests(small_cluster(), {}),
-                 0xb59563d867f6ecb6ULL, 0xf0a064acbee832dcULL);
+                 0xb59563d867f6ecb6ULL, 0xd058896b1f08e215ULL);
 }
 
 TEST(TopologyDigest, ClusterDispatcherCrash) {
   expect_digests(cluster_digests(dispatcher_crash(small_cluster()), full_telemetry()),
-                 0x64c995ea4b64893aULL, 0xe736b4a58039d926ULL);
+                 0x64c995ea4b64893aULL, 0x0ed3f9b0cc49f048ULL);
 }
 
 TEST(TopologyDigest, ClusterFluidTrunkedG729) {
   auto config = trunked_g729(small_cluster());
   config.fluid.enabled = true;
   expect_digests(cluster_digests(config, {}),
-                 0x4e14763d01e494fcULL, 0xab33704925498cf1ULL);
+                 0x4e14763d01e494fcULL, 0x5c849683d202b97bULL);
 }
 
 exp::ClusterConfig acd_queue(exp::ClusterConfig config) {
@@ -273,7 +273,7 @@ exp::ClusterConfig acd_queue(exp::ClusterConfig config) {
 
 TEST(TopologyDigest, ClusterAcd) {
   expect_digests(cluster_digests(acd_queue(small_cluster()), {}),
-                 0xf8f73fd0aa239c3fULL, 0x57d9a245d6c7f01fULL);
+                 0xf8f73fd0aa239c3fULL, 0xd4ded92d7265da10ULL);
 }
 
 // ---- sharded cluster --------------------------------------------------------
@@ -290,23 +290,23 @@ void expect_sharded_digests(exp::ClusterConfig config, std::uint64_t outcome,
 }
 
 TEST(TopologyDigest, ShardedDns) {
-  expect_sharded_digests(small_cluster(), 0x5cc824f9e767032fULL, 0x8e8c7a1c7b822e05ULL);
+  expect_sharded_digests(small_cluster(), 0x5cc824f9e767032fULL, 0x799b800b3fb3b5e0ULL);
 }
 
 TEST(TopologyDigest, ShardedFluid) {
   auto config = small_cluster();
   config.fluid.enabled = true;
-  expect_sharded_digests(config, 0x80d715396b6c2567ULL, 0x32027a8d286c6c0eULL);
+  expect_sharded_digests(config, 0x80d715396b6c2567ULL, 0x844a75c1f0589be1ULL);
 }
 
 TEST(TopologyDigest, ShardedDispatcherCrash) {
   expect_sharded_digests(dispatcher_crash(small_cluster()),
-                         0x271311faca27e4b7ULL, 0x2ac6917ea6c3e2a1ULL);
+                         0x271311faca27e4b7ULL, 0xe79a987e76097f18ULL);
 }
 
 TEST(TopologyDigest, ShardedTrunkedG729) {
   expect_sharded_digests(trunked_g729(small_cluster()),
-                         0xc202aafd962bd1b6ULL, 0x5e1076b1a6c313d0ULL);
+                         0xc202aafd962bd1b6ULL, 0x45bb71dd23a20613ULL);
 }
 
 // ---- sharded vs monolithic --------------------------------------------------
