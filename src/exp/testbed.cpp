@@ -45,10 +45,8 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
     // denominator — blocked calls finalize instantly but completed ones only
     // at teardown, which would spike the mid-run curve toward 1.0 right when
     // the pool first saturates.
-    const telemetry::Counter& offered =
-        tel->registry().counter("pbxcap_caller_calls_offered_total");
-    sampler.add_gauge("blocking_probability", [&caller, &offered] {
-      const auto placed = static_cast<double>(offered.value());
+    sampler.add_gauge("blocking_probability", [&caller] {
+      const auto placed = static_cast<double>(caller.calls_offered());
       return placed > 0.0 ? static_cast<double>(caller.log().blocked()) / placed : 0.0;
     });
     sampler.add_rate("calls_blocked_per_s",

@@ -218,6 +218,16 @@ void Experiment::run() {
   exec_->run(TimePoint::at(run_horizon(*topo_.scenario, topo_.drain)));
   caller_->finalize_remaining();
 
+  // Each component counts its own facts; the registries receive them once,
+  // in the order the components were wired.
+  if (hub_.tel != nullptr) {
+    caller_->publish(hub_.tel->registry());
+    receiver_->publish(hub_.tel->registry());
+  }
+  for (auto& b : backends_) {
+    if (b->shard.tel != nullptr) b->pbx.publish(b->shard.tel->registry());
+  }
+
   const auto stop = [](Shard& shard) {
     if (shard.tel == nullptr) return;
     shard.tel->sampler().stop();  // cancel the pending tick before the sim dies

@@ -105,6 +105,7 @@ class Experiment {
 
   [[nodiscard]] Backend& backend(std::size_t i) noexcept { return *backends_[i]; }
   [[nodiscard]] loadgen::SipCaller& caller() noexcept { return *caller_; }
+  [[nodiscard]] loadgen::SipReceiver& receiver() noexcept { return *receiver_; }
   [[nodiscard]] net::Link& client_link() noexcept { return *client_link_; }
   [[nodiscard]] net::Link& server_link() noexcept { return *server_link_; }
   [[nodiscard]] dispatch::Dispatcher* dispatcher() noexcept {
@@ -115,7 +116,8 @@ class Experiment {
   [[nodiscard]] Shard& hub() noexcept { return hub_; }
   [[nodiscard]] const ShardExecutor& executor() const noexcept { return *exec_; }
 
-  /// Runs every shard to the horizon, then folds backend-shard telemetry
+  /// Runs every shard to the horizon, has each component publish its
+  /// counters into its shard's registry, then folds backend-shard telemetry
   /// into the caller's sink and receiver-heard quality into the call log.
   void run();
 

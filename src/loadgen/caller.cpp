@@ -45,39 +45,49 @@ SipCaller::SipCaller(std::string host, std::vector<std::string> pbx_hosts,
 
 void SipCaller::set_telemetry(telemetry::Telemetry* tel) {
   sip::SipEndpoint::set_telemetry(tel);
-  tm_offered_ = tm_completed_ = tm_blocked_ = tm_failed_ = tm_abandoned_ = tm_retried_ =
-      tm_rtp_sent_ = nullptr;
-  tm_setup_delay_ms_ = tm_mos_ = nullptr;
-  tracer_ = nullptr;
-  if (tel == nullptr) return;
-  tracer_ = tel->tracer();
-  if (tracer_ != nullptr) {
-    jn_pick_ = tracer_->name_id("dispatch.pick");
-    jn_repick_ = tracer_->name_id("dispatch.repick");
-    jn_reject_ = tracer_->name_id("dispatch.reject");
-    jn_bench_ = tracer_->name_id("dispatch.bench");
-    jn_timeout_ = tracer_->name_id("invite.timeout");
-    jn_failover_ = tracer_->name_id("dispatch.failover");
-    jn_setup_ = tracer_->name_id("call.setup");
+  tracer_ = tel == nullptr ? nullptr : tel->tracer();
+  if (tracer_ == nullptr) return;
+  jn_pick_ = tracer_->name_id("dispatch.pick");
+  jn_repick_ = tracer_->name_id("dispatch.repick");
+  jn_reject_ = tracer_->name_id("dispatch.reject");
+  jn_bench_ = tracer_->name_id("dispatch.bench");
+  jn_timeout_ = tracer_->name_id("invite.timeout");
+  jn_failover_ = tracer_->name_id("dispatch.failover");
+  jn_setup_ = tracer_->name_id("call.setup");
+}
+
+void SipCaller::publish(telemetry::MetricsRegistry& reg) const {
+  sip::SipEndpoint::publish(reg);
+  reg.counter("pbxcap_caller_calls_offered_total", {}, "Calls placed by the load generator")
+      .add(calls_offered());
+  reg.counter("pbxcap_caller_calls_total", {{"outcome", "completed"}},
+              "Finished calls by outcome")
+      .add(log_.completed());
+  reg.counter("pbxcap_caller_calls_total", {{"outcome", "blocked"}}).add(log_.blocked());
+  reg.counter("pbxcap_caller_calls_total", {{"outcome", "failed"}}).add(log_.failed());
+  reg.counter("pbxcap_caller_calls_total", {{"outcome", "abandoned"}})
+      .add(log_.count(monitor::CallOutcome::kAbandoned));
+  reg.counter("pbxcap_caller_retries_total", {}, "INVITE re-attempts after 503 + backoff")
+      .add(retries_);
+  publish_rtp_sent(reg, rtp_packets_sent());
+  auto& setup_delay_ms = reg.histogram("pbxcap_caller_setup_delay_ms",
+                                       telemetry::log_linear_buckets(1.0, 10'000.0, 5), {},
+                                       "INVITE to 200 OK setup delay of answered calls (ms)");
+  auto& mos = reg.histogram("pbxcap_caller_mos", telemetry::linear_buckets(1.0, 5.0, 8), {},
+                            "Caller-heard MOS of answered calls");
+  // The log is in finish order, so each sum adds in the order the calls
+  // ended. Only an answered call carries a caller-heard MOS.
+  for (const monitor::CallRecord& record : log_.records()) {
+    if (!record.mos_caller_heard) continue;
+    setup_delay_ms.observe(record.setup_delay.to_millis());
+    mos.observe(*record.mos_caller_heard);
   }
-  auto& reg = tel->registry();
-  tm_offered_ = &reg.counter("pbxcap_caller_calls_offered_total", {},
-                             "Calls placed by the load generator");
-  tm_completed_ = &reg.counter("pbxcap_caller_calls_total", {{"outcome", "completed"}},
-                               "Finished calls by outcome");
-  tm_blocked_ = &reg.counter("pbxcap_caller_calls_total", {{"outcome", "blocked"}});
-  tm_failed_ = &reg.counter("pbxcap_caller_calls_total", {{"outcome", "failed"}});
-  tm_abandoned_ = &reg.counter("pbxcap_caller_calls_total", {{"outcome", "abandoned"}});
-  tm_retried_ = &reg.counter("pbxcap_caller_retries_total", {},
-                             "INVITE re-attempts after 503 + backoff");
-  tm_rtp_sent_ = &reg.counter("pbxcap_rtp_packets_sent_total", {{"host", sip_host()}},
-                              "RTP packets emitted by this endpoint's senders");
-  tm_setup_delay_ms_ =
-      &reg.histogram("pbxcap_caller_setup_delay_ms",
-                     telemetry::log_linear_buckets(1.0, 10'000.0, 5), {},
-                     "INVITE to 200 OK setup delay of answered calls (ms)");
-  tm_mos_ = &reg.histogram("pbxcap_caller_mos", telemetry::linear_buckets(1.0, 5.0, 8), {},
-                           "Caller-heard MOS of answered calls");
+}
+
+std::uint64_t SipCaller::rtp_packets_sent() const noexcept {
+  std::uint64_t sent = rtp_sent_ended_;
+  for (const auto& [index, call] : calls_) sent += call->media.packets_sent();
+  return sent;
 }
 
 void SipCaller::start() {
@@ -131,7 +141,6 @@ void SipCaller::place_call() {
   }
 
   const std::uint64_t index = next_call_index_++;
-  if (tm_offered_ != nullptr) tm_offered_->add();
   auto call = std::make_unique<Call>();
   call->index = index;
   call->offered_at = network()->simulator().now();
@@ -226,7 +235,6 @@ void SipCaller::schedule_retry(std::uint64_t index, Duration delay) {
   if (call == nullptr) return;
   ++call->attempt;
   ++retries_;
-  if (tm_retried_ != nullptr) tm_retried_->add();
   const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kLoadgen};
   call->retry_timer = network()->simulator().schedule_in(delay, [this, index] {
     Call* c = find(index);
@@ -377,7 +385,6 @@ void SipCaller::on_invite_timeout(std::uint64_t index) {
         ++retries_;
         ++failovers_;
         if (*host != call->pbx_host) ++retries_rerouted_;
-        if (tm_retried_ != nullptr) tm_retried_->add();
         call->pbx_host = *host;
         journey_instant(*call, jn_failover_, &call->pbx_host);
         send_invite(*call);
@@ -418,21 +425,6 @@ void SipCaller::finish(std::uint64_t index, monitor::CallOutcome outcome) {
     call.setup_span = 0;
   }
 
-  switch (outcome) {
-    case monitor::CallOutcome::kCompleted:
-      if (tm_completed_ != nullptr) tm_completed_->add();
-      break;
-    case monitor::CallOutcome::kBlocked:
-      if (tm_blocked_ != nullptr) tm_blocked_->add();
-      break;
-    case monitor::CallOutcome::kFailed:
-      if (tm_failed_ != nullptr) tm_failed_->add();
-      break;
-    case monitor::CallOutcome::kAbandoned:
-      if (tm_abandoned_ != nullptr) tm_abandoned_->add();
-      break;
-  }
-
   monitor::CallRecord record;
   record.call_index = index;
   record.offered_at = call.offered_at;
@@ -446,8 +438,6 @@ void SipCaller::finish(std::uint64_t index, monitor::CallOutcome outcome) {
     record.jitter_caller_heard = q.jitter;
     record.rtp_received_caller = q.rtp_received;
     record.mos_caller_heard = q.mos;
-    if (tm_setup_delay_ms_ != nullptr) tm_setup_delay_ms_->observe(record.setup_delay.to_millis());
-    if (tm_mos_ != nullptr && record.mos_caller_heard) tm_mos_->observe(*record.mos_caller_heard);
   }
   log_.add(std::move(record));
 
@@ -455,7 +445,7 @@ void SipCaller::finish(std::uint64_t index, monitor::CallOutcome outcome) {
   if (call.bye_timer != 0) network()->simulator().cancel(call.bye_timer);
   if (call.retry_timer != 0) network()->simulator().cancel(call.retry_timer);
   if (call.media.remote_ssrc() != 0) by_remote_ssrc_.erase(call.media.remote_ssrc());
-  call.media.stop();
+  end_leg(call.media);
   calls_.erase(it);
 
   if (scenario_.finite_population > 0) user_became_idle();

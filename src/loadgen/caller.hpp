@@ -46,15 +46,22 @@ class SipCaller final : public SippHost {
   /// Begins offering calls at t = now.
   void start();
 
-  /// Adds per-outcome call counters, setup-delay / MOS histograms, and the
-  /// caller-side RTP send counter on top of the base instrumentation.
+  /// Adds the call-journey spans to the base endpoint's.
   void set_telemetry(telemetry::Telemetry* tel) override;
+  /// Appends the offered and per-outcome call counters, retries, the RTP
+  /// send counter and the setup-delay / MOS histograms of answered calls,
+  /// walking the call log in finish order.
+  void publish(telemetry::MetricsRegistry& reg) const override;
 
   /// Marks still-open calls as abandoned; call at the experiment horizon.
   void finalize_remaining();
 
   [[nodiscard]] monitor::CallLog& log() noexcept { return log_; }
   [[nodiscard]] const monitor::CallLog& log() const noexcept { return log_; }
+  /// Calls placed so far, whatever their outcome or state.
+  [[nodiscard]] std::uint64_t calls_offered() const noexcept { return next_call_index_; }
+  /// RTP packets this host's media legs emitted, ended and live.
+  [[nodiscard]] std::uint64_t rtp_packets_sent() const noexcept;
   /// 503-triggered INVITE re-attempts (scenario_.retry must be enabled).
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
   /// Re-attempts that changed backend (dispatcher repick or DNS rotation).
@@ -129,7 +136,7 @@ class SipCaller final : public SippHost {
   /// Records an instant on `call`'s journey track; no-op without tracing.
   void journey_instant(Call& call, std::uint32_t name, const std::string* detail = nullptr);
 
-  // Telemetry handles; null when telemetry is absent.
+  // Journey span names; interned when tracing is on.
   std::uint32_t jn_pick_{0};
   std::uint32_t jn_repick_{0};
   std::uint32_t jn_reject_{0};
@@ -137,14 +144,6 @@ class SipCaller final : public SippHost {
   std::uint32_t jn_timeout_{0};
   std::uint32_t jn_failover_{0};
   std::uint32_t jn_setup_{0};
-  telemetry::Counter* tm_offered_{nullptr};
-  telemetry::Counter* tm_completed_{nullptr};
-  telemetry::Counter* tm_blocked_{nullptr};
-  telemetry::Counter* tm_failed_{nullptr};
-  telemetry::Counter* tm_abandoned_{nullptr};
-  telemetry::Counter* tm_retried_{nullptr};
-  telemetry::Histogram* tm_setup_delay_ms_{nullptr};
-  telemetry::Histogram* tm_mos_{nullptr};
 };
 
 }  // namespace pbxcap::loadgen

@@ -39,7 +39,6 @@ void MediaLeg::start(SippHost& host, net::NodeId dst, sim::Random* rtcp_rng,
                    .payload = std::make_shared<rtp::RtpPayload>(
                        header, host.network()->simulator().now())});
       });
-  sender_->set_packet_counter(host.tm_rtp_sent_);
   if (host.tracer_ != nullptr && track != 0) sender_->set_tracer(host.tracer_, track);
   if (fluid != nullptr) {
     sender_->set_fluid(
@@ -97,6 +96,17 @@ HeardQuality MediaLeg::heard() const {
   q.mos = media::estimate_mos(media::inputs_for_codec(
       codec_, Duration::from_seconds(transit_s_.mean()), jbuf_.playout_delay(), q.effective_loss));
   return q;
+}
+
+void SippHost::end_leg(MediaLeg& leg) {
+  leg.stop();
+  rtp_sent_ended_ += leg.packets_sent();
+}
+
+void SippHost::publish_rtp_sent(telemetry::MetricsRegistry& reg, std::uint64_t sent) const {
+  reg.counter("pbxcap_rtp_packets_sent_total", {{"host", sip_host()}},
+              "RTP packets emitted by this endpoint's senders")
+      .add(sent);
 }
 
 void SippHost::on_receive(const net::Packet& pkt) {

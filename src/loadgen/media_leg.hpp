@@ -53,10 +53,9 @@ class MediaLeg {
   [[nodiscard]] std::uint32_t remote_ssrc() const noexcept { return remote_ssrc_; }
   [[nodiscard]] bool started() const noexcept { return sender_ != nullptr; }
 
-  /// Starts streaming from `host` to `dst` with the host's fluid engine,
-  /// packet counter and tracer. A non-null `rtcp_rng` runs RTCP with a
-  /// stream forked from it; a non-zero `track` records the media segments
-  /// on the call's journey row.
+  /// Starts streaming from `host` to `dst` with the host's fluid engine and
+  /// tracer. A non-null `rtcp_rng` runs RTCP with a stream forked from it; a
+  /// non-zero `track` records the media segments on the call's journey row.
   void start(SippHost& host, net::NodeId dst, sim::Random* rtcp_rng, std::uint64_t track);
   /// Stops the RTP stream only; RTCP keeps reporting until stop().
   void stop_sending();
@@ -64,6 +63,10 @@ class MediaLeg {
 
   /// Quality of the media this leg received so far.
   [[nodiscard]] HeardQuality heard() const;
+  /// RTP packets this leg's sender emitted so far.
+  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
+    return sender_ == nullptr ? 0 : sender_->packets_sent();
+  }
 
  private:
   friend class SippHost;  // media intake
@@ -94,14 +97,20 @@ class SippHost : public sip::SipEndpoint {
   void on_receive(const net::Packet& pkt) override;
 
  protected:
-  friend class MediaLeg;  // streams with the host's engine and telemetry
+  friend class MediaLeg;  // streams with the host's engine and tracer
+
+  /// Stops `leg` for good as it leaves this host and banks its sent count
+  /// in rtp_sent_ended_.
+  void end_leg(MediaLeg& leg);
+  /// Registers the host's RTP send counter in `reg` with `sent` packets.
+  void publish_rtp_sent(telemetry::MetricsRegistry& reg, std::uint64_t sent) const;
 
   rtp::FluidEngine* fluid_engine_{nullptr};
   /// Legs by the SSRC they receive (the far end's local SSRC).
   std::unordered_map<std::uint32_t, MediaLeg*> by_remote_ssrc_;
-  // Telemetry handles; null when telemetry is absent.
-  telemetry::SpanTracer* tracer_{nullptr};
-  telemetry::Counter* tm_rtp_sent_{nullptr};
+  /// RTP packets of the legs end_leg() retired.
+  std::uint64_t rtp_sent_ended_{0};
+  telemetry::SpanTracer* tracer_{nullptr};  // null when tracing is off
 };
 
 }  // namespace pbxcap::loadgen

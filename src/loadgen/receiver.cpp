@@ -90,7 +90,6 @@ void SipReceiver::answer(sip::ServerTransaction& txn,
   if (negotiated_pt) codec = rtp::codec_by_payload_type(*negotiated_pt);
   if (!codec) {
     ++rejected_488_;
-    if (tm_rejected_488_ != nullptr) tm_rejected_488_->add();
     Message resp = Message::response_to(invite, 488);
     resp.set_identity(std::move(tagged));
     txn.respond(std::move(resp));
@@ -114,7 +113,6 @@ void SipReceiver::answer(sip::ServerTransaction& txn,
   Session& stored = *sessions_.emplace(call_id, std::move(session)).first->second;
   if (offer->audio.ssrc != 0) by_remote_ssrc_[offer->audio.ssrc] = &stored.media;
   ++answered_;
-  if (tm_answered_ != nullptr) tm_answered_->add();
 }
 
 Message SipReceiver::answer_ok(const Message& invite,
@@ -134,17 +132,23 @@ Message SipReceiver::answer_ok(const Message& invite,
 
 void SipReceiver::set_telemetry(telemetry::Telemetry* tel) {
   sip::SipEndpoint::set_telemetry(tel);
-  tm_answered_ = tm_rejected_488_ = tm_rtp_sent_ = nullptr;
-  tracer_ = nullptr;
-  if (tel == nullptr) return;
-  tracer_ = tel->tracer();
-  auto& reg = tel->registry();
-  tm_answered_ = &reg.counter("pbxcap_receiver_calls_answered_total", {},
-                              "Calls answered by the receiver host");
-  tm_rejected_488_ = &reg.counter("pbxcap_receiver_rejected_488_total", {},
-                                  "Offers rejected for lack of codec overlap");
-  tm_rtp_sent_ = &reg.counter("pbxcap_rtp_packets_sent_total", {{"host", sip_host()}},
-                              "RTP packets emitted by this endpoint's senders");
+  tracer_ = tel == nullptr ? nullptr : tel->tracer();
+}
+
+void SipReceiver::publish(telemetry::MetricsRegistry& reg) const {
+  sip::SipEndpoint::publish(reg);
+  reg.counter("pbxcap_receiver_calls_answered_total", {}, "Calls answered by the receiver host")
+      .add(answered_);
+  reg.counter("pbxcap_receiver_rejected_488_total", {},
+              "Offers rejected for lack of codec overlap")
+      .add(rejected_488_);
+  publish_rtp_sent(reg, rtp_packets_sent());
+}
+
+std::uint64_t SipReceiver::rtp_packets_sent() const noexcept {
+  std::uint64_t sent = rtp_sent_ended_;
+  for (const auto& [call_id, session] : sessions_) sent += session->media.packets_sent();
+  return sent;
 }
 
 void SipReceiver::handle_ack(const Message& ack) {
@@ -169,7 +173,7 @@ void SipReceiver::handle_bye(const Message& req, sip::ServerTransaction& txn) {
   }
   txn.respond(Message::response_to(req, sip::status::kOk));
   Session& session = *it->second;
-  session.media.stop();
+  end_leg(session.media);
   if (session.report_quality) finished_[session.call_index] = session.media.heard();
   if (session.media.remote_ssrc() != 0) by_remote_ssrc_.erase(session.media.remote_ssrc());
   sessions_.erase(it);

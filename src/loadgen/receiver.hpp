@@ -26,9 +26,10 @@ class SipReceiver final : public SippHost {
   SipReceiver(std::string host, sim::Simulator& simulator, sip::HostResolver& resolver,
               rtp::SsrcAllocator& ssrcs, const CallScenario& scenario);
 
-  /// Adds the answered-call counter and the receiver-side RTP send counter
-  /// on top of the base endpoint instrumentation.
+  /// Adds the media-segment spans to the base endpoint's.
   void set_telemetry(telemetry::Telemetry* tel) override;
+  /// Appends the answered and 488 counters and the RTP send counter.
+  void publish(telemetry::MetricsRegistry& reg) const override;
 
   /// Received-side quality for the call with the given index ("recv-<idx>"
   /// user part), available once the call has been torn down.
@@ -39,6 +40,8 @@ class SipReceiver final : public SippHost {
   /// the offer and this endpoint's supported set).
   [[nodiscard]] std::uint64_t rejected_488() const noexcept { return rejected_488_; }
   [[nodiscard]] std::size_t active_sessions() const noexcept { return sessions_.size(); }
+  /// RTP packets this host's media legs emitted, ended and live.
+  [[nodiscard]] std::uint64_t rtp_packets_sent() const noexcept;
 
  private:
   struct Session {
@@ -74,10 +77,6 @@ class SipReceiver final : public SippHost {
   std::uint64_t answered_{0};
   std::uint64_t rejected_488_{0};
   sim::Random rtcp_rng_{0xACE5};
-
-  // Telemetry handles; null when telemetry is absent.
-  telemetry::Counter* tm_answered_{nullptr};
-  telemetry::Counter* tm_rejected_488_{nullptr};
 };
 
 /// Extracts <idx> from a "recv-<idx>" / "caller-<idx>" style user part.

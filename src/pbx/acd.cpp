@@ -178,7 +178,6 @@ void AcdSubsystem::offer(std::size_t qi, const sip::Message& invite,
   Queue& q = *queues_.at(qi);
   const AcdQueueConfig& cfg = config_.queues[qi];
   ++q.stats.offered;
-  if (q.tm.offered != nullptr) q.tm.offered->add();
 
   // Fast path: nobody ahead and an agent free — serve without queueing
   // (waiting time 0, which the Erlang E[W]-over-all-arrivals mean needs).
@@ -188,10 +187,8 @@ void AcdSubsystem::offer(std::size_t qi, const sip::Message& invite,
       const ServeOutcome out = hooks_.serve(invite, txn, cdr, qi, agent->id);
       if (out == ServeOutcome::kBridged) {
         ++q.stats.served;
-        if (q.tm.served != nullptr) q.tm.served->add();
         record_wait(q, 0.0, /*served=*/true);
         q.agents.begin_call(*agent, sim_.now());
-        update_gauges(q);
         return;
       }
       if (out == ServeOutcome::kFailed) {
@@ -205,10 +202,8 @@ void AcdSubsystem::offer(std::size_t qi, const sip::Message& invite,
   if (q.waiting.live_count() >= cfg.max_queue_length) {
     if (cfg.voicemail_fallback && hooks_.voicemail && hooks_.voicemail(invite, txn, cdr, qi)) {
       ++q.stats.voicemail;
-      if (q.tm.voicemail != nullptr) q.tm.voicemail->add();
     } else {
       ++q.stats.blocked_full;
-      if (q.tm.blocked_full != nullptr) q.tm.blocked_full->add();
       hooks_.reject(invite, txn, cdr, sip::status::kServiceUnavailable,
                     Disposition::kCongestion);
     }
@@ -223,7 +218,6 @@ void AcdSubsystem::enqueue(std::size_t qi, const sip::Message& invite,
   Queue& q = *queues_[qi];
   const AcdQueueConfig& cfg = config_.queues[qi];
   ++q.stats.queued;
-  if (q.tm.queued != nullptr) q.tm.queued->add();
 
   auto owned = std::make_unique<AcdWaitQueue::Entry>();
   owned->invite = invite;
@@ -237,7 +231,6 @@ void AcdSubsystem::enqueue(std::size_t qi, const sip::Message& invite,
   if (hooks_.announce) {
     hooks_.announce(entry.invite, txn, q.waiting.position_of(entry));
     ++q.stats.announcements;
-    if (q.tm.announcements != nullptr) q.tm.announcements->add();
   }
 
   const sim::CategoryScope scope{sim_, sim::Category::kAcd};
@@ -252,12 +245,10 @@ void AcdSubsystem::enqueue(std::size_t qi, const sip::Message& invite,
       Queue& queue = *queues_[qi];
       cancel_timers(*raw);
       ++queue.stats.abandoned;
-      if (queue.tm.abandoned != nullptr) queue.tm.abandoned->add();
       record_wait(queue, (sim_.now() - raw->enqueued_at).to_seconds(), /*served=*/false);
       hooks_.reject(raw->invite, *raw->txn, raw->cdr, sip::status::kTemporarilyUnavailable,
                     Disposition::kNoAnswer);
       queue.waiting.mark_dead(*raw);  // may compact and free raw — last use
-      update_gauges(queue);
     });
   }
 
@@ -271,7 +262,6 @@ void AcdSubsystem::enqueue(std::size_t qi, const sip::Message& invite,
   if (cfg.announce_period > Duration::zero() && hooks_.announce) {
     schedule_announce(qi, raw);
   }
-  update_gauges(q);
 }
 
 void AcdSubsystem::schedule_announce(std::size_t qi, AcdWaitQueue::Entry* raw) {
@@ -281,7 +271,6 @@ void AcdSubsystem::schedule_announce(std::size_t qi, AcdWaitQueue::Entry* raw) {
     Queue& q = *queues_[qi];
     hooks_.announce(raw->invite, *raw->txn, q.waiting.position_of(*raw));
     ++q.stats.announcements;
-    if (q.tm.announcements != nullptr) q.tm.announcements->add();
     schedule_announce(qi, raw);
   });
 }
@@ -294,15 +283,12 @@ void AcdSubsystem::overflow(std::size_t qi, AcdWaitQueue::Entry& entry, bool /*f
   if (cfg.voicemail_fallback && hooks_.voicemail &&
       hooks_.voicemail(entry.invite, *entry.txn, entry.cdr, qi)) {
     ++q.stats.voicemail;
-    if (q.tm.voicemail != nullptr) q.tm.voicemail->add();
   } else {
     ++q.stats.timed_out;
-    if (q.tm.timed_out != nullptr) q.tm.timed_out->add();
     hooks_.reject(entry.invite, *entry.txn, entry.cdr, sip::status::kServiceUnavailable,
                   Disposition::kCongestion);
   }
   q.waiting.mark_dead(entry);  // may compact and free the entry — last use
-  update_gauges(q);
 }
 
 void AcdSubsystem::try_dispatch(std::size_t qi) {
@@ -326,7 +312,6 @@ void AcdSubsystem::try_dispatch(std::size_t qi) {
     const double waited = (sim_.now() - entry->enqueued_at).to_seconds();
     if (out == ServeOutcome::kBridged) {
       ++q.stats.served;
-      if (q.tm.served != nullptr) q.tm.served->add();
       record_wait(q, waited, /*served=*/true);
       q.agents.begin_call(*agent, sim_.now());
     } else {
@@ -334,7 +319,6 @@ void AcdSubsystem::try_dispatch(std::size_t qi) {
       record_wait(q, waited, /*served=*/false);
     }
   }
-  update_gauges(q);
 }
 
 void AcdSubsystem::on_agent_released(std::size_t qi, std::uint32_t agent_id) {
@@ -357,7 +341,6 @@ void AcdSubsystem::on_agent_released(std::size_t qi, std::uint32_t agent_id) {
   } else {
     try_dispatch(qi);
   }
-  update_gauges(q);
 }
 
 void AcdSubsystem::on_channel_available() {
@@ -381,38 +364,36 @@ void AcdSubsystem::crash(const std::function<void(std::size_t cdr)>& close_cdr) 
       if (agent.busy) q.stats.busy_agent_s += (sim_.now() - agent.busy_since).to_seconds();
     }
     q.agents.reset();
-    update_gauges(q);
   }
 }
 
-void AcdSubsystem::set_telemetry(telemetry::Telemetry* telemetry) {
-  for (auto& qp : queues_) qp->tm = QueueTelemetry{};
-  if (telemetry == nullptr || !enabled()) return;
-  auto& reg = telemetry->registry();
+void AcdSubsystem::publish(telemetry::MetricsRegistry& reg) const {
+  if (!enabled()) return;
   for (std::size_t qi = 0; qi < queues_.size(); ++qi) {
-    Queue& q = *queues_[qi];
+    const Queue& q = *queues_[qi];
     const std::string& name = config_.queues[qi].name;
-    const auto event_labels = [&](std::string_view event) {
-      return telemetry::LabelSet{{"queue", name}, {"event", std::string{event}}};
+    const auto calls = [&](std::string_view event, std::uint64_t value) {
+      reg.counter("pbxcap_acd_calls_total", {{"queue", name}, {"event", std::string{event}}},
+                  "ACD per-queue call events")
+          .add(value);
     };
-    constexpr std::string_view kCalls = "pbxcap_acd_calls_total";
-    constexpr std::string_view kCallsHelp = "ACD per-queue call events";
-    q.tm.offered = &reg.counter(kCalls, event_labels("offered"), kCallsHelp);
-    q.tm.queued = &reg.counter(kCalls, event_labels("queued"), kCallsHelp);
-    q.tm.served = &reg.counter(kCalls, event_labels("served"), kCallsHelp);
-    q.tm.abandoned = &reg.counter(kCalls, event_labels("abandoned"), kCallsHelp);
-    q.tm.timed_out = &reg.counter(kCalls, event_labels("timeout"), kCallsHelp);
-    q.tm.voicemail = &reg.counter(kCalls, event_labels("voicemail"), kCallsHelp);
-    q.tm.blocked_full = &reg.counter(kCalls, event_labels("blocked_full"), kCallsHelp);
-    q.tm.announcements = &reg.counter("pbxcap_acd_announcements_total", {{"queue", name}},
-                                      "SIP 182 position updates sent");
-    q.tm.depth = &reg.gauge("pbxcap_acd_queue_depth", {{"queue", name}},
-                            "Callers currently waiting in the queue");
-    q.tm.busy = &reg.gauge("pbxcap_acd_agents_busy", {{"queue", name}},
-                           "Agents currently on a bridged call");
-    q.tm.wait = &reg.histogram("pbxcap_acd_wait_seconds",
-                               telemetry::log_linear_buckets(0.1, 1000.0, 5), {{"queue", name}},
-                               "Queue waiting time in seconds");
+    calls("offered", q.stats.offered);
+    calls("queued", q.stats.queued);
+    calls("served", q.stats.served);
+    calls("abandoned", q.stats.abandoned);
+    calls("timeout", q.stats.timed_out);
+    calls("voicemail", q.stats.voicemail);
+    calls("blocked_full", q.stats.blocked_full);
+    reg.counter("pbxcap_acd_announcements_total", {{"queue", name}},
+                "SIP 182 position updates sent")
+        .add(q.stats.announcements);
+    reg.gauge("pbxcap_acd_queue_depth", {{"queue", name}}, "Callers currently waiting in the queue")
+        .add(static_cast<double>(depth(qi)));
+    reg.gauge("pbxcap_acd_agents_busy", {{"queue", name}}, "Agents currently on a bridged call")
+        .add(static_cast<double>(busy_agents(qi)));
+    reg.histogram("pbxcap_acd_wait_seconds", q.wait_hist.bounds(), {{"queue", name}},
+                  "Queue waiting time in seconds")
+        .merge(q.wait_hist);
   }
 }
 
@@ -449,12 +430,7 @@ void AcdSubsystem::cancel_timers(AcdWaitQueue::Entry& entry) {
 void AcdSubsystem::record_wait(Queue& q, double seconds, bool served) {
   q.stats.wait_s.add(seconds);
   if (served) q.stats.wait_served_s.add(seconds);
-  if (q.tm.wait != nullptr) q.tm.wait->observe(seconds);
-}
-
-void AcdSubsystem::update_gauges(Queue& q) {
-  if (q.tm.depth != nullptr) q.tm.depth->set(static_cast<double>(q.waiting.live_count()));
-  if (q.tm.busy != nullptr) q.tm.busy->set(static_cast<double>(q.agents.busy_count()));
+  q.wait_hist.observe(seconds);
 }
 
 }  // namespace pbxcap::pbx

@@ -35,7 +35,7 @@
 #include "sim/simulator.hpp"
 #include "sip/message.hpp"
 #include "stats/summary.hpp"
-#include "telemetry/telemetry.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::sip {
@@ -268,11 +268,16 @@ class AcdSubsystem {
   /// closed via `close_cdr`), agents come back idle.
   void crash(const std::function<void(std::size_t cdr)>& close_cdr);
 
-  void set_telemetry(telemetry::Telemetry* telemetry);
+  /// Registers each queue's event counters, depth and busy-agent gauges
+  /// and wait histogram in `reg` and fills them. No rows when disabled.
+  void publish(telemetry::MetricsRegistry& reg) const;
 
   [[nodiscard]] std::size_t queue_count() const noexcept { return queues_.size(); }
   [[nodiscard]] const AcdQueueStats& stats(std::size_t qi) const { return queues_.at(qi)->stats; }
   [[nodiscard]] std::size_t depth(std::size_t qi) const { return queues_.at(qi)->waiting.live_count(); }
+  [[nodiscard]] std::size_t busy_agents(std::size_t qi) const {
+    return queues_.at(qi)->agents.busy_count();
+  }
   [[nodiscard]] std::size_t total_depth() const noexcept;
   [[nodiscard]] std::size_t agent_count(std::size_t qi) const { return queues_.at(qi)->agents.size(); }
   /// Talk time accrued by this queue's agents up to `now`, including calls
@@ -280,25 +285,11 @@ class AcdSubsystem {
   [[nodiscard]] double busy_agent_seconds(std::size_t qi, TimePoint now) const;
 
  private:
-  struct QueueTelemetry {
-    telemetry::Counter* offered{nullptr};
-    telemetry::Counter* queued{nullptr};
-    telemetry::Counter* served{nullptr};
-    telemetry::Counter* abandoned{nullptr};
-    telemetry::Counter* timed_out{nullptr};
-    telemetry::Counter* voicemail{nullptr};
-    telemetry::Counter* blocked_full{nullptr};
-    telemetry::Counter* announcements{nullptr};
-    telemetry::Gauge* depth{nullptr};
-    telemetry::Gauge* busy{nullptr};
-    telemetry::Histogram* wait{nullptr};
-  };
-
   struct Queue {
     AcdWaitQueue waiting;
     AcdAgentPool agents;
     AcdQueueStats stats;
-    QueueTelemetry tm;
+    telemetry::Histogram wait_hist{telemetry::log_linear_buckets(0.1, 1000.0, 5)};
 
     explicit Queue(const AcdQueueConfig& cfg) : agents{cfg.agents} {}
   };
@@ -312,7 +303,6 @@ class AcdSubsystem {
   void schedule_announce(std::size_t qi, AcdWaitQueue::Entry* entry);
   void overflow(std::size_t qi, AcdWaitQueue::Entry& entry, bool from_max_wait);
   void record_wait(Queue& q, double seconds, bool served);
-  void update_gauges(Queue& q);
 
   AcdConfig config_;
   sim::Simulator& sim_;

@@ -55,43 +55,44 @@ AsteriskPbx::AsteriskPbx(PbxConfig config, sim::Simulator& simulator,
 
 void AsteriskPbx::set_telemetry(telemetry::Telemetry* tel) {
   sip::SipEndpoint::set_telemetry(tel);
-  tm_invites_ = tm_blocked_policy_ = tm_blocked_cac_ = tm_blocked_channels_ = tm_answered_ =
-      tm_failed_ = tm_rtp_relayed_ = tm_rtp_transcoded_ = tm_rtp_dropped_ = tm_overload_503_ =
-          tm_sip_queue_dropped_ = nullptr;
-  tm_active_channels_ = nullptr;
-  tracer_ = nullptr;
-  acd_.set_telemetry(tel);  // nulls its own handles on a disabled registry
-  if (tel == nullptr) return;
-  auto& reg = tel->registry();
-  tm_invites_ = &reg.counter("pbxcap_pbx_invites_total", {},
-                             "INVITEs reaching the PBX admission path");
-  tm_blocked_policy_ =
-      &reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "policy"}},
-                   "Calls rejected by admission control, by reason");
-  tm_blocked_cac_ = &reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "cac"}});
-  tm_blocked_channels_ = &reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "channels"}});
-  tm_answered_ = &reg.counter("pbxcap_pbx_calls_answered_total", {},
-                              "Bridged calls that reached 200 OK on leg A");
-  tm_failed_ = &reg.counter("pbxcap_pbx_calls_failed_total", {},
-                            "Bridges folded on a leg B error or timeout");
-  tm_rtp_relayed_ = &reg.counter("pbxcap_pbx_rtp_relayed_total", {},
-                                 "RTP/RTCP packets relayed between call legs");
-  tm_rtp_transcoded_ = &reg.counter("pbxcap_pbx_rtp_transcoded_total", {},
-                                    "Relayed media frames that paid transcode work");
-  tm_rtp_dropped_ = &reg.counter("pbxcap_pbx_rtp_dropped_total", {},
-                                 "RTP/RTCP packets dropped for lack of a session");
-  tm_overload_503_ = &reg.counter("pbxcap_pbx_overload_rejections_total", {},
-                                  "INVITEs shed by the 503+Retry-After overload gate");
-  tm_sip_queue_dropped_ = &reg.counter("pbxcap_pbx_sip_queue_dropped_total", {},
-                                       "SIP messages dropped on service-queue overflow");
-  tm_active_channels_ =
-      &reg.gauge("pbxcap_pbx_active_channels", {}, "Channels currently held by bridges");
-  tracer_ = tel->tracer();
-  if (tracer_ != nullptr) {
-    span_setup_name_ = tracer_->name_id("call.setup");
-    span_media_name_ = tracer_->name_id("call.media");
-    span_teardown_name_ = tracer_->name_id("call.teardown");
-  }
+  tracer_ = tel == nullptr ? nullptr : tel->tracer();
+  if (tracer_ == nullptr) return;
+  span_setup_name_ = tracer_->name_id("call.setup");
+  span_media_name_ = tracer_->name_id("call.media");
+  span_teardown_name_ = tracer_->name_id("call.teardown");
+}
+
+void AsteriskPbx::publish(telemetry::MetricsRegistry& reg) const {
+  sip::SipEndpoint::publish(reg);
+  acd_.publish(reg);
+  reg.counter("pbxcap_pbx_invites_total", {}, "INVITEs reaching the PBX admission path")
+      .add(invites_);
+  reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "policy"}},
+              "Calls rejected by admission control, by reason")
+      .add(policy_rejections_);
+  reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "cac"}}).add(cac_rejections_);
+  reg.counter("pbxcap_pbx_calls_blocked_total", {{"reason", "channels"}})
+      .add(channel_rejections_);
+  reg.counter("pbxcap_pbx_calls_answered_total", {}, "Bridged calls that reached 200 OK on leg A")
+      .add(answered_);
+  reg.counter("pbxcap_pbx_calls_failed_total", {}, "Bridges folded on a leg B error or timeout")
+      .add(failed_);
+  reg.counter("pbxcap_pbx_rtp_relayed_total", {}, "RTP/RTCP packets relayed between call legs")
+      .add(rtp_relayed_);
+  reg.counter("pbxcap_pbx_rtp_transcoded_total", {},
+              "Relayed media frames that paid transcode work")
+      .add(transcoded_rtp_);
+  reg.counter("pbxcap_pbx_rtp_dropped_total", {},
+              "RTP/RTCP packets dropped for lack of a session")
+      .add(rtp_dropped_no_session_);
+  reg.counter("pbxcap_pbx_overload_rejections_total", {},
+              "INVITEs shed by the 503+Retry-After overload gate")
+      .add(overload_rejections_);
+  reg.counter("pbxcap_pbx_sip_queue_dropped_total", {},
+              "SIP messages dropped on service-queue overflow")
+      .add(sip_queue_dropped_);
+  reg.gauge("pbxcap_pbx_active_channels", {}, "Channels currently held by bridges")
+      .add(static_cast<double>(channels_.in_use()));
 }
 
 void AsteriskPbx::send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) {
@@ -153,7 +154,6 @@ void AsteriskPbx::enqueue_sip(const net::Packet& pkt) {
     }
     if (overload_gate_rejects(payload->msg, now)) {
       ++overload_rejections_;
-      if (tm_overload_503_ != nullptr) tm_overload_503_->add();
       shed_invite_branches_.insert(payload->msg.top_via()->branch);
       Message resp = Message::response_to(payload->msg, sip::status::kServiceUnavailable);
       resp.to().tag = new_tag();
@@ -167,7 +167,6 @@ void AsteriskPbx::enqueue_sip(const net::Packet& pkt) {
 
   if (sip_backlog_ >= config_.sip_service.queue_limit) {
     ++sip_queue_dropped_;
-    if (tm_sip_queue_dropped_ != nullptr) tm_sip_queue_dropped_->add();
     return;
   }
   sip_busy_until_ = std::max(now, sip_busy_until_) + config_.sip_service.service_time;
@@ -297,7 +296,7 @@ void AsteriskPbx::handle_invite(const Message& req, sip::ServerTransaction& txn)
     txn.respond(it->second.msg_a);
     return;
   }
-  if (tm_invites_ != nullptr) tm_invites_->add();
+  ++invites_;
   if (!config_.require_auth) {
     admit_invite(req, txn);
     return;
@@ -359,7 +358,6 @@ void AsteriskPbx::admit_invite(const Message& req, sip::ServerTransaction& txn) 
     const auto it = active_calls_by_user_.find(caller_user);
     if (it != active_calls_by_user_.end() && it->second >= user->max_concurrent_calls) {
       ++policy_rejections_;
-      if (tm_blocked_policy_ != nullptr) tm_blocked_policy_->add();
       cdrs_.close(cdr, Disposition::kRejected, now);
       reject(req, txn, sip::status::kBusyHere);
       return;
@@ -380,7 +378,7 @@ void AsteriskPbx::admit_invite(const Message& req, sip::ServerTransaction& txn) 
   // predicts blocking above target, before the pool is exhausted.
   if (config_.admission == AdmissionPolicy::kErlangPredictive &&
       !cac_.admit(now, channels_.capacity())) {
-    if (tm_blocked_cac_ != nullptr) tm_blocked_cac_->add();
+    ++cac_rejections_;
     cdrs_.close(cdr, Disposition::kCongestion, now);
     reject(req, txn, sip::status::kServiceUnavailable, blocked_retry_after());
     return;
@@ -388,7 +386,7 @@ void AsteriskPbx::admit_invite(const Message& req, sip::ServerTransaction& txn) 
 
   // Admission control: one channel per bridged call.
   if (!channels_.try_acquire()) {
-    if (tm_blocked_channels_ != nullptr) tm_blocked_channels_->add();
+    ++channel_rejections_;
     cdrs_.close(cdr, Disposition::kCongestion, now);
     reject(req, txn, sip::status::kServiceUnavailable, blocked_retry_after());
     return;
@@ -477,9 +475,6 @@ AsteriskPbx::Bridge* AsteriskPbx::start_bridge(const Message& req, sip::ServerTr
   invite_b.set_contact(sip::Uri{"asterisk", sip_host()});
   invite_b.set_body(anchored_sdp(filtered, bridge.port_b).to_string(), "application/sdp");
 
-  if (tm_active_channels_ != nullptr) {
-    tm_active_channels_->set(static_cast<double>(channels_.in_use()));
-  }
   if (tracer_ != nullptr) {
     bridge.span_track = tracer_->track_id(bridge.call_id_a());
     bridge.setup_span = tracer_->begin(span_setup_name_, bridge.span_track, now);
@@ -552,10 +547,7 @@ bool AsteriskPbx::start_voicemail(const Message& req, sip::ServerTransaction& tx
   register_media(bridge);
   cdrs_.mark_answered(cdr, now);
   ++voicemail_calls_;
-  if (tm_answered_ != nullptr) tm_answered_->add();
-  if (tm_active_channels_ != nullptr) {
-    tm_active_channels_->set(static_cast<double>(channels_.in_use()));
-  }
+  ++answered_;
   return true;
 }
 
@@ -625,7 +617,7 @@ void AsteriskPbx::on_leg_b_response(std::string_view call_id_b, const Message& r
     }
 
     cdrs_.mark_answered(bridge.cdr, network()->simulator().now());
-    if (tm_answered_ != nullptr) tm_answered_->add();
+    ++answered_;
     if (tracer_ != nullptr) {
       const TimePoint now = network()->simulator().now();
       tracer_->end(bridge.setup_span, now);
@@ -638,7 +630,7 @@ void AsteriskPbx::on_leg_b_response(std::string_view call_id_b, const Message& r
 
   // Error final from leg B: mirror it on leg A and fold the bridge.
   cpu_.on_error_event(network()->simulator().now());
-  if (tm_failed_ != nullptr) tm_failed_->add();
+  ++failed_;
   if (bridge.invite_txn_a != nullptr) {
     Message err = Message::response_to(bridge.msg_a->msg, code);
     err.set_identity(bridge.id_a);
@@ -652,7 +644,7 @@ void AsteriskPbx::on_leg_b_timeout(std::string_view call_id_b) {
   if (it == by_call_id_b_.end()) return;
   Bridge& bridge = *it->second;
   cpu_.on_error_event(network()->simulator().now());
-  if (tm_failed_ != nullptr) tm_failed_->add();
+  ++failed_;
   if (bridge.invite_txn_a != nullptr) {
     Message err = Message::response_to(bridge.msg_a->msg, 504);
     err.set_identity(bridge.id_a);
@@ -718,10 +710,7 @@ void AsteriskPbx::register_media(Bridge& bridge) {
 
 void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
   const TimePoint now = network()->simulator().now();
-  const auto drop = [this, &pkt] {
-    rtp_dropped_no_session_ += pkt.batch;
-    if (tm_rtp_dropped_ != nullptr) tm_rtp_dropped_->add(pkt.batch);
-  };
+  const auto drop = [this, &pkt] { rtp_dropped_no_session_ += pkt.batch; };
   // Media and control share the SSRC routing table: RTCP for a stream
   // follows the same path as its RTP (RFC 3550 pairs the two flows).
   std::uint32_t ssrc = 0;
@@ -782,7 +771,6 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
     return;
   }
   rtp_relayed_ += pkt.batch;
-  if (tm_rtp_relayed_ != nullptr) tm_rtp_relayed_->add(pkt.batch);
   net::Packet out;
   out.dst = dst;
   out.kind = pkt.kind;
@@ -795,7 +783,6 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
     // codec's wire size, not the size it arrived with.
     out.size_bytes = from_caller ? bridge.rtp_bytes_to_callee : bridge.rtp_bytes_to_caller;
     transcoded_rtp_ += pkt.batch;
-    if (tm_rtp_transcoded_ != nullptr) tm_rtp_transcoded_->add(pkt.batch);
   }
   out.payload = pkt.payload;
   send(std::move(out));
@@ -806,9 +793,6 @@ void AsteriskPbx::close_bridge(Bridge& bridge, Disposition disposition) {
   channels_.release();
   media_ports_.release(bridge.port_a);
   if (bridge.port_b != 0) media_ports_.release(bridge.port_b);  // voicemail has no leg B
-  if (tm_active_channels_ != nullptr) {
-    tm_active_channels_->set(static_cast<double>(channels_.in_use()));
-  }
   if (tracer_ != nullptr) {
     // Failure paths can fold the bridge with lifecycle spans still open.
     tracer_->end(bridge.setup_span, now);

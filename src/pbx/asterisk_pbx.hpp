@@ -95,9 +95,11 @@ class AsteriskPbx final : public sip::SipEndpoint {
   void send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) override;
 
   /// Adds the PBX's call-lifecycle spans (setup / media / teardown per
-  /// bridged call, tracked by the leg A Call-ID) and admission/relay metrics
-  /// on top of the base endpoint instrumentation.
+  /// bridged call, tracked by the leg A Call-ID) to the base endpoint's.
   void set_telemetry(telemetry::Telemetry* tel) override;
+  /// Appends the ACD's rows, then the admission, relay and overload
+  /// counters and the active-channel gauge.
+  void publish(telemetry::MetricsRegistry& reg) const override;
 
   [[nodiscard]] ChannelPool& channels() noexcept { return channels_; }
   [[nodiscard]] const ChannelPool& channels() const noexcept { return channels_; }
@@ -113,6 +115,19 @@ class AsteriskPbx final : public sip::SipEndpoint {
   [[nodiscard]] const AcdSubsystem& acd() const noexcept { return acd_; }
   [[nodiscard]] const MediaPortAllocator& media_ports() const noexcept { return media_ports_; }
 
+  /// INVITEs reaching the admission path (late retransmissions of answered
+  /// calls excluded).
+  [[nodiscard]] std::uint64_t invites() const noexcept { return invites_; }
+  /// Bridged and voicemail calls answered on leg A.
+  [[nodiscard]] std::uint64_t calls_answered() const noexcept { return answered_; }
+  /// Bridges folded on a leg B error or timeout.
+  [[nodiscard]] std::uint64_t calls_failed() const noexcept { return failed_; }
+  /// Calls the predictive CAC rejected.
+  [[nodiscard]] std::uint64_t cac_rejections() const noexcept { return cac_rejections_; }
+  /// Calls rejected because the channel pool was exhausted.
+  [[nodiscard]] std::uint64_t channel_rejections() const noexcept {
+    return channel_rejections_;
+  }
   [[nodiscard]] std::uint64_t rtp_relayed() const noexcept { return rtp_relayed_; }
   /// Bridges whose legs negotiated different codecs (translator engaged).
   [[nodiscard]] std::uint64_t transcoded_bridges() const noexcept {
@@ -132,7 +147,7 @@ class AsteriskPbx final : public sip::SipEndpoint {
 
   // The voicemail, stall and dead-window counters have no reader yet: they
   // are the named outcome and drop reasons the post-run conservation check
-  // (ROADMAP item 4(a)) will balance.
+  // (ROADMAP item 3(a)) will balance.
 
   /// Callers answered by the one-way-RTP voicemail leg (ACD overflow).
   [[nodiscard]] std::uint64_t voicemail_calls() const noexcept { return voicemail_calls_; }
@@ -281,6 +296,11 @@ class AsteriskPbx final : public sip::SipEndpoint {
   /// Live calls per caller, for the per-user limit; no zero entries.
   std::unordered_map<std::string, std::uint32_t> active_calls_by_user_;
   std::uint64_t policy_rejections_{0};
+  std::uint64_t cac_rejections_{0};
+  std::uint64_t channel_rejections_{0};
+  std::uint64_t invites_{0};
+  std::uint64_t answered_{0};
+  std::uint64_t failed_{0};
   std::uint64_t b2b_counter_{0};
 
   MediaPortAllocator media_ports_;
@@ -315,20 +335,7 @@ class AsteriskPbx final : public sip::SipEndpoint {
   std::uint64_t dropped_dead_{0};
   std::uint64_t rtp_dropped_stall_{0};
 
-  // Telemetry handles; null when telemetry is absent.
-  telemetry::Counter* tm_invites_{nullptr};
-  telemetry::Counter* tm_blocked_policy_{nullptr};
-  telemetry::Counter* tm_blocked_cac_{nullptr};
-  telemetry::Counter* tm_blocked_channels_{nullptr};
-  telemetry::Counter* tm_answered_{nullptr};
-  telemetry::Counter* tm_failed_{nullptr};
-  telemetry::Counter* tm_rtp_relayed_{nullptr};
-  telemetry::Counter* tm_rtp_transcoded_{nullptr};
-  telemetry::Counter* tm_rtp_dropped_{nullptr};
-  telemetry::Counter* tm_overload_503_{nullptr};
-  telemetry::Counter* tm_sip_queue_dropped_{nullptr};
-  telemetry::Gauge* tm_active_channels_{nullptr};
-  telemetry::SpanTracer* tracer_{nullptr};
+  telemetry::SpanTracer* tracer_{nullptr};  // null when tracing is off
   std::uint32_t span_setup_name_{0};
   std::uint32_t span_media_name_{0};
   std::uint32_t span_teardown_name_{0};

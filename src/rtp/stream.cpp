@@ -73,7 +73,6 @@ void RtpSender::emit_one(bool first) {
   header.marker = first;
   timestamp_ += codec_.timestamp_step();
   ++sent_;
-  if (packet_counter_ != nullptr) packet_counter_->add();
   emit_(header, codec_.wire_bytes());
   if (fluid_ != nullptr && batch_emit_ && simulator_.now() >= hold_until_ &&
       fluid_->try_enter(*this)) {
@@ -118,7 +117,6 @@ std::uint64_t RtpSender::flush_fluid(TimePoint upto) {
     seq_ = static_cast<std::uint16_t>(seq_ + chunk);
     timestamp_ += codec_.timestamp_step() * chunk;
     sent_ += chunk;
-    if (packet_counter_ != nullptr) packet_counter_->add(chunk);
     next_due_ = next_due_ + codec_.packet_interval() * static_cast<std::int64_t>(chunk);
     n -= chunk;
   }

@@ -14,7 +14,6 @@
 #include "rtp/codec.hpp"
 #include "rtp/packet.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/time.hpp"
 
@@ -45,11 +44,6 @@ class RtpSender {
   [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_; }
   [[nodiscard]] const Codec& codec() const noexcept { return codec_; }
   [[nodiscard]] std::uint32_t ssrc() const noexcept { return ssrc_; }
-
-  /// Optional telemetry counter bumped once per emitted packet. The owning
-  /// endpoint shares one counter across its senders; nullptr (the default)
-  /// keeps the pacing tick on a single predictable branch.
-  void set_packet_counter(telemetry::Counter* counter) noexcept { packet_counter_ = counter; }
 
   /// Opts this sender into the hybrid fluid fast path. Requires a batch
   /// emitter; the engine decides per-tick whether the stream may coast.
@@ -97,7 +91,6 @@ class RtpSender {
   TimePoint next_due_{};
   TimePoint hold_until_{};
   sim::EventId next_event_{0};
-  telemetry::Counter* packet_counter_{nullptr};
   telemetry::SpanTracer* tracer_{nullptr};
   std::uint64_t trace_track_{0};
   std::uint32_t seg_packet_name_{0};

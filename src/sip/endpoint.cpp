@@ -19,15 +19,14 @@ void SipEndpoint::bind() {
   resolver_.add(host_, id());
 }
 
-void SipEndpoint::set_telemetry(telemetry::Telemetry* tel) {
-  layer_.set_telemetry(tel);
-  tm_sent_ = tm_received_ = nullptr;
-  if (tel == nullptr) return;
-  auto& reg = tel->registry();
-  tm_sent_ = &reg.counter("pbxcap_sip_messages_total", {{"host", host_}, {"direction", "tx"}},
-                          "SIP messages sent/received at each endpoint");
-  tm_received_ =
-      &reg.counter("pbxcap_sip_messages_total", {{"host", host_}, {"direction", "rx"}});
+void SipEndpoint::set_telemetry(telemetry::Telemetry* tel) { layer_.set_telemetry(tel); }
+
+void SipEndpoint::publish(telemetry::MetricsRegistry& reg) const {
+  layer_.publish(reg);
+  reg.counter("pbxcap_sip_messages_total", {{"host", host_}, {"direction", "tx"}},
+              "SIP messages sent/received at each endpoint")
+      .add(sent_);
+  reg.counter("pbxcap_sip_messages_total", {{"host", host_}, {"direction", "rx"}}).add(received_);
 }
 
 std::string SipEndpoint::new_tag() {
@@ -46,7 +45,6 @@ void SipEndpoint::send_sip(std::shared_ptr<const SipPayload> payload, net::NodeI
     return;
   }
   ++sent_;
-  if (tm_sent_ != nullptr) tm_sent_->add();
   net::Packet pkt;
   pkt.dst = dst;
   pkt.kind = net::PacketKind::kSip;
@@ -63,7 +61,6 @@ void SipEndpoint::on_receive(const net::Packet& pkt) {
     return;
   }
   ++received_;
-  if (tm_received_ != nullptr) tm_received_->add();
   layer_.on_message(std::static_pointer_cast<const SipPayload>(pkt.payload), pkt.src);
 }
 

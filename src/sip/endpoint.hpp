@@ -52,12 +52,16 @@ class SipEndpoint : public net::Node, public Transport {
   [[nodiscard]] const std::string& sip_host() const noexcept { return host_; }
   [[nodiscard]] HostResolver& resolver() noexcept { return resolver_; }
 
-  /// Registers this endpoint's metrics/spans with `tel` and forwards the
-  /// sink to the transaction layer. Passing nullptr detaches: every
-  /// instrumentation site then costs one predictable null-handle branch.
-  /// Derived endpoints extend this to register their own handles and must
-  /// call the base implementation.
+  /// Wires `tel`'s span tracer into this endpoint and its transaction
+  /// layer; nullptr records no spans. Derived endpoints extend this to wire
+  /// their own spans and must call the base implementation.
   virtual void set_telemetry(telemetry::Telemetry* tel);
+
+  /// Registers this endpoint's metrics in `reg` and fills them from its own
+  /// counters: the transaction layer's rows, then the SIP message census.
+  /// Call once, after the run. Derived endpoints append their rows and must
+  /// call the base implementation first.
+  virtual void publish(telemetry::MetricsRegistry& reg) const;
 
   [[nodiscard]] std::uint64_t sip_messages_sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t sip_messages_received() const noexcept { return received_; }
@@ -85,8 +89,6 @@ class SipEndpoint : public net::Node, public Transport {
   std::uint64_t sent_{0};
   std::uint64_t received_{0};
   std::uint64_t tag_counter_{0};
-  telemetry::Counter* tm_sent_{nullptr};
-  telemetry::Counter* tm_received_{nullptr};
 };
 
 }  // namespace pbxcap::sip

@@ -51,21 +51,21 @@ void TransactionLayer::reset() {
 }
 
 void TransactionLayer::set_telemetry(telemetry::Telemetry* tel) {
-  tm_client_started_ = tm_server_started_ = tm_retransmissions_ = tm_timeouts_ = nullptr;
-  tracer_ = nullptr;
-  if (tel == nullptr) return;
-  auto& reg = tel->registry();
-  tm_client_started_ =
-      &reg.counter("pbxcap_sip_transactions_total", {{"host", local_host_}, {"side", "client"}},
-                   "SIP transactions started, by endpoint and side");
-  tm_server_started_ = &reg.counter("pbxcap_sip_transactions_total",
-                                    {{"host", local_host_}, {"side", "server"}});
-  tm_retransmissions_ =
-      &reg.counter("pbxcap_sip_retransmissions_total", {{"host", local_host_}},
-                   "SIP message retransmissions (timers A/E/G + server re-sends)");
-  tm_timeouts_ = &reg.counter("pbxcap_sip_transaction_timeouts_total", {{"host", local_host_}},
-                              "Client transactions abandoned on timer B/F");
-  tracer_ = tel->tracer();
+  tracer_ = tel == nullptr ? nullptr : tel->tracer();
+}
+
+void TransactionLayer::publish(telemetry::MetricsRegistry& reg) const {
+  reg.counter("pbxcap_sip_transactions_total", {{"host", local_host_}, {"side", "client"}},
+              "SIP transactions started, by endpoint and side")
+      .add(client_started_);
+  reg.counter("pbxcap_sip_transactions_total", {{"host", local_host_}, {"side", "server"}})
+      .add(server_started_);
+  reg.counter("pbxcap_sip_retransmissions_total", {{"host", local_host_}},
+              "SIP message retransmissions (timers A/E/G + server re-sends)")
+      .add(retransmissions_);
+  reg.counter("pbxcap_sip_transaction_timeouts_total", {{"host", local_host_}},
+              "Client transactions abandoned on timer B/F")
+      .add(timeouts_);
 }
 
 ClientTransaction& TransactionLayer::send_request(
@@ -80,7 +80,7 @@ ClientTransaction& TransactionLayer::send_request(
   const auto [it, inserted] =
       clients_.emplace(client_key(ref.branch_, ref.method()), std::move(txn));
   if (!inserted) throw std::logic_error{"send_request: duplicate client transaction branch"};
-  if (tm_client_started_ != nullptr) tm_client_started_->add();
+  ++client_started_;
   it->second->start();
   return ref;
 }
@@ -125,7 +125,7 @@ void TransactionLayer::on_message(const std::shared_ptr<const SipPayload>& paylo
   auto txn = std::unique_ptr<ServerTransaction>{new ServerTransaction{*this, payload, from}};
   ServerTransaction& ref = *txn;
   servers_.emplace(Key{ref.branch_, ref.method_}, std::move(txn));
-  if (tm_server_started_ != nullptr) tm_server_started_->add();
+  ++server_started_;
   if (on_request) on_request(msg, ref);
 }
 
@@ -188,7 +188,7 @@ void ClientTransaction::retransmit() {
 }
 
 void ClientTransaction::fire_timeout() {
-  if (layer_.tm_timeouts_ != nullptr) layer_.tm_timeouts_->add();
+  ++layer_.timeouts_;
   if (layer_.tracer_ != nullptr) {
     layer_.tracer_->end(span_, layer_.simulator().now());
     span_ = 0;

@@ -192,15 +192,20 @@ class TransactionLayer {
 
   [[nodiscard]] std::size_t active_server_transactions() const noexcept { return servers_.size(); }
   [[nodiscard]] std::uint64_t total_retransmissions() const noexcept { return retransmissions_; }
-  void note_retransmission() noexcept {
-    ++retransmissions_;
-    if (tm_retransmissions_ != nullptr) tm_retransmissions_->add();
+  void note_retransmission() noexcept { ++retransmissions_; }
+  [[nodiscard]] std::uint64_t client_transactions_started() const noexcept {
+    return client_started_;
   }
+  [[nodiscard]] std::uint64_t server_transactions_started() const noexcept {
+    return server_started_;
+  }
+  /// Client transactions abandoned on timer B/F.
+  [[nodiscard]] std::uint64_t transaction_timeouts() const noexcept { return timeouts_; }
 
-  /// Registers transaction counters and per-transaction span tracing.
-  /// nullptr clears every handle, so each
-  /// instrumentation site is a single predictable null-pointer branch.
+  /// Wires per-transaction span tracing; nullptr records none.
   void set_telemetry(telemetry::Telemetry* tel);
+  /// Registers the transaction counters in `reg` and fills them.
+  void publish(telemetry::MetricsRegistry& reg) const;
 
  private:
   friend class ClientTransaction;
@@ -234,13 +239,10 @@ class TransactionLayer {
   std::unordered_map<Key, std::unique_ptr<ServerTransaction>, KeyHash> servers_;
   std::uint64_t branch_counter_{0};
   std::uint64_t retransmissions_{0};
-
-  // Telemetry handles; null when telemetry is absent.
-  telemetry::Counter* tm_client_started_{nullptr};
-  telemetry::Counter* tm_server_started_{nullptr};
-  telemetry::Counter* tm_retransmissions_{nullptr};
-  telemetry::Counter* tm_timeouts_{nullptr};
-  telemetry::SpanTracer* tracer_{nullptr};
+  std::uint64_t client_started_{0};
+  std::uint64_t server_started_{0};
+  std::uint64_t timeouts_{0};
+  telemetry::SpanTracer* tracer_{nullptr};  // null when tracing is off
 };
 
 }  // namespace pbxcap::sip

@@ -1,12 +1,14 @@
 // Telemetry facade — one object per simulation run bundling the metrics
 // registry, the sim-time sampler, and the span tracer.
 //
-// Components take a nullable `Telemetry*` via set_telemetry(): with nullptr
-// they register nothing and every instrumentation site reduces to one
-// predictable null-handle branch, which is not measured on its own
-// (perfbench's telemetry.overhead_pct measures the enabled cost). Not
-// thread-safe: like the Simulator, each run owns its own instance;
-// parallelism happens across runs.
+// Metrics are counted once, by the model: each component keeps its own
+// counters and copies them into the registry in publish(), which
+// exp::Experiment::run() calls once, after the run. Registry rows therefore
+// exist only after run(), and nothing reads the registry mid-run: the
+// sampler's probes read the model directly. Components take a nullable
+// `Telemetry*` via set_telemetry() only to wire the span tracer; nullptr
+// records no spans. Not thread-safe: like the Simulator, each run owns its
+// own instance; parallelism happens across runs.
 #pragma once
 
 #include <cstddef>

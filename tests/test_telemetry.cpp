@@ -4,10 +4,14 @@
 // run (two same-seed runs must export byte-identical artefacts).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/testbed.hpp"
+#include "exp/topology.hpp"
+#include "fault/plan.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -314,6 +318,238 @@ TEST(TelemetryIntegrationTest, TelemetryDoesNotPerturbTheSimulation) {
   EXPECT_EQ(bare.calls_blocked, instrumented.calls_blocked);
   EXPECT_EQ(bare.calls_failed, instrumented.calls_failed);
   EXPECT_DOUBLE_EQ(bare.mos.mean(), instrumented.mos.mean());
+
+  // With the sampler's first tick past the horizon and the profiler off,
+  // metrics and spans schedule nothing: the kernel runs the bare run's
+  // events exactly.
+  telemetry::Telemetry quiet{{.profiling = false, .sample_period = Duration::seconds(3600)}};
+  const auto traced = exp::run_testbed(small_config(&quiet));
+  EXPECT_EQ(quiet.sampler().rows(), 0u);
+  EXPECT_GT(quiet.registry().size(), 0u);
+  EXPECT_EQ(traced.events_processed, bare.events_processed);
+}
+
+// ---- published counters -----------------------------------------------------
+
+/// Rows by "name{k=v,...}": a counter's or gauge's value, a histogram's
+/// observation count.
+using RowValues = std::map<std::string, double>;
+
+void put(RowValues& rows, std::string_view name, const LabelSet& labels, double value) {
+  std::string key{name};
+  key += '{';
+  for (const auto& label : labels) key += label.key + '=' + label.value + ',';
+  key += '}';
+  rows[key] += value;  // one key from several components adds up
+}
+
+RowValues registry_rows(const MetricsRegistry& reg) {
+  RowValues rows;
+  for (const MetricsRegistry::Row& row : reg.rows()) {
+    switch (row.kind) {
+      case telemetry::MetricKind::kCounter:
+        put(rows, row.name, row.labels, static_cast<double>(row.counter->value()));
+        break;
+      case telemetry::MetricKind::kGauge:
+        put(rows, row.name, row.labels, row.gauge->value());
+        break;
+      case telemetry::MetricKind::kHistogram:
+        put(rows, row.name, row.labels, static_cast<double>(row.histogram->count()));
+        break;
+    }
+  }
+  return rows;
+}
+
+double d(std::uint64_t v) { return static_cast<double>(v); }
+
+/// What an endpoint's own readers say its rows hold.
+void endpoint_rows(RowValues& rows, const sip::SipEndpoint& ep) {
+  const std::string& host = ep.sip_host();
+  const sip::TransactionLayer& layer = ep.transactions();
+  put(rows, "pbxcap_sip_transactions_total", {{"host", host}, {"side", "client"}},
+      d(layer.client_transactions_started()));
+  put(rows, "pbxcap_sip_transactions_total", {{"host", host}, {"side", "server"}},
+      d(layer.server_transactions_started()));
+  put(rows, "pbxcap_sip_retransmissions_total", {{"host", host}},
+      d(layer.total_retransmissions()));
+  put(rows, "pbxcap_sip_transaction_timeouts_total", {{"host", host}},
+      d(layer.transaction_timeouts()));
+  put(rows, "pbxcap_sip_messages_total", {{"host", host}, {"direction", "tx"}},
+      d(ep.sip_messages_sent()));
+  put(rows, "pbxcap_sip_messages_total", {{"host", host}, {"direction", "rx"}},
+      d(ep.sip_messages_received()));
+}
+
+void caller_rows(RowValues& rows, const loadgen::SipCaller& caller) {
+  endpoint_rows(rows, caller);
+  const monitor::CallLog& log = caller.log();
+  put(rows, "pbxcap_caller_calls_offered_total", {}, d(caller.calls_offered()));
+  put(rows, "pbxcap_caller_calls_total", {{"outcome", "completed"}}, d(log.completed()));
+  put(rows, "pbxcap_caller_calls_total", {{"outcome", "blocked"}}, d(log.blocked()));
+  put(rows, "pbxcap_caller_calls_total", {{"outcome", "failed"}}, d(log.failed()));
+  put(rows, "pbxcap_caller_calls_total", {{"outcome", "abandoned"}},
+      d(log.count(monitor::CallOutcome::kAbandoned)));
+  put(rows, "pbxcap_caller_retries_total", {}, d(caller.retries()));
+  put(rows, "pbxcap_rtp_packets_sent_total", {{"host", caller.sip_host()}},
+      d(caller.rtp_packets_sent()));
+  std::uint64_t answered = 0;
+  for (const monitor::CallRecord& r : log.records()) answered += r.talk_time > Duration::zero();
+  put(rows, "pbxcap_caller_setup_delay_ms", {}, d(answered));
+  put(rows, "pbxcap_caller_mos", {}, d(answered));
+}
+
+void receiver_rows(RowValues& rows, const loadgen::SipReceiver& receiver) {
+  endpoint_rows(rows, receiver);
+  put(rows, "pbxcap_receiver_calls_answered_total", {}, d(receiver.calls_answered()));
+  put(rows, "pbxcap_receiver_rejected_488_total", {}, d(receiver.rejected_488()));
+  put(rows, "pbxcap_rtp_packets_sent_total", {{"host", receiver.sip_host()}},
+      d(receiver.rtp_packets_sent()));
+}
+
+void pbx_rows(RowValues& rows, const pbx::AsteriskPbx& pbx) {
+  endpoint_rows(rows, pbx);
+  const pbx::AcdSubsystem& acd = pbx.acd();
+  for (std::size_t qi = 0; qi < acd.queue_count(); ++qi) {
+    const std::string& queue = pbx.config().acd.queues[qi].name;
+    const pbx::AcdQueueStats& st = acd.stats(qi);
+    const auto event = [&](const char* name, std::uint64_t v) {
+      put(rows, "pbxcap_acd_calls_total", {{"queue", queue}, {"event", name}}, d(v));
+    };
+    event("offered", st.offered);
+    event("queued", st.queued);
+    event("served", st.served);
+    event("abandoned", st.abandoned);
+    event("timeout", st.timed_out);
+    event("voicemail", st.voicemail);
+    event("blocked_full", st.blocked_full);
+    put(rows, "pbxcap_acd_announcements_total", {{"queue", queue}}, d(st.announcements));
+    put(rows, "pbxcap_acd_queue_depth", {{"queue", queue}}, d(acd.depth(qi)));
+    put(rows, "pbxcap_acd_agents_busy", {{"queue", queue}}, d(acd.busy_agents(qi)));
+    put(rows, "pbxcap_acd_wait_seconds", {{"queue", queue}}, d(st.wait_s.count()));
+  }
+  put(rows, "pbxcap_pbx_invites_total", {}, d(pbx.invites()));
+  put(rows, "pbxcap_pbx_calls_blocked_total", {{"reason", "policy"}}, d(pbx.policy_rejections()));
+  put(rows, "pbxcap_pbx_calls_blocked_total", {{"reason", "cac"}}, d(pbx.cac_rejections()));
+  put(rows, "pbxcap_pbx_calls_blocked_total", {{"reason", "channels"}},
+      d(pbx.channel_rejections()));
+  put(rows, "pbxcap_pbx_calls_answered_total", {}, d(pbx.calls_answered()));
+  put(rows, "pbxcap_pbx_calls_failed_total", {}, d(pbx.calls_failed()));
+  put(rows, "pbxcap_pbx_rtp_relayed_total", {}, d(pbx.rtp_relayed()));
+  put(rows, "pbxcap_pbx_rtp_transcoded_total", {}, d(pbx.transcoded_rtp()));
+  put(rows, "pbxcap_pbx_rtp_dropped_total", {}, d(pbx.rtp_dropped_unknown_ssrc()));
+  put(rows, "pbxcap_pbx_overload_rejections_total", {}, d(pbx.overload_rejections()));
+  put(rows, "pbxcap_pbx_sip_queue_dropped_total", {}, d(pbx.sip_queue_dropped()));
+  put(rows, "pbxcap_pbx_active_channels", {}, d(pbx.channels().in_use()));
+}
+
+/// Every row of the run's registry, read back from the model: the backends'
+/// rows absorbed from their shards add up where they share a key.
+RowValues model_rows(exp::Experiment& experiment, std::size_t backends) {
+  RowValues rows;
+  caller_rows(rows, experiment.caller());
+  receiver_rows(rows, experiment.receiver());
+  for (std::size_t i = 0; i < backends; ++i) pbx_rows(rows, experiment.backend(i).pbx);
+  return rows;
+}
+
+/// An ACD queue behind an overload-controlled PBX, half the calls dialling
+/// it, under a FaultPlan that drops, stalls and crashes.
+pbx::PbxConfig stressed_pbx(std::string host) {
+  pbx::PbxConfig config;
+  config.host = std::move(host);
+  config.max_channels = 12;
+  config.sip_service.enabled = true;
+  config.sip_service.service_time = Duration::millis(40);
+  config.overload.enabled = true;
+  config.acd.enabled = true;
+  pbx::AcdQueueConfig queue;
+  queue.agents = {pbx::AcdAgentSpec{.count = 3}};
+  queue.max_queue_length = 4;
+  queue.patience = pbx::PatienceModel::kExponential;
+  queue.patience_mean = Duration::seconds(4);
+  queue.announce_period = Duration::seconds(2);
+  config.acd.queues = {queue};
+  return config;
+}
+
+loadgen::CallScenario stressed_scenario() {
+  auto scenario = loadgen::CallScenario::for_offered_load(40.0, Duration::seconds(10));
+  scenario.placement_window = Duration::seconds(20);
+  scenario.acd.fraction = 0.5;
+  scenario.acd.queue = "support";
+  scenario.retry.enabled = true;
+  return scenario;
+}
+
+/// Long enough for timer B (32 s) of the INVITEs sent into the crash's
+/// dead window to fire.
+constexpr Duration kDrain = Duration::seconds(30);
+
+TEST(TelemetryIntegrationTest, PublishedCountersEqualModelCounts) {
+  const auto plan = fault::FaultPlan::parse(
+      "@4s link client loss=0.05\n"
+      "@8s pbx stall 500ms\n"
+      "@12s link client loss=0\n"
+      "@14s pbx crash dead=40s\n");
+  const loadgen::CallScenario scenario = stressed_scenario();
+  {
+    SCOPED_TRACE("testbed");
+    const pbx::PbxConfig pbx = stressed_pbx("pbx.unb.br");
+    telemetry::Telemetry tel;
+    const exp::Topology topology{.scenario = &scenario,
+                                 .seed = 7,
+                                 .drain = kDrain,
+                                 .backends = {&pbx, 1},
+                                 .faults = &plan,
+                                 .telemetry = &tel};
+    exp::Experiment experiment{topology};
+    experiment.run();
+    const pbx::AsteriskPbx& p = experiment.backend(0).pbx;
+    // The run reaches every mechanism whose counters it checks.
+    EXPECT_EQ(p.crashes(), 1u);
+    EXPECT_GT(p.overload_rejections(), 0u);
+    EXPECT_GT(p.channel_rejections() + p.acd().stats(0).abandoned, 0u);
+    EXPECT_GT(p.acd().stats(0).queued, 0u);
+    EXPECT_GT(experiment.caller().retries(), 0u);
+    EXPECT_GT(experiment.caller().transactions().transaction_timeouts(), 0u);
+    EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, 1));
+    // The RTP readers sum ended and live legs; each host's access link saw
+    // exactly its SIP and RTP (no RTCP in this scenario), sent or dropped.
+    const auto offered = [](const net::Link& link, const loadgen::SippHost& host) {
+      const net::LinkDirectionStats& st = link.stats_from(host.id());
+      return st.packets_sent + st.dropped_total();
+    };
+    const loadgen::SipCaller& caller = experiment.caller();
+    const loadgen::SipReceiver& receiver = experiment.receiver();
+    EXPECT_GT(receiver.active_sessions(), 0u);  // live legs at the horizon count too
+    EXPECT_EQ(offered(experiment.client_link(), caller),
+              caller.sip_messages_sent() + caller.rtp_packets_sent());
+    EXPECT_EQ(offered(experiment.server_link(), receiver),
+              receiver.sip_messages_sent() + receiver.rtp_packets_sent());
+  }
+  {
+    SCOPED_TRACE("sharded cluster");
+    std::vector<pbx::PbxConfig> fleet;
+    for (const char* host : {"pbx0.unb.br", "pbx1.unb.br", "pbx2.unb.br"}) {
+      fleet.push_back(stressed_pbx(host));
+    }
+    telemetry::Telemetry tel;
+    const exp::Topology topology{.scenario = &scenario,
+                                 .seed = 8,
+                                 .drain = kDrain,
+                                 .backends = fleet,
+                                 .faults = &plan,
+                                 .fault_backend = 1,
+                                 .telemetry = &tel,
+                                 .sharded = true};
+    exp::Experiment experiment{topology};
+    experiment.run();
+    EXPECT_EQ(experiment.backend(1).pbx.crashes(), 1u);
+    EXPECT_GT(experiment.backend(0).pbx.invites(), 0u);
+    EXPECT_GT(experiment.backend(2).pbx.invites(), 0u);
+    EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, fleet.size()));
+  }
 }
 
 }  // namespace
