@@ -204,12 +204,19 @@ void BM_SwitchedHop(benchmark::State& state) {
     using Node::Node;
     void on_receive(const net::Packet&) override { ++received; }
     void emit(net::NodeId dst) {
+      // A G.711 frame: the RTP header rides in the packet, 160 bytes of
+      // audio follow it on the wire.
       net::Packet pkt;
       pkt.dst = dst;
       pkt.kind = net::PacketKind::kRtp;
-      pkt.size_bytes = net::wire_size(172);
+      pkt.size_bytes = net::wire_size(rtp::kRtpHeaderBytes + 160);
+      pkt.rtp = {.ssrc = 1,
+                 .timestamp = static_cast<std::uint32_t>(sent * 160),
+                 .sequence = static_cast<std::uint16_t>(sent)};
+      ++sent;
       send(std::move(pkt));
     }
+    std::uint64_t sent{0};
     std::uint64_t received{0};
   };
   struct Stream {

@@ -39,6 +39,7 @@ ShardExecutor::ShardExecutor(std::vector<sim::Simulator*> sims, const ShardExecC
     channels_.resize(sims_.size() * sims_.size());
     written_.resize(sims_.size());
     next_event_ns_.resize(sims_.size());
+    stale_.resize(sims_.size());
     clamped_by_src_.resize(sims_.size(), 0);
   }
 }
@@ -95,6 +96,7 @@ void ShardExecutor::run(TimePoint horizon) {
   done_ = false;
   final_ = false;
   window_end_ns_ = start;
+  std::fill(stale_.begin(), stale_.end(), std::uint8_t{1});
   advance_window();  // first window: [start or first-event jump, +lookahead)
 
   auto completion = [this]() noexcept { on_round(); };
@@ -132,6 +134,7 @@ void ShardExecutor::run_shard_window(std::size_t s) noexcept {
   // Nothing of this shard's falls inside the window: leave its clock behind.
   if (!final_ && next_event_ns_[s] >= window_end_ns_) return;
   ++stats_[s].windows;
+  stale_[s] = 1;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     // Intermediate windows are exclusive of their end (all integer-ns
@@ -190,6 +193,7 @@ bool ShardExecutor::drain_all() {
     for (const std::size_t dst : written_[src]) {
       sim::ShardChannel& channel = channels_[src * shard_count + dst];
       stats_[dst].messages_in += channel.size();
+      stale_[dst] = 1;
       const sim::CategoryScope cat_scope{*sims_[dst], sim::Category::kShardMailbox};
       for (sim::ShardMessage& msg : channel) {
         sims_[dst]->schedule_at(TimePoint::at(Duration::nanos(msg.at_ns)),
@@ -206,7 +210,10 @@ bool ShardExecutor::drain_all() {
 void ShardExecutor::advance_window() {
   std::int64_t next_event = sim::Simulator::kNoEvent;
   for (std::size_t s = 0; s < sims_.size(); ++s) {
-    next_event_ns_[s] = sims_[s]->next_event_ns();
+    if (stale_[s] != 0) {
+      next_event_ns_[s] = sims_[s]->next_event_ns();
+      stale_[s] = 0;
+    }
     next_event = std::min(next_event, next_event_ns_[s]);
   }
   // Everything already drained is inside the simulators, so next_event is a

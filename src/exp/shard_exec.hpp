@@ -28,6 +28,8 @@
 //     to activity, not to simulated time).
 //   * A shard whose next event (read after the drain) lies at or beyond the
 //     window end is skipped: it makes no run_until call and no clock read.
+//     Its next event is re-read only after it runs a window or is sent a
+//     message; otherwise its queue is unchanged and the cached value holds.
 //     Its now() lags until it next runs. That is safe: drained messages are
 //     scheduled at absolute times >= the window end, past any lagging
 //     clock, and post()'s causality clamp reads the window end, not now().
@@ -99,6 +101,8 @@ class ShardExecutor {
   /// be called from shard `src`'s running window — i.e. from model code
   /// executing inside that shard's simulator.
   void post(std::size_t src, std::size_t dst, std::int64_t at_ns, sim::Callback deliver);
+  /// The causality bound post() clamps to while the current window runs.
+  [[nodiscard]] std::int64_t causality_bound_ns() const noexcept { return window_end_ns_; }
 
   /// Runs every shard to `horizon` (inclusive, matching
   /// Simulator::run_until semantics). Blocks the calling thread, which
@@ -152,8 +156,13 @@ class ShardExecutor {
   std::uint64_t rounds_{0};
   std::uint64_t horizon_rounds_{0};
   // Each shard's next event after the drain; a shard whose next event is at
-  // or beyond window_end_ns_ skips the (non-final) window.
+  // or beyond window_end_ns_ skips the (non-final) window. Only a shard that
+  // ran a window or was sent a message can have a new next event: those set
+  // stale_ (each worker only its own shards' entries; bytes, not
+  // vector<bool>, so no two entries share a word) and advance_window()
+  // re-reads just them.
   std::vector<std::int64_t> next_event_ns_;
+  std::vector<std::uint8_t> stale_;
 
   std::vector<ShardStats> stats_;
   std::vector<WorkerStats> worker_stats_;  // worker w writes only entry w

@@ -160,6 +160,11 @@ void Experiment::wire_boundary(std::size_t i) {
   // the host the portal stands for.
   const auto sink = [exec](std::size_t src, std::size_t dst, net::Network* into, net::NodeId to) {
     return [exec, src, dst, into, to](net::Packet&& pkt, net::NodeId from, TimePoint deliver_at) {
+      // A frame that post() clamps to the window end arrives that much later
+      // than its hop said; fluid batches keep their nominal timing.
+      if (!pkt.fluid && deliver_at.ns() < exec->causality_bound_ns()) {
+        pkt.path_latency += Duration::nanos(exec->causality_bound_ns() - deliver_at.ns());
+      }
       auto deliver = [into, p = std::move(pkt), from, to] { into->deliver(p, from, to); };
       static_assert(sim::Callback::stores_inline<decltype(deliver)>(),
                     "boundary delivery closure must stay on the allocation-free SBO path");

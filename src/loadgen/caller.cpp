@@ -320,7 +320,7 @@ void SipCaller::on_invite_response(std::uint64_t index, const Message& resp) {
     send_stateless_to(call->dialog.make_ack(), call->pbx_node);
     if (const auto answer = Sdp::parse(resp.body())) {
       call->media.on_answer(*answer);
-      if (answer->audio.ssrc != 0) by_remote_ssrc_[answer->audio.ssrc] = &call->media;
+      by_remote_ssrc_.assign(answer->audio.ssrc, &call->media);
     }
     call->media.start(*this, call->pbx_node, scenario_.rtcp ? &rng_ : nullptr, call->journey);
     const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kLoadgen};
@@ -444,7 +444,7 @@ void SipCaller::finish(std::uint64_t index, monitor::CallOutcome outcome) {
   if (dispatcher_ != nullptr && !call.pbx_host.empty()) dispatcher_->release(call.pbx_host);
   if (call.bye_timer != 0) network()->simulator().cancel(call.bye_timer);
   if (call.retry_timer != 0) network()->simulator().cancel(call.retry_timer);
-  if (call.media.remote_ssrc() != 0) by_remote_ssrc_.erase(call.media.remote_ssrc());
+  by_remote_ssrc_.erase(call.media.remote_ssrc());
   end_leg(call.media);
   calls_.erase(it);
 

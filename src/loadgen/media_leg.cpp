@@ -33,11 +33,7 @@ void MediaLeg::start(SippHost& host, net::NodeId dst, sim::Random* rtcp_rng,
   sender_ = std::make_unique<rtp::RtpSender>(
       simulator, codec_, local_ssrc_,
       [&host, dst](const rtp::RtpHeader& header, std::uint32_t bytes) {
-        host.send({.dst = dst,
-                   .kind = net::PacketKind::kRtp,
-                   .size_bytes = bytes,
-                   .payload = std::make_shared<rtp::RtpPayload>(
-                       header, host.network()->simulator().now())});
+        host.send({.dst = dst, .kind = net::PacketKind::kRtp, .size_bytes = bytes, .rtp = header});
       });
   if (host.tracer_ != nullptr && track != 0) sender_->set_tracer(host.tracer_, track);
   if (fluid != nullptr) {
@@ -112,31 +108,27 @@ void SippHost::publish_rtp_sent(telemetry::MetricsRegistry& reg, std::uint64_t s
 void SippHost::on_receive(const net::Packet& pkt) {
   const TimePoint now = network()->simulator().now();
   if (pkt.kind == net::PacketKind::kRtp) {
-    if (const auto* rtp = pkt.payload_as<rtp::RtpPayload>()) {
-      const auto it = by_remote_ssrc_.find(rtp->header.ssrc);
-      if (it == by_remote_ssrc_.end()) return;
-      MediaLeg& leg = *it->second;
-      leg.rx_.on_packet(rtp->header, now);
-      leg.jbuf_.on_packet(rtp->header, now);
-      leg.transit_s_.add((now - rtp->originated_at).to_seconds());
+    if (!pkt.fluid) {
+      MediaLeg* leg = by_remote_ssrc_.find(pkt.rtp.ssrc);
+      if (leg == nullptr) return;
+      leg->rx_.on_packet(pkt.rtp, now);
+      leg->jbuf_.on_packet(pkt.rtp, now);
+      leg->transit_s_.add(pkt.path_latency.to_seconds());
     } else if (const auto* batch = pkt.payload_as<rtp::RtpBatchPayload>()) {
-      const auto it = by_remote_ssrc_.find(batch->first.ssrc);
-      if (it == by_remote_ssrc_.end()) return;
-      MediaLeg& leg = *it->second;
+      MediaLeg* leg = by_remote_ssrc_.find(batch->first.ssrc);
+      if (leg == nullptr) return;
       // Nominal per-packet arrivals: departure grid shifted by the constant
       // path latency the batch accumulated hop by hop.
       const TimePoint first_arrival = batch->first_departure + pkt.path_latency;
-      leg.rx_.on_batch(batch->first, first_arrival, batch->spacing,
-                       leg.codec_.timestamp_step(), pkt.batch);
-      leg.jbuf_.on_batch(batch->first, first_arrival, batch->spacing, pkt.batch);
-      leg.transit_s_.add_repeated(pkt.path_latency.to_seconds(), pkt.batch);
+      leg->rx_.on_batch(batch->first, first_arrival, batch->spacing,
+                        leg->codec_.timestamp_step(), pkt.batch);
+      leg->jbuf_.on_batch(batch->first, first_arrival, batch->spacing, pkt.batch);
+      leg->transit_s_.add_repeated(pkt.path_latency.to_seconds(), pkt.batch);
     }
   } else if (pkt.kind == net::PacketKind::kRtcp) {
     if (const auto* rtcp = pkt.payload_as<rtp::RtcpPayload>()) {
-      const auto it = by_remote_ssrc_.find(rtcp->routing_ssrc());
-      if (it != by_remote_ssrc_.end() && it->second->rtcp_ != nullptr) {
-        it->second->rtcp_->on_report(*rtcp, now);
-      }
+      MediaLeg* leg = by_remote_ssrc_.find(rtcp->routing_ssrc());
+      if (leg != nullptr && leg->rtcp_ != nullptr) leg->rtcp_->on_report(*rtcp, now);
     }
   } else {
     sip::SipEndpoint::on_receive(pkt);

@@ -5,17 +5,17 @@
 // RTCP, and score what arrives the way VoIPmonitor does (RFC 3550 loss and
 // jitter, late jitter-buffer discards, E-model MOS). Both hosts derive from
 // SippHost, which indexes their legs by remote SSRC, so inbound media is one
-// map lookup from its leg. SipCaller holds one MediaLeg per call and
+// flat-table probe from its leg. SipCaller holds one MediaLeg per call and
 // SipReceiver one per session.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "rtp/jitter_buffer.hpp"
 #include "rtp/packet.hpp"
 #include "rtp/rtcp.hpp"
+#include "rtp/ssrc_table.hpp"
 #include "rtp/stream.hpp"
 #include "sim/random.hpp"
 #include "sip/endpoint.hpp"
@@ -107,7 +107,7 @@ class SippHost : public sip::SipEndpoint {
 
   rtp::FluidEngine* fluid_engine_{nullptr};
   /// Legs by the SSRC they receive (the far end's local SSRC).
-  std::unordered_map<std::uint32_t, MediaLeg*> by_remote_ssrc_;
+  rtp::SsrcTable<MediaLeg> by_remote_ssrc_;
   /// RTP packets of the legs end_leg() retired.
   std::uint64_t rtp_sent_ended_{0};
   telemetry::SpanTracer* tracer_{nullptr};  // null when tracing is off

@@ -111,7 +111,7 @@ void SipReceiver::answer(sip::ServerTransaction& txn,
   // Store the session before publishing a pointer into it.
   const std::string_view call_id = session->dialog.call_id();
   Session& stored = *sessions_.emplace(call_id, std::move(session)).first->second;
-  if (offer->audio.ssrc != 0) by_remote_ssrc_[offer->audio.ssrc] = &stored.media;
+  by_remote_ssrc_.assign(offer->audio.ssrc, &stored.media);
   ++answered_;
 }
 
@@ -175,7 +175,7 @@ void SipReceiver::handle_bye(const Message& req, sip::ServerTransaction& txn) {
   Session& session = *it->second;
   end_leg(session.media);
   if (session.report_quality) finished_[session.call_index] = session.media.heard();
-  if (session.media.remote_ssrc() != 0) by_remote_ssrc_.erase(session.media.remote_ssrc());
+  by_remote_ssrc_.erase(session.media.remote_ssrc());
   sessions_.erase(it);
 }
 

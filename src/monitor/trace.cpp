@@ -20,8 +20,8 @@ std::string summarize(const net::Packet& pkt, std::string& call_id_out) {
     return util::format("%d %.*s", sip->msg.status_code(),
                         static_cast<int>(sip->msg.reason().size()), sip->msg.reason().data());
   }
-  if (const auto* rtp = pkt.payload_as<rtp::RtpPayload>()) {
-    return util::format("RTP ssrc=%u seq=%u", rtp->header.ssrc, rtp->header.sequence);
+  if (pkt.kind == net::PacketKind::kRtp && !pkt.fluid) {
+    return util::format("RTP ssrc=%u seq=%u", pkt.rtp.ssrc, pkt.rtp.sequence);
   }
   return std::string{to_string(pkt.kind)};
 }

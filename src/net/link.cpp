@@ -158,10 +158,13 @@ void Link::transmit(NodeId from, Packet pkt) {
 
 void Link::enqueue_trunk(NodeId from, Packet pkt) {
   Direction& dir = direction_from(from);
+  auto& sim = network_.simulator();
+  // The window wait joins the frame's path latency at the flush, which adds
+  // the flush instant back: no per-frame enqueue time is kept.
+  pkt.path_latency -= sim.now() - TimePoint::origin();
   dir.trunk_pending.push_back(std::move(pkt));
   if (dir.trunk_flush_scheduled) return;
   dir.trunk_flush_scheduled = true;
-  auto& sim = network_.simulator();
   // Flush on the next boundary of the absolute trunk-window grid, not
   // now + window: the flush schedule then depends only on the clock, never
   // on which packet happened to arrive first — the property that keeps
@@ -184,6 +187,8 @@ void Link::flush_trunk(NodeId from) {
   auto payload = std::make_shared<TrunkPayload>();
   payload->frames = std::move(dir.trunk_pending);
   dir.trunk_pending.clear();  // moved-from: restore a known-empty queue
+  const Duration flushed_at = network_.simulator().now() - TimePoint::origin();
+  for (Packet& inner : payload->frames) inner.path_latency += flushed_at;
   const std::uint64_t inner = payload->frames.size();
   dir.stats.trunk_frames += 1;
   dir.stats.trunk_mini_frames += inner;
@@ -246,6 +251,7 @@ bool Link::transmit_now(NodeId from, Packet pkt) {
   }
 
   const TimePoint delivery = serialized + config_.propagation + extra + dir.receive_delay;
+  pkt.path_latency += delivery - sim.now();
   // The hop's one wire event, the delivery, is attributed by packet kind, so
   // the profiler splits link traffic into signalling vs media regardless of
   // which subsystem's callback sent the packet.
@@ -271,7 +277,7 @@ bool Link::transmit_now(NodeId from, Packet pkt) {
   };
   // Fired once per packet at Table-I scale (~100 pkt/s per call direction):
   // the capture must fit sim::Callback's inline buffer or every RTP packet
-  // pays a heap allocation. Packet is 48 bytes; this capture is exactly 64.
+  // pays a heap allocation. Packet is 64 bytes; this capture is exactly 80.
   static_assert(sim::Callback::stores_inline<decltype(deliver)>(),
                 "per-packet delivery closure must stay on the allocation-free SBO path");
   sim.schedule_at(delivery, std::move(deliver));

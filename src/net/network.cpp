@@ -104,11 +104,15 @@ void Network::deliver(const Packet& pkt, NodeId from, NodeId to) {
   // receiving node (endpoint, or a switch re-routing each frame by its own
   // dst) and the kind-filtered captures see exactly the packets a
   // non-trunked link would have delivered. Taps still observe the shell —
-  // that is what a wire sniffer on the trunked segment would record.
+  // that is what a wire sniffer on the trunked segment would record. Each
+  // frame's path latency gains the shell's hop.
   if (pkt.kind == PacketKind::kTrunk) {
     if (const auto* trunk = pkt.payload_as<TrunkPayload>()) {
       fire_taps(pkt, from, to);
-      for (const Packet& inner : trunk->frames) deliver(inner, from, to);
+      for (Packet inner : trunk->frames) {
+        inner.path_latency += pkt.path_latency;
+        deliver(inner, from, to);
+      }
       return;
     }
   }

@@ -95,12 +95,13 @@ class Network {
 
   [[nodiscard]] std::uint64_t next_packet_id() noexcept { return next_packet_id_++; }
   [[nodiscard]] std::uint64_t packets_delivered() const noexcept { return delivered_; }
-
- private:
-  void fire_taps(const Packet& pkt, NodeId from, NodeId to) const;
+  /// True if a node is attached under `id`.
   [[nodiscard]] bool attached(NodeId id) const noexcept {
     return id < nodes_.size() && nodes_[id] != nullptr;
   }
+
+ private:
+  void fire_taps(const Packet& pkt, NodeId from, NodeId to) const;
 
   sim::Simulator& simulator_;
   sim::Random rng_;

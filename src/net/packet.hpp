@@ -1,9 +1,11 @@
 // Network packet model.
 //
-// Packets carry an opaque payload (SIP message, RTP packet) plus the wire
-// metadata the transport layer needs: size in bytes, endpoints, and a kind
-// tag so taps can count SIP vs RTP traffic the way the paper does with
-// Wireshark.
+// Packets carry the wire metadata the transport layer needs (size in bytes,
+// endpoints, and a kind tag so taps can count SIP vs RTP traffic the way the
+// paper does with Wireshark) plus what they transport: a per-packet RTP frame
+// carries its 12-byte RTP header inline, everything else (SIP message, RTCP
+// report, fluid batch, trunk shell) an opaque shared payload. A relayed RTP
+// packet therefore makes no heap allocation anywhere on its path.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,17 @@ struct Payload {
   virtual ~Payload() = default;
 };
 
+/// RTP fixed header (RFC 3550 §5.1; no CSRC list, no extension), laid out
+/// in 12 bytes so it rides inside Packet. rtp::RtpHeader names the same type.
+struct RtpHeader {
+  std::uint32_t ssrc{0};
+  std::uint32_t timestamp{0};  // media clock units (e.g. 8 kHz for G.711)
+  std::uint16_t sequence{0};   // wraps mod 2^16; receivers extend it
+  std::uint8_t payload_type{0};
+  bool marker{false};          // set on the first packet of a talkspurt
+};
+static_assert(sizeof(RtpHeader) == 12, "RtpHeader is the 12-byte RTP fixed header");
+
 /// Per-layer encapsulation overhead on the wire (bytes). UDP transport for
 /// both SIP and RTP, as in the paper's testbed.
 inline constexpr std::uint32_t kUdpHeaderBytes = 8;
@@ -70,11 +83,16 @@ struct Packet {
   /// counter along the path accrues `batch`, not 1.
   std::uint16_t batch{1};
   std::uint32_t size_bytes{0};  // full on-wire size including headers
-  /// Fluid batches only: the nominal one-way latency of each of its packets,
-  /// accumulated hop by hop while the batch crosses the topology with no
-  /// simulator events. Receivers reconstruct nominal arrivals from it.
+  /// Time since the sender handed the packet to the network, accumulated
+  /// hop by hop: every place that holds the frame (a link's queue, wire and
+  /// receive step, a Wi-Fi cell's airtime, a trunk window) adds its wait.
+  /// For a fluid batch it is each packet's nominal one-way latency, built
+  /// with no simulator events. Receivers read transit from it.
   Duration path_latency{};
-  std::shared_ptr<const Payload> payload;
+  std::shared_ptr<const Payload> payload{};
+  /// Per-packet RTP (kind kRtp, not fluid): the frame's RTP header. Unused
+  /// by every other packet.
+  RtpHeader rtp{};
 
   /// Typed payload access; nullptr if the payload is of a different type.
   /// Every payload type is final, so the match compares type_info: a
@@ -89,9 +107,10 @@ struct Packet {
 };
 
 // The per-packet link delivery closure captures a Packet next to 16 bytes of
-// context and must stay within sim::Callback's 64-byte inline buffer, so the
-// batch count has to live in existing padding rather than grow the struct.
-static_assert(sizeof(Packet) == 48, "Packet must stay within the SBO budget of hot closures");
+// context and must stay within sim::Callback's 80-byte inline buffer: 48
+// bytes of wire metadata and payload handle, the 12-byte RTP header, and 4
+// bytes of tail padding. Any new field has to fit in that padding.
+static_assert(sizeof(Packet) == 64, "Packet must stay within the SBO budget of hot closures");
 
 /// Full wire size for an application payload of `app_bytes`.
 [[nodiscard]] constexpr std::uint32_t wire_size(std::uint32_t app_bytes) noexcept {

@@ -3,7 +3,8 @@
 // Forwards by destination node id across its attached links after a small
 // per-packet processing latency. All hosts in the paper's testbed hang off a
 // single switch, so a directly-attached lookup suffices; static routes allow
-// multi-switch topologies if an experiment needs them.
+// multi-switch topologies if an experiment needs them. Either way a
+// destination resolves once and then costs a vector load (RouteTable).
 //
 // The processing step is the switch's receive delay (Node::receive_delay):
 // the link into the switch adds it to the hop's delivery, so on_receive runs
@@ -13,14 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "net/node.hpp"
+#include "net/route_table.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::net {
-
-class Link;
 
 class SwitchNode : public Node {
  public:
@@ -39,10 +38,7 @@ class SwitchNode : public Node {
   [[nodiscard]] std::uint64_t dropped_no_route() const noexcept { return dropped_no_route_; }
 
  private:
-  [[nodiscard]] Link* route_for(NodeId dst);
-
-  std::unordered_map<NodeId, Link*> static_routes_;
-  std::unordered_map<NodeId, Link*> learned_;  // cache of attached-peer lookups
+  RouteTable routes_;
   std::uint64_t forwarded_{0};
   std::uint64_t dropped_no_route_{0};
 };

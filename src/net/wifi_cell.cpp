@@ -16,7 +16,7 @@ constexpr std::uint32_t kCwMin = 15;                 // contention window (slots
 
 void WifiCell::add_route(NodeId dst, Link& via) {
   if (!via.attaches(id())) throw std::logic_error{"WifiCell::add_route: link not attached"};
-  static_routes_[dst] = &via;
+  routes_.add_static(dst, via);
 }
 
 void WifiCell::set_uplink(Link& via) {
@@ -25,18 +25,8 @@ void WifiCell::set_uplink(Link& via) {
 }
 
 Link* WifiCell::route_for(NodeId dst) {
-  if (const auto it = learned_.find(dst); it != learned_.end()) return it->second;
-  if (const auto it = static_routes_.find(dst); it != static_routes_.end()) {
-    learned_.emplace(dst, it->second);
-    return it->second;
-  }
-  for (Link* link : network()->links_of(id())) {
-    if (link->peer_of(id()) == dst) {
-      learned_.emplace(dst, link);
-      return link;
-    }
-  }
-  return uplink_;  // may be null: then the frame is unroutable
+  Link* via = routes_.lookup(*network(), id(), dst);
+  return via != nullptr ? via : uplink_;  // may be null: then the frame is unroutable
 }
 
 Duration WifiCell::frame_airtime(std::uint32_t bytes) const noexcept {
@@ -78,6 +68,8 @@ void WifiCell::on_receive(const Packet& pkt) {
   medium_busy_until_ = start + occupancy;
   busy_time_ += occupancy;
   ++backlog_;
+  Packet held = pkt;
+  held.path_latency += medium_busy_until_ - now;
 
   const bool lost = config_.frame_error_rate > 0.0 &&
                     network()->impairment_rng().chance(config_.frame_error_rate);
@@ -87,15 +79,21 @@ void WifiCell::on_receive(const Packet& pkt) {
       sim, pkt.kind == PacketKind::kSip ? sim::category_id(sim::Category::kSip)
            : pkt.kind == PacketKind::kOther ? sim.category()
                                             : sim::category_id(sim::Category::kRtpPacket)};
-  sim.schedule_at(medium_busy_until_, [this, out, pkt, lost] {
+  // The egress link is looked up again when the airtime ends (routes never
+  // change mid-run), which keeps the closure within sim::Callback's inline
+  // buffer.
+  auto on_air = [this, held = std::move(held), lost] {
     if (backlog_ > 0) --backlog_;
     if (lost) {
       ++dropped_radio_;
       return;
     }
     ++forwarded_;
-    out->transmit(id(), pkt);
-  });
+    route_for(held.dst)->transmit(id(), held);
+  };
+  static_assert(sim::Callback::stores_inline<decltype(on_air)>(),
+                "per-frame airtime closure must stay on the allocation-free SBO path");
+  sim.schedule_at(medium_busy_until_, std::move(on_air));
 }
 
 }  // namespace pbxcap::net

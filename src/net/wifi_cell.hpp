@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "net/node.hpp"
+#include "net/route_table.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::net {
@@ -58,8 +58,7 @@ class WifiCell final : public Node {
   [[nodiscard]] Link* route_for(NodeId dst);
 
   WifiCellConfig config_;
-  std::unordered_map<NodeId, Link*> static_routes_;
-  std::unordered_map<NodeId, Link*> learned_;
+  RouteTable routes_;
   Link* uplink_{nullptr};
   TimePoint medium_busy_until_{};
   std::uint32_t backlog_{0};

@@ -704,8 +704,8 @@ void AsteriskPbx::handle_bye(const Message& req, sip::ServerTransaction& txn) {
 }
 
 void AsteriskPbx::register_media(Bridge& bridge) {
-  if (bridge.ssrc_a != 0) by_ssrc_[bridge.ssrc_a] = &bridge;
-  if (bridge.ssrc_b != 0) by_ssrc_[bridge.ssrc_b] = &bridge;
+  by_ssrc_.assign(bridge.ssrc_a, &bridge);
+  by_ssrc_.assign(bridge.ssrc_b, &bridge);
 }
 
 void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
@@ -725,8 +725,8 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
     }
     ssrc = batch->first.ssrc;
     is_media = true;
-  } else if (const auto* rtp = pkt.payload_as<rtp::RtpPayload>()) {
-    ssrc = rtp->header.ssrc;
+  } else if (pkt.kind == net::PacketKind::kRtp) {
+    ssrc = pkt.rtp.ssrc;
     is_media = true;
   } else if (const auto* rtcp = pkt.payload_as<rtp::RtcpPayload>()) {
     ssrc = rtcp->routing_ssrc();
@@ -739,8 +739,7 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
   // (the relay thread reads the header either way), but the transcode
   // surcharge only applies to media frames on a codec-mismatched bridge —
   // so resolve the bridge before metering.
-  const auto it = by_ssrc_.find(ssrc);
-  Bridge* routed = it != by_ssrc_.end() ? it->second : nullptr;
+  Bridge* routed = by_ssrc_.find(ssrc);
   const Duration extra = (routed != nullptr && routed->transcoded && is_media)
                              ? routed->transcode_work
                              : Duration::zero();
@@ -785,6 +784,7 @@ void AsteriskPbx::relay_rtp(const net::Packet& pkt) {
     transcoded_rtp_ += pkt.batch;
   }
   out.payload = pkt.payload;
+  out.rtp = pkt.rtp;
   send(std::move(out));
 }
 
@@ -802,8 +802,8 @@ void AsteriskPbx::close_bridge(Bridge& bridge, Disposition disposition) {
       it != active_calls_by_user_.end() && --it->second == 0) {
     active_calls_by_user_.erase(it);
   }
-  if (bridge.ssrc_a != 0) by_ssrc_.erase(bridge.ssrc_a);
-  if (bridge.ssrc_b != 0) by_ssrc_.erase(bridge.ssrc_b);
+  by_ssrc_.erase(bridge.ssrc_a);
+  by_ssrc_.erase(bridge.ssrc_b);
   if (bridge.invite_b != nullptr) by_call_id_b_.erase(bridge.invite_b->msg.call_id());
   cdrs_.close(bridge.cdr, disposition, now);
   if (disposition == Disposition::kAnswered &&

@@ -34,6 +34,7 @@
 #include "pbx/dialplan.hpp"
 #include "pbx/directory.hpp"
 #include "pbx/registrar.hpp"
+#include "rtp/ssrc_table.hpp"
 #include "sip/dialog.hpp"
 #include "sip/endpoint.hpp"
 #include "sip/sdp.hpp"
@@ -288,10 +289,11 @@ class AsteriskPbx final : public sip::SipEndpoint {
 
   /// Live bridges by leg A Call-ID. The two indexes below point into it
   /// (node-based, so the pointers survive inserts of other bridges). Each
-  /// key views a Call-ID in its bridge's own id_a or invite_b.
+  /// Call-ID key views a Call-ID in its bridge's own id_a or invite_b.
   std::unordered_map<std::string_view, Bridge> bridges_;
   std::unordered_map<std::string_view, Bridge*> by_call_id_b_;
-  std::unordered_map<std::uint32_t, Bridge*> by_ssrc_;
+  /// Answered bridges by either leg's SSRC: the relay's per-packet lookup.
+  rtp::SsrcTable<Bridge> by_ssrc_;
 
   /// Live calls per caller, for the per-user limit; no zero entries.
   std::unordered_map<std::string, std::uint32_t> active_calls_by_user_;

@@ -1,4 +1,10 @@
 // RTP packet model (RFC 3550 subset: fixed header, no CSRC/extensions).
+//
+// A per-packet RTP frame is a net::Packet of kind kRtp whose `rtp` field
+// holds the header; it has no payload object, so sending, switching and
+// relaying one allocates nothing. Its one-way transit is the Packet's
+// path_latency, which every hop adds its wait to. Fluid batches carry an
+// RtpBatchPayload instead.
 #pragma once
 
 #include <cstdint>
@@ -9,22 +15,8 @@ namespace pbxcap::rtp {
 
 inline constexpr std::uint32_t kRtpHeaderBytes = 12;
 
-struct RtpHeader {
-  std::uint8_t payload_type{0};
-  std::uint16_t sequence{0};   // wraps mod 2^16; receivers extend it
-  std::uint32_t timestamp{0};  // media clock units (e.g. 8 kHz for G.711)
-  std::uint32_t ssrc{0};
-  bool marker{false};          // set on the first packet of a talkspurt
-};
-
-/// Network payload carrying one RTP packet through the simulated fabric.
-/// `originated_at` is stamped by the original sender and survives the PBX
-/// relay, so receivers can measure true end-to-end (mouth-to-ear) delay.
-struct RtpPayload final : net::Payload {
-  RtpPayload(RtpHeader h, TimePoint originated) : header{h}, originated_at{originated} {}
-  RtpHeader header;
-  TimePoint originated_at{};
-};
+using RtpHeader = net::RtpHeader;
+static_assert(sizeof(RtpHeader) == kRtpHeaderBytes);
 
 /// Fluid-mode batch: stands for Packet::batch consecutive RTP packets of one
 /// stream. Packet i (0-based) has header fields first.{sequence,timestamp}

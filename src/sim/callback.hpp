@@ -31,10 +31,11 @@ namespace pbxcap::sim {
 
 class Callback {
  public:
-  /// Inline storage size. 64 bytes covers every kernel-internal closure,
+  /// Inline storage size. 80 bytes covers every kernel-internal closure,
   /// including net::Link's per-packet delivery capture (Link*, two NodeIds,
-  /// a 48-byte Packet), the largest closure on the per-event hot path.
-  static constexpr std::size_t kInlineBytes = 64;
+  /// a 64-byte Packet with its RTP header), the largest closure on the
+  /// per-event hot path.
+  static constexpr std::size_t kInlineBytes = 80;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
   constexpr Callback() noexcept = default;

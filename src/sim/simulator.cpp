@@ -49,6 +49,9 @@ EventId Simulator::schedule_far(std::int64_t at_ns, std::uint64_t seq, std::uint
       // Level 1: waits coarsely, cascades into level 0 as the clock nears.
       const auto phys = static_cast<std::uint32_t>(abs1) & kSlotMask;
       auto& slot = wheel1_[phys];
+      // The next slot to cascade collects the short timers that cross into
+      // it (a media tick 20 ms before the boundary): it takes the spare.
+      if (abs1 == next1_ && slot.capacity() == 0) slot.swap(spare1_);
       node.loc = Loc::kWheel1;
       node.slot = static_cast<std::uint8_t>(phys);
       node.pos = static_cast<std::uint32_t>(slot.size());
@@ -121,6 +124,13 @@ std::int64_t Simulator::next_event_ns() {
   if (!heap_.empty() && heap_[0].at < best) best = heap_[0].at;
   if (!far_.empty() && far_[0].at < best) best = far_[0].at;
   return best;
+}
+
+std::size_t Simulator::wheel_capacity() const noexcept {
+  std::size_t items = run_.capacity() + spare1_.capacity();
+  for (const auto& slot : wheel0_) items += slot.capacity();
+  for (const auto& slot : wheel1_) items += slot.capacity();
+  return items;
 }
 
 void Simulator::run() {
@@ -215,6 +225,9 @@ void Simulator::activate_slot0(std::int64_t abs_slot) {
   const auto phys = static_cast<std::uint32_t>(abs_slot) & kSlotMask;
   auto& slot = wheel0_[phys];
   run_.swap(slot);  // run_ is empty; recycles capacities both ways
+  // The slot now holds the previous run's buffer. Past kSlotKeep items it
+  // came from a burst: free it, or a burst's size would stay on the wheel.
+  if (slot.capacity() > kSlotKeep) slot = std::vector<WheelItem>{};
   clear_bit(bits0_, phys);
   wheel0_count_ -= run_.size();
   std::sort(run_.begin(), run_.end(), [](const WheelItem& a, const WheelItem& b) noexcept {
@@ -241,7 +254,13 @@ void Simulator::cascade_slot1(std::int64_t abs_slot) {
   }
   wheel0_count_ += slot.size();
   wheel1_count_ -= slot.size();
+  // The emptied slot keeps no buffer: each level-1 slot fills once per
+  // 68.7 s lap, and 256 slots holding their peaks would keep megabytes for a
+  // few hundred live items. The larger of its buffer and the spare becomes
+  // the spare, unless it is past kSpareKeep items (a burst's).
   slot.clear();
+  if (slot.capacity() > spare1_.capacity() && slot.capacity() <= kSpareKeep) slot.swap(spare1_);
+  slot = std::vector<WheelItem>{};
   clear_bit(bits1_, phys);
   next1_ = abs_slot + 1;
   end0_ = (abs_slot + 1) * kL0PerL1;

@@ -30,8 +30,11 @@
 //     level 0 as the clock approaches. Slots sort by (time, sequence) on
 //     activation, and the fire path takes the earliest of the run, the near
 //     top and the far top, so events interleave in exactly the order a
-//     single global queue would produce.
-//   * Callbacks are sim::Callback (see callback.hpp): move-only with 64-byte
+//     single global queue would produce. A cascaded level-1 slot hands its
+//     buffer to one spare that the next slot to cascade takes, and a level-0
+//     slot keeps at most kSlotKeep items of one, so the wheel's memory
+//     follows the live population, not each slot's peak.
+//   * Callbacks are sim::Callback (see callback.hpp): move-only with 80-byte
 //     inline storage, so the dominant capture-a-couple-of-pointers closures
 //     never touch the allocator.
 //   * The schedule/fire fast paths are defined inline below the class so the
@@ -126,6 +129,10 @@ class Simulator {
   /// inside a running event.
   [[nodiscard]] std::int64_t next_event_ns();
 
+  /// Wheel entries the kernel has room for across both levels' slots and
+  /// the activated run: its retained timer-wheel footprint, in items.
+  [[nodiscard]] std::size_t wheel_capacity() const noexcept;
+
   /// Runs until the queue drains or stop() is called.
   void run();
 
@@ -216,6 +223,13 @@ class Simulator {
   static constexpr std::uint32_t kSlotMask = 255;
   // Level-0 slots spanned by one level-1 slot.
   static constexpr std::int64_t kL0PerL1 = std::int64_t{1} << (kSlotBits1 - kSlotBits0);
+  // Items of buffer an emptied level-0 slot may keep for its next lap (6 KB);
+  // a Table-I run peaks near 64. Level-1 slots keep none; one spare of at
+  // most kSpareKeep items (96 KB) serves them in turn. A Table-I run's
+  // level-1 population (the ticks that cross into the next slot) peaks near
+  // 512.
+  static constexpr std::size_t kSlotKeep = 256;
+  static constexpr std::size_t kSpareKeep = 4096;
   using SlotBits = std::array<std::uint64_t, 4>;  // 256-bit occupancy map
 
   static bool earlier(std::int64_t at_a, std::uint64_t seq_a, std::int64_t at_b,
@@ -310,7 +324,8 @@ class Simulator {
   // activated run. One load decides the fire-path dispatch.
   std::uint64_t wheel_live_{0};
 
-  std::vector<WheelItem> run_;  // activated level-0 slot, sorted by (at, seq)
+  std::vector<WheelItem> spare1_;  // a cascaded level-1 slot's buffer, for the next
+  std::vector<WheelItem> run_;     // activated level-0 slot, sorted by (at, seq)
   std::size_t run_pos_{0};
 
   // Wheel windows, in absolute slot indices of the respective level.

@@ -7,7 +7,7 @@
 // self-scheduling tick (the source of Chrome counter tracks), deterministic
 // shard-order merging, and the exporters — profile JSON, a Chrome-trace
 // counter track file, the `pbxcap profile` top-N table, and the per-shard
-// attribution JSON that backs ROADMAP open item 2.
+// attribution JSON that backs ROADMAP open item 7.
 //
 // Determinism: category event counts and the per-period series are pure
 // functions of the seed. Wall-clock fields (timed_ns, latency buckets) are

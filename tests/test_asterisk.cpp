@@ -404,9 +404,7 @@ TEST_F(PbxFixture, RtpWithUnknownSsrcIsDroppedAndCounted) {
   pkt.dst = pbx->id();
   pkt.kind = net::PacketKind::kRtp;
   pkt.size_bytes = 218;
-  rtp::RtpHeader header;
-  header.ssrc = 0xdeadbeef;
-  pkt.payload = std::make_shared<rtp::RtpPayload>(header, simulator.now());
+  pkt.rtp.ssrc = 0xdeadbeef;
   pkt.src = ua->id();
   // Inject directly at the PBX.
   pbx->on_receive(pkt);

@@ -125,7 +125,7 @@ class ScriptedUac final : public net::Node {
     pkt.dst = dst;
     pkt.kind = net::PacketKind::kRtp;
     pkt.size_bytes = 200;
-    pkt.payload = std::make_shared<rtp::RtpPayload>(header, network()->simulator().now());
+    pkt.rtp = header;
     send(std::move(pkt));
   }
 
@@ -207,10 +207,10 @@ TEST_F(ReceiverFixture, InviteRetransmittedAfterThe200ReusesItsSession) {
   uac.send_sip(request(sip::Method::kAck, 1, "z9hG4bK-ack", first_ok.to().tag), receiver.id());
   constexpr std::uint16_t kPackets = 25;
   for (std::uint16_t i = 0; i < kPackets; ++i) {
-    uac.send_rtp({.payload_type = rtp::payload_type::kPcmu,
-                  .sequence = i,
+    uac.send_rtp({.ssrc = kUacSsrc,
                   .timestamp = 160U * i,
-                  .ssrc = kUacSsrc,
+                  .sequence = i,
+                  .payload_type = rtp::payload_type::kPcmu,
                   .marker = i == 0},
                  receiver.id());
     run_for(Duration::millis(20));

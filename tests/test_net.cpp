@@ -1,6 +1,8 @@
 // Unit tests for the network fabric: links, queues, switch forwarding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <initializer_list>
 #include <ostream>
 #include <stdexcept>
@@ -16,6 +18,7 @@
 #include "net/node.hpp"
 #include "net/portal.hpp"
 #include "net/switch_node.hpp"
+#include "net/wifi_cell.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -594,6 +597,109 @@ TEST(LinkValidation, RejectsBadConfigs) {
   LinkConfig bad_q;
   bad_q.queue_limit_packets = 0;
   EXPECT_THROW((void)network.connect(a, b, bad_q), std::invalid_argument);
+}
+
+// ---- path latency: a frame's transit is the sum of its hops' waits ----------
+
+/// Paces RTP frames and remembers each one's pacing tick by sequence number.
+class PacedSource final : public net::Node {
+ public:
+  PacedSource() : Node{"source"} {}
+  void on_receive(const Packet&) override {}
+  void emit(net::NodeId dst) {
+    Packet pkt;
+    pkt.dst = dst;
+    pkt.kind = net::PacketKind::kRtp;
+    pkt.size_bytes = net::wire_size(172);
+    pkt.rtp = {.ssrc = 7, .sequence = static_cast<std::uint16_t>(ticks.size())};
+    ticks.push_back(network()->simulator().now());
+    send(std::move(pkt));
+  }
+  std::vector<TimePoint> ticks;  // by sequence number
+};
+
+/// The PBX's role in Fig. 4: re-sends each RTP frame to the far end with
+/// its header and accumulated path latency, as AsteriskPbx::relay_rtp does.
+class Relay final : public net::Node {
+ public:
+  Relay() : Node{"relay"} {}
+  void on_receive(const Packet& pkt) override {
+    Packet out;
+    out.dst = to;
+    out.kind = pkt.kind;
+    out.size_bytes = pkt.size_bytes;
+    out.path_latency = pkt.path_latency;
+    out.rtp = pkt.rtp;
+    send(std::move(out));
+  }
+  net::NodeId to{net::kInvalidNode};
+};
+
+enum class Access { kSwitched, kWifi, kTrunked };
+
+/// source -> [Wi-Fi cell ->] switch -> relay -> switch -> sink. Links jitter
+/// and the relay's link is slow, so frames queue; three frames leave on each
+/// 20 ms tick. Returns how many frames arrived, after checking each one.
+std::size_t check_path_latency(Access access) {
+  sim::Simulator simulator;
+  net::Network network{simulator, sim::Random{11}};
+  PacedSource source;
+  Relay relay;
+  SinkNode sink{"sink"};
+  net::SwitchNode lan{"switch"};
+  net::WifiCellConfig radio;
+  radio.frame_error_rate = 0.0;
+  net::WifiCell cell{"ap", radio};
+  for (net::Node* node : std::initializer_list<net::Node*>{&source, &relay, &sink, &lan, &cell}) {
+    network.attach(*node);
+  }
+  const LinkConfig jittery{.jitter_mean = Duration::micros(40),
+                           .jitter_stddev = Duration::micros(30)};
+  LinkConfig relay_link{.bandwidth_bps = 2e6, .jitter_mean = Duration::micros(40),
+                        .jitter_stddev = Duration::micros(30)};
+  if (access == Access::kTrunked) relay_link.trunk_window = Duration::millis(5);
+  if (access == Access::kWifi) {
+    network.connect(source, cell, jittery);
+    cell.set_uplink(network.connect(cell, lan, jittery));
+  } else {
+    network.connect(source, lan, jittery);
+  }
+  network.connect(lan, relay, relay_link);
+  network.connect(lan, sink, jittery);
+  relay.to = sink.id();
+
+  for (int tick = 0; tick < 50; ++tick) {
+    simulator.schedule_at(TimePoint::origin() + Duration::micros(20'000 * tick + 3'100), [&] {
+      for (int i = 0; i < 3; ++i) source.emit(relay.id());
+    });
+  }
+  simulator.run();
+
+  std::int64_t lo = INT64_MAX;
+  std::int64_t hi = 0;
+  for (std::size_t i = 0; i < sink.received.size(); ++i) {
+    const Packet& pkt = sink.received[i];
+    const TimePoint tick = source.ticks.at(pkt.rtp.sequence);
+    EXPECT_EQ(pkt.path_latency.ns(), (sink.arrival_times[i] - tick).ns())
+        << "frame " << pkt.rtp.sequence;
+    lo = std::min(lo, pkt.path_latency.ns());
+    hi = std::max(hi, pkt.path_latency.ns());
+  }
+  // The waits differ from frame to frame: queueing and jitter were exercised.
+  EXPECT_GT(hi - lo, 100'000);
+  return sink.received.size();
+}
+
+TEST(PathLatency, EqualsDeliveryMinusPacingTickOverSwitchedHops) {
+  EXPECT_EQ(check_path_latency(Access::kSwitched), 150U);
+}
+
+TEST(PathLatency, EqualsDeliveryMinusPacingTickThroughAWifiCell) {
+  EXPECT_EQ(check_path_latency(Access::kWifi), 150U);
+}
+
+TEST(PathLatency, EqualsDeliveryMinusPacingTickOverATrunkedUplink) {
+  EXPECT_EQ(check_path_latency(Access::kTrunked), 150U);
 }
 
 TEST(WireSize, IncludesAllOverheads) {

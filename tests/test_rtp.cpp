@@ -1,12 +1,16 @@
 // Unit tests for RTP: codec catalog, pacing, receiver stats, jitter buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "rtp/codec.hpp"
 #include "rtp/jitter_buffer.hpp"
 #include "rtp/packet.hpp"
+#include "rtp/ssrc_table.hpp"
 #include "rtp/stream.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -301,6 +305,47 @@ TEST(JitterBufferTest, NonAdaptiveIgnoresUpdates) {
   rtp::JitterBuffer jb{rtp::g711_ulaw(), {.initial_delay = Duration::millis(60)}};
   jb.update_delay(Duration::millis(1));
   EXPECT_EQ(jb.playout_delay(), Duration::millis(60));
+}
+
+TEST(SsrcTable, MatchesAMapUnderChurn) {
+  // Streams start and end in random order, with SSRCs from a counter (as
+  // SsrcAllocator hands them out) and some from far apart, so probe runs
+  // wrap the table and backward-shift deletion has to move entries home.
+  rtp::SsrcTable<int> table;
+  std::unordered_map<std::uint32_t, int*> oracle;
+  std::vector<int> owners(64);
+  std::vector<std::uint32_t> live;
+  sim::Random rng{17};
+  std::uint32_t next = 1;
+  for (int step = 0; step < 20'000; ++step) {
+    if (live.empty() || (live.size() < 200 && rng.chance(0.55))) {
+      const std::uint32_t ssrc = rng.chance(0.1) ? 0x8000'0000u + next * 64 : next;
+      ++next;
+      int* owner = &owners[static_cast<std::size_t>(step) % owners.size()];
+      table.assign(ssrc, owner);
+      oracle[ssrc] = owner;
+      live.push_back(ssrc);
+    } else {
+      const std::size_t pick = std::min(
+          static_cast<std::size_t>(rng.uniform(0.0, static_cast<double>(live.size()))),
+          live.size() - 1);
+      const std::uint32_t ssrc = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      table.erase(ssrc);
+      oracle.erase(ssrc);
+    }
+    ASSERT_EQ(table.size(), oracle.size());
+  }
+  for (const auto& [ssrc, owner] : oracle) EXPECT_EQ(table.find(ssrc), owner);
+  for (std::uint32_t ssrc = 1; ssrc < next; ++ssrc) {
+    if (!oracle.contains(ssrc)) {
+      EXPECT_EQ(table.find(ssrc), nullptr);
+    }
+  }
+  // SSRC 0 means "no SSRC": never stored, never found.
+  table.assign(0, &owners[0]);
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_EQ(table.size(), oracle.size());
 }
 
 }  // namespace

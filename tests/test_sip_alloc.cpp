@@ -1,11 +1,13 @@
-// Heap-allocation budget of the signalling path.
+// Heap-allocation budgets of the signalling path and the media path.
 //
-// Replaces the global operator new with a counter and runs a small
-// dispatcher cluster with fluid media, so nearly all of the run is SIP
-// signalling. Fails when the allocations per completed call rise above a
-// bound set just above the measured count: a per-message temporary
-// (a stream, a split vector, a key string) added anywhere on the call
-// path shows up here before it shows up in wall time.
+// Replaces the global operator new with a counter. The signalling budget
+// runs a small dispatcher cluster with fluid media, so nearly all of the run
+// is SIP signalling. Fails when the allocations per completed call rise
+// above a bound set just above the measured count: a per-message temporary
+// (a stream, a split vector, a key string) added anywhere on the call path
+// shows up here before it shows up in wall time. The media budget runs a
+// per-packet testbed, where nearly every event is a relayed RTP packet, and
+// holds the packet path to no allocation of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "dispatch/dispatcher.hpp"
 #include "exp/cluster.hpp"
+#include "exp/testbed.hpp"
 #include "sip/message.hpp"
 
 namespace {
@@ -84,6 +88,41 @@ TEST(SipAllocationBudget, PerCompletedCallStaysUnderTheBound) {
   // Measured 142.1 per call; the bound sits just above it.
   constexpr double kBudgetPerCall = 146.0;
   EXPECT_LE(per_call, kBudgetPerCall);
+}
+
+/// 10 E of 180 s calls onto 30 channels, exact per-packet media. `window` is
+/// the placement window; zero places no call.
+exp::TestbedConfig media_testbed(Duration window) {
+  exp::TestbedConfig config;
+  config.scenario = loadgen::CallScenario::for_offered_load(10.0, Duration::seconds(180));
+  config.scenario.placement_window = window;
+  config.pbx.max_channels = 30;
+  config.seed = 2303;
+  return config;
+}
+
+TEST(MediaAllocationBudget, RelayedRtpPacketsAllocateNothing) {
+  // About 8 calls of 18,000 relayed packets each. What a call's signalling,
+  // bridge and media legs allocate once (a few hundred) is spread over its
+  // packets; an allocation per packet (a payload object, a node-based
+  // lookup, a closure off the inline buffer) puts the run at 1 or more.
+  const auto count = [](Duration window) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const monitor::ExperimentReport report = exp::run_testbed(media_testbed(window));
+    return std::pair{g_allocs.load(std::memory_order_relaxed) - before, report.rtp_relayed};
+  };
+  const auto [setup_allocs, setup_relayed] = count(Duration::zero());
+  const auto [allocs, relayed] = count(Duration::seconds(120));
+  ASSERT_EQ(setup_relayed, 0U);
+  ASSERT_GT(relayed, 100'000U);
+  ASSERT_GT(allocs, setup_allocs);
+  const double per_packet =
+      static_cast<double>(allocs - setup_allocs) / static_cast<double>(relayed);
+  std::printf("allocations: set-up %llu, run %llu, %llu relayed RTP packets, %.4f per packet\n",
+              static_cast<unsigned long long>(setup_allocs),
+              static_cast<unsigned long long>(allocs), static_cast<unsigned long long>(relayed),
+              per_packet);
+  EXPECT_LT(per_packet, 0.02);
 }
 
 TEST(SipAllocationBudget, ResponseToCopiesNoString) {
