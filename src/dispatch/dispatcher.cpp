@@ -161,6 +161,34 @@ std::uint32_t Dispatcher::open_circuits() const noexcept {
   return n;
 }
 
+void Dispatcher::publish(telemetry::MetricsRegistry& reg) const {
+  sip::SipEndpoint::publish(reg);
+  for (const Backend& b : backends_) {
+    const telemetry::LabelSet backend{{"backend", b.cfg.host}};
+    reg.counter("pbxcap_cluster_calls_routed_total", backend,
+                "Calls the routing tier dispatched to each backend")
+        .add(b.calls_routed);
+    reg.counter("pbxcap_cluster_circuit_opens_total", backend,
+                "Circuit-breaker ejections per backend")
+        .add(b.circuit_opens);
+    reg.gauge("pbxcap_dispatch_circuit_state", backend,
+              "Circuit-breaker state (0 closed, 1 open, 2 half-open)")
+        .add(static_cast<double>(b.circuit));
+  }
+  reg.counter("pbxcap_cluster_dispatch_rejected_total", {},
+              "Calls with no eligible backend at pick time")
+      .add(picks_rejected_);
+  reg.counter("pbxcap_cluster_probes_total", {}, "Health probes sent").add(probes_sent());
+  reg.counter("pbxcap_cluster_probe_failures_total", {}, "Health probes failed")
+      .add(probe_failures());
+  reg.counter("pbxcap_dispatch_picks_total", {},
+              "Successful backend picks (initial routes, retries, failovers)")
+      .add(picks_total_);
+  reg.gauge("pbxcap_dispatch_benched_backends", {},
+            "Backends on 503 Retry-After backoff at run end")
+      .add(static_cast<double>(benched_backends(transactions().simulator().now())));
+}
+
 std::uint32_t Dispatcher::benched_backends(TimePoint now) const noexcept {
   std::uint32_t n = 0;
   for (const Backend& b : backends_) {

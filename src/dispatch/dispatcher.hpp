@@ -76,6 +76,9 @@ class Dispatcher final : public sip::SipEndpoint {
   /// bound).
   void start();
 
+  /// The endpoint's rows, then routing and health per backend and in total.
+  void publish(telemetry::MetricsRegistry& reg) const override;
+
   /// Chooses a backend for a new call and claims one occupancy slot on it.
   /// Returns nullptr when no backend is eligible (every circuit open or
   /// bench non-empty) — the dispatcher's own 503, in effect.

@@ -127,47 +127,6 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     result.circuit_opens = d->circuit_opens();
   }
 
-  if (tel != nullptr) {
-    // Mirror the per-backend routing/health picture into the registry so a
-    // single Prometheus snapshot carries the whole cluster.
-    auto& reg = tel->registry();
-    for (const BackendObservation& obs : result.backends) {
-      reg.counter("pbxcap_cluster_calls_routed_total", {{"backend", obs.host}},
-                  "Calls the routing tier dispatched to each backend")
-          .add(obs.calls_routed);
-      reg.counter("pbxcap_cluster_congestion_total", {{"backend", obs.host}},
-                  "Channel-exhaustion rejections per backend")
-          .add(obs.congestion);
-      reg.counter("pbxcap_cluster_circuit_opens_total", {{"backend", obs.host}},
-                  "Circuit-breaker ejections per backend")
-          .add(obs.circuit_opens);
-      reg.gauge("pbxcap_cluster_peak_channels", {{"backend", obs.host}},
-                "Peak concurrent channels per backend")
-          .set(static_cast<double>(obs.peak_channels));
-    }
-    reg.counter("pbxcap_cluster_failovers_total", {},
-                "Timed-out INVITEs rescued onto a surviving backend")
-        .add(result.failovers);
-    reg.counter("pbxcap_cluster_dispatch_rejected_total", {},
-                "Calls with no eligible backend at pick time")
-        .add(result.dispatch_rejected);
-    reg.counter("pbxcap_cluster_probes_total", {}, "Health probes sent").add(result.probes_sent);
-    reg.counter("pbxcap_cluster_probe_failures_total", {}, "Health probes failed")
-        .add(result.probe_failures);
-    if (d != nullptr) {
-      reg.counter("pbxcap_dispatch_picks_total", {},
-                  "Successful backend picks (initial routes, retries, failovers)")
-          .add(d->picks_total());
-      reg.gauge("pbxcap_dispatch_benched_backends", {},
-                "Backends on 503 Retry-After backoff at run end")
-          .set(static_cast<double>(d->benched_backends(experiment.hub().sim.now())));
-      for (std::size_t i = 0; i < backends.size(); ++i) {
-        reg.gauge("pbxcap_dispatch_circuit_state", {{"backend", backends[i].host}},
-                  "Circuit-breaker state (0 closed, 1 open, 2 half-open)")
-            .set(static_cast<double>(d->circuit(i)));
-      }
-    }
-  }
   if (config.shard.enabled) {
     // Hub first, then backends in shard order, so the exports do not depend
     // on the worker count. The merged trace has one Perfetto process per

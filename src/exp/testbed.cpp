@@ -67,49 +67,6 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
 
   experiment.run();
 
-  if (tel != nullptr) {
-    // Mirror the NIC-tap message census and ring drop counts into the
-    // registry so one Prometheus snapshot carries the full picture.
-    auto& reg = tel->registry();
-    sip_capture.for_each_type([&reg](std::string_view type, std::uint64_t v) {
-      reg.counter("pbxcap_sip_messages_observed_total", {{"type", std::string{type}}},
-                  "SIP messages by method/status observed at the PBX NIC")
-          .add(v);
-    });
-    reg.counter("pbxcap_sip_errors_observed_total", {},
-                "Error responses (>= 400) observed at the PBX NIC")
-        .add(sip_capture.errors());
-    if (config.trace != nullptr) {
-      reg.counter("pbxcap_trace_events_dropped_total", {},
-                  "Packet-trace ring overwrites (oldest events lost)")
-          .add(config.trace->dropped());
-    }
-    if (tel->tracer() != nullptr) {
-      reg.counter("pbxcap_trace_spans_dropped_total", {},
-                  "Span-ring overwrites (oldest spans lost)")
-          .add(tel->tracer()->dropped());
-    }
-    if (config.faults != nullptr) {
-      // Chaos runs get the per-link drop census; plain runs skip it so their
-      // exports stay byte-identical to the pre-fault-injection era.
-      const auto mirror = [&reg](const char* name, const net::Link& link) {
-        const net::LinkDirectionStats& fwd = link.stats_from(link.endpoint_a());
-        const net::LinkDirectionStats& rev = link.stats_from(link.endpoint_b());
-        const auto add = [&](const char* reason, std::uint64_t v) {
-          reg.counter("pbxcap_link_dropped_total", {{"link", name}, {"reason", reason}},
-                      "Packets dropped by testbed links, by cause")
-              .add(v);
-        };
-        add("queue_full", fwd.dropped_queue_full + rev.dropped_queue_full);
-        add("random_loss", fwd.dropped_random_loss + rev.dropped_random_loss);
-        add("impairment", fwd.dropped_impairment + rev.dropped_impairment);
-      };
-      mirror("client", experiment.client_link());
-      mirror("server", experiment.server_link());
-      mirror("pbx", *backend.uplink);
-    }
-  }
-
   monitor::ExperimentReport report = experiment.report();
   if (const net::WifiCell* cell = experiment.wifi_cell(); wifi_out != nullptr && cell != nullptr) {
     wifi_out->medium_utilization = cell->medium_utilization(experiment.hub().sim.now());

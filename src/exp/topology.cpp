@@ -223,20 +223,13 @@ void Experiment::run() {
   exec_->run(TimePoint::at(run_horizon(*topo_.scenario, topo_.drain)));
   caller_->finalize_remaining();
 
-  // Each component counts its own facts; the registries receive them once,
-  // in the order the components were wired.
-  if (hub_.tel != nullptr) {
-    caller_->publish(hub_.tel->registry());
-    receiver_->publish(hub_.tel->registry());
-  }
-  for (auto& b : backends_) {
-    if (b->shard.tel != nullptr) b->pbx.publish(b->shard.tel->registry());
-  }
+  if (hub_.tel != nullptr) publish();
 
   const auto stop = [](Shard& shard) {
     if (shard.tel == nullptr) return;
     shard.tel->sampler().stop();  // cancel the pending tick before the sim dies
     if (shard.tel->profiler() != nullptr) shard.tel->profiler()->detach();
+    if (shard.tel->tracer() != nullptr) shard.tel->tracer()->publish(shard.tel->registry());
   };
   stop(hub_);
   for (const auto& remote : remotes_) {
@@ -256,6 +249,28 @@ void Experiment::run() {
       record.rtp_received_callee = q->rtp_received;
     }
   }
+}
+
+void Experiment::publish() const {
+  // Each component counts its own facts; its shard's registry receives them
+  // once, in wiring order (a span ring's when its shard stops). Rows under
+  // one key add up: PBX rows over backends, pbx link rows over uplink halves.
+  telemetry::MetricsRegistry& hub = hub_.tel->registry();
+  caller_->publish(hub);
+  receiver_->publish(hub);
+  for (const auto& b : backends_) {
+    b->pbx.publish(b->shard.tel->registry());
+    b->sip->publish(b->shard.tel->registry());
+  }
+  if (wifi_) wifi_->publish(hub);
+  client_link_->publish(hub, "client");
+  server_link_->publish(hub, "server");
+  for (const auto& b : backends_) {
+    b->uplink->publish(hub, "pbx");
+    if (b->pbx_half != nullptr) b->pbx_half->publish(b->shard.tel->registry(), "pbx");
+  }
+  if (dispatcher_) dispatcher_->publish(hub);
+  if (topo_.trace != nullptr) topo_.trace->publish(hub);
 }
 
 monitor::ExperimentReport Experiment::report() const {

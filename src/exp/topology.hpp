@@ -138,6 +138,7 @@ class Experiment {
   void connect_backend(std::size_t i, const net::LinkConfig& cross);
   void wire_boundary(std::size_t i);
   void arm_faults(Shard& shard, const fault::FaultTargets& targets);
+  void publish() const;
 
   const Topology& topo_;
   sim::Random master_;

@@ -69,6 +69,11 @@ void SipCaller::publish(telemetry::MetricsRegistry& reg) const {
       .add(log_.count(monitor::CallOutcome::kAbandoned));
   reg.counter("pbxcap_caller_retries_total", {}, "INVITE re-attempts after 503 + backoff")
       .add(retries_);
+  if (dispatcher_ != nullptr) {
+    reg.counter("pbxcap_cluster_failovers_total", {},
+                "Timed-out INVITEs rescued onto a surviving backend")
+        .add(failovers_);
+  }
   publish_rtp_sent(reg, rtp_packets_sent());
   auto& setup_delay_ms = reg.histogram("pbxcap_caller_setup_delay_ms",
                                        telemetry::log_linear_buckets(1.0, 10'000.0, 5), {},

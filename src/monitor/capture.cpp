@@ -1,8 +1,6 @@
 #include "monitor/capture.hpp"
 
-#include <algorithm>
-#include <charconv>
-#include <numeric>
+#include <string>
 
 namespace pbxcap::monitor {
 
@@ -33,23 +31,22 @@ void SipCapture::on_packet(const net::Packet& pkt, net::NodeId from, net::NodeId
   }
 }
 
-void SipCapture::for_each_type(
-    const std::function<void(std::string_view, std::uint64_t)>& fn) const {
+void SipCapture::publish(telemetry::MetricsRegistry& reg) const {
+  const auto observed = [&reg](std::string type, std::uint64_t n) {
+    reg.counter("pbxcap_sip_messages_observed_total", {{"type", std::move(type)}},
+                "SIP messages by method/status observed at the PBX NIC")
+        .add(n);
+  };
   for (int code = kMinCode; code <= kMaxCode; ++code) {
-    const std::uint64_t n = responses(code);
-    if (n == 0) continue;
-    char text[4];
-    const auto end = std::to_chars(text, text + sizeof text, code).ptr;
-    fn(std::string_view{text, static_cast<std::size_t>(end - text)}, n);
+    if (responses(code) != 0) observed(std::to_string(code), responses(code));
   }
-  std::array<std::size_t, kMethods> order{};
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [](std::size_t a, std::size_t b) {
-    return to_string(static_cast<sip::Method>(a)) < to_string(static_cast<sip::Method>(b));
-  });
-  for (const std::size_t m : order) {
-    if (methods_[m] != 0) fn(to_string(static_cast<sip::Method>(m)), methods_[m]);
+  using enum sip::Method;
+  for (const sip::Method m : {kAck, kBye, kCancel, kInfo, kInvite, kOptions, kRegister, kUnknown}) {
+    if (requests(m) != 0) observed(std::string{to_string(m)}, requests(m));
   }
+  reg.counter("pbxcap_sip_errors_observed_total", {},
+              "Error responses (>= 400) observed at the PBX NIC")
+      .add(errors_);
 }
 
 void RtpCapture::attach(net::Network& network) {

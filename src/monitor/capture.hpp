@@ -9,11 +9,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <string_view>
 
 #include "net/network.hpp"
 #include "sip/message.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace pbxcap::monitor {
 
@@ -27,9 +26,10 @@ class SipCapture {
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
-  /// Calls `fn(type, count)` for every message type seen: status codes
-  /// ascending ("100", "180", ...), then method names alphabetically.
-  void for_each_type(const std::function<void(std::string_view, std::uint64_t)>& fn) const;
+  /// The `observed` rows: one per message type seen, status codes ascending
+  /// ("100", "180", ...), then method names alphabetically, and the errors.
+  /// Backends' rows add up.
+  void publish(telemetry::MetricsRegistry& reg) const;
 
   // Table I row accessors.
   [[nodiscard]] std::uint64_t invites() const noexcept { return requests(sip::Method::kInvite); }
@@ -40,21 +40,20 @@ class SipCapture {
   [[nodiscard]] std::uint64_t byes() const noexcept { return requests(sip::Method::kBye); }
   /// Error responses (>= 400), the Table I "Error Msgs" row.
   [[nodiscard]] std::uint64_t errors() const noexcept { return errors_; }
-
- private:
-  // One slot per method and per status code 100-699, the range the parser
-  // accepts.
-  static constexpr int kMinCode = 100;
-  static constexpr int kMaxCode = 699;
-  static constexpr std::size_t kMethods = static_cast<std::size_t>(sip::Method::kUnknown) + 1;
-
-  void on_packet(const net::Packet& pkt, net::NodeId from, net::NodeId to);
   [[nodiscard]] std::uint64_t requests(sip::Method m) const noexcept {
     return methods_[static_cast<std::size_t>(m)];
   }
+  /// `code` in [kMinCode, kMaxCode], the range the parser accepts.
   [[nodiscard]] std::uint64_t responses(int code) const noexcept {
     return codes_[static_cast<std::size_t>(code - kMinCode)];
   }
+  static constexpr int kMinCode = 100;
+  static constexpr int kMaxCode = 699;
+
+ private:
+  static constexpr std::size_t kMethods = static_cast<std::size_t>(sip::Method::kUnknown) + 1;
+
+  void on_packet(const net::Packet& pkt, net::NodeId from, net::NodeId to);
 
   net::NodeId node_;
   std::array<std::uint64_t, kMethods> methods_{};

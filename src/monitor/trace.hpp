@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::monitor {
@@ -35,7 +36,7 @@ class PacketTrace {
   /// `max_events` caps memory. The capture is a true ring buffer: once full,
   /// each new event overwrites the oldest one (tcpdump -W 1 semantics), so
   /// the retained window always ends at the most recent delivery. `dropped()`
-  /// counts the overwritten events; testbed runs export it as the
+  /// counts the overwritten events; publish() exports it as the
   /// `pbxcap_trace_events_dropped_total` telemetry metric.
   explicit PacketTrace(std::size_t max_events = 100'000) : max_events_{max_events} {}
 
@@ -47,6 +48,11 @@ class PacketTrace {
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// Number of events overwritten because the ring was full.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  void publish(telemetry::MetricsRegistry& reg) const {
+    reg.counter("pbxcap_trace_events_dropped_total", {},
+                "Packet-trace ring overwrites (oldest events lost)")
+        .add(dropped_);
+  }
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return max_events_; }
 

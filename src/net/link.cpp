@@ -108,6 +108,17 @@ double Link::utilization_from(NodeId from, TimePoint now) const {
   return elapsed <= 0.0 ? 0.0 : std::min(1.0, stats.busy_time.to_seconds() / elapsed);
 }
 
+void Link::publish(telemetry::MetricsRegistry& reg, const std::string& name) const {
+  const auto add = [&](const char* reason, std::uint64_t LinkDirectionStats::*dropped) {
+    reg.counter("pbxcap_link_dropped_total", {{"link", name}, {"reason", reason}},
+                "Packets dropped by testbed links, by cause")
+        .add(directions_[0].stats.*dropped + directions_[1].stats.*dropped);
+  };
+  add("queue_full", &LinkDirectionStats::dropped_queue_full);
+  add("random_loss", &LinkDirectionStats::dropped_random_loss);
+  add("impairment", &LinkDirectionStats::dropped_impairment);
+}
+
 void Link::transmit_batch(NodeId from, Packet pkt) {
   // Fluid fast path: the batch stands for `pkt.batch` packets whose nominal
   // departures are already in the past (the fluid engine only flushes due

@@ -13,6 +13,7 @@
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::net {
@@ -112,6 +113,10 @@ class Link {
   /// Instantaneous utilization estimate of the `from`->peer direction over
   /// the interval observed so far (busy_time / elapsed).
   [[nodiscard]] double utilization_from(NodeId from, TimePoint now) const;
+
+  /// Adds both directions' drops to the `{link=name, reason}` rows; links
+  /// published under one name add up.
+  void publish(telemetry::MetricsRegistry& reg, const std::string& name) const;
 
  private:
   struct Direction {

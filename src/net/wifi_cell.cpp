@@ -39,6 +39,19 @@ double WifiCell::medium_utilization(TimePoint now) const noexcept {
   return elapsed <= 0.0 ? 0.0 : std::min(1.0, busy_time_.to_seconds() / elapsed);
 }
 
+void WifiCell::publish(telemetry::MetricsRegistry& reg) const {
+  reg.counter("pbxcap_wifi_frames_forwarded_total", {}, "Frames the Wi-Fi cell carried over the air")
+      .add(forwarded_);
+  const auto dropped = [&reg](const char* reason, std::uint64_t v) {
+    reg.counter("pbxcap_wifi_frames_dropped_total", {{"reason", reason}},
+                "Frames the Wi-Fi cell dropped, by cause")
+        .add(v);
+  };
+  dropped("queue_full", dropped_queue_);
+  dropped("radio", dropped_radio_);
+  dropped("no_route", dropped_no_route_);
+}
+
 void WifiCell::on_receive(const Packet& pkt) {
   if (pkt.dst == id()) return;
   Link* out = route_for(pkt.dst);

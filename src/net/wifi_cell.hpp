@@ -14,6 +14,7 @@
 
 #include "net/node.hpp"
 #include "net/route_table.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::net {
@@ -50,6 +51,8 @@ class WifiCell final : public Node {
   }
   /// Fraction of elapsed time the medium has been busy.
   [[nodiscard]] double medium_utilization(TimePoint now) const noexcept;
+  /// Forwarded frames and drops by cause, once, after the run.
+  void publish(telemetry::MetricsRegistry& reg) const;
 
   /// Airtime one frame of `bytes` occupies, excluding contention.
   [[nodiscard]] Duration frame_airtime(std::uint32_t bytes) const noexcept;

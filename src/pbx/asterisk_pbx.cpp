@@ -93,6 +93,12 @@ void AsteriskPbx::publish(telemetry::MetricsRegistry& reg) const {
       .add(sip_queue_dropped_);
   reg.gauge("pbxcap_pbx_active_channels", {}, "Channels currently held by bridges")
       .add(static_cast<double>(channels_.in_use()));
+  reg.counter("pbxcap_cluster_congestion_total", {{"backend", sip_host()}},
+              "Channel-exhaustion rejections per backend")
+      .add(cdrs_.count(Disposition::kCongestion));
+  reg.gauge("pbxcap_cluster_peak_channels", {{"backend", sip_host()}},
+            "Peak concurrent channels per backend")
+      .add(static_cast<double>(channels_.peak()));
 }
 
 void AsteriskPbx::send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) {

@@ -187,6 +187,7 @@ class TransactionLayer {
   std::function<void(const Message& response)> on_stray_response;
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
+  [[nodiscard]] const sim::Simulator& simulator() const noexcept { return simulator_; }
   [[nodiscard]] Transport& transport() noexcept { return transport_; }
   [[nodiscard]] const std::string& local_host() const noexcept { return local_host_; }
 

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace pbxcap::telemetry {
@@ -64,6 +65,10 @@ class SpanTracer {
   /// Spans lost to ring wrap-around (oldest evicted first).
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return seq_ > ring_.size() ? seq_ - ring_.size() : 0;
+  }
+  void publish(MetricsRegistry& reg) const {
+    reg.counter("pbxcap_trace_spans_dropped_total", {}, "Span-ring overwrites (oldest spans lost)")
+        .add(dropped());
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
 

@@ -3,9 +3,11 @@
 //
 // Metrics are counted once, by the model: each component keeps its own
 // counters and copies them into the registry in publish(), which
-// exp::Experiment::run() calls once, after the run. Registry rows therefore
-// exist only after run(), and nothing reads the registry mid-run: the
-// sampler's probes read the model directly. Components take a nullable
+// exp::Experiment::run() calls once, after the run; it is the only caller,
+// and the experiment front ends add no rows, so a graph exports the same
+// rows whichever front end built it. Registry rows therefore exist only
+// after run(), and nothing reads the registry mid-run: the sampler's probes
+// read the model directly. Components take a nullable
 // `Telemetry*` via set_telemetry() only to wire the span tracer; nullptr
 // records no spans. Not thread-safe: like the Simulator, each run owns its
 // own instance; parallelism happens across runs.

@@ -6,6 +6,8 @@
 #include "exp/cluster.hpp"
 #include "exp/testbed.hpp"
 #include "fault/plan.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -23,8 +25,11 @@ exp::ClusterConfig small_cluster(double erlangs, std::uint32_t servers) {
 
 TEST(Cluster, SingleServerMatchesTestbedSemantics) {
   // One backend behind DNS rotation is the testbed with its PBX renamed:
-  // the same graph, so the same calls, census and kernel events.
-  const exp::ClusterConfig cc = small_cluster(6.0, 1);
+  // the same graph, so the same calls, census, kernel events and export.
+  telemetry::Telemetry cluster_tel;
+  telemetry::Telemetry testbed_tel;
+  exp::ClusterConfig cc = small_cluster(6.0, 1);
+  cc.telemetry = &cluster_tel;
   const auto result = exp::run_cluster(cc);
   exp::TestbedConfig tc;
   tc.scenario = cc.scenario;
@@ -32,8 +37,11 @@ TEST(Cluster, SingleServerMatchesTestbedSemantics) {
   tc.pbx.max_channels = cc.channels_per_server;
   tc.seed = cc.seed;
   tc.drain = cc.drain;
+  tc.telemetry = &testbed_tel;
   const monitor::ExperimentReport testbed = exp::run_testbed(tc);
   const monitor::ExperimentReport& cluster = result.report;
+  EXPECT_EQ(telemetry::to_prometheus(cluster_tel.registry()),
+            telemetry::to_prometheus(testbed_tel.registry()));
 
   EXPECT_GT(cluster.calls_completed, 0u);
   EXPECT_EQ(cluster.calls_failed, 0u);

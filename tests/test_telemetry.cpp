@@ -12,6 +12,7 @@
 #include "exp/testbed.hpp"
 #include "exp/topology.hpp"
 #include "fault/plan.hpp"
+#include "monitor/trace.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -381,8 +382,9 @@ void endpoint_rows(RowValues& rows, const sip::SipEndpoint& ep) {
       d(ep.sip_messages_received()));
 }
 
-void caller_rows(RowValues& rows, const loadgen::SipCaller& caller) {
+void caller_rows(RowValues& rows, const loadgen::SipCaller& caller, bool dispatched) {
   endpoint_rows(rows, caller);
+  if (dispatched) put(rows, "pbxcap_cluster_failovers_total", {}, d(caller.failovers()));
   const monitor::CallLog& log = caller.log();
   put(rows, "pbxcap_caller_calls_offered_total", {}, d(caller.calls_offered()));
   put(rows, "pbxcap_caller_calls_total", {{"outcome", "completed"}}, d(log.completed()));
@@ -441,15 +443,89 @@ void pbx_rows(RowValues& rows, const pbx::AsteriskPbx& pbx) {
   put(rows, "pbxcap_pbx_overload_rejections_total", {}, d(pbx.overload_rejections()));
   put(rows, "pbxcap_pbx_sip_queue_dropped_total", {}, d(pbx.sip_queue_dropped()));
   put(rows, "pbxcap_pbx_active_channels", {}, d(pbx.channels().in_use()));
+  put(rows, "pbxcap_cluster_congestion_total", {{"backend", pbx.sip_host()}},
+      d(pbx.cdrs().count(pbx::Disposition::kCongestion)));
+  put(rows, "pbxcap_cluster_peak_channels", {{"backend", pbx.sip_host()}},
+      d(pbx.channels().peak()));
+}
+
+/// The NIC census: one row per message type seen, and the errors.
+void capture_rows(RowValues& rows, const monitor::SipCapture& sip) {
+  std::uint64_t seen = 0;
+  const auto observed = [&](std::string type, std::uint64_t n) {
+    if (n == 0) return;
+    put(rows, "pbxcap_sip_messages_observed_total", {{"type", std::move(type)}}, d(n));
+    seen += n;
+  };
+  for (int code = monitor::SipCapture::kMinCode; code <= monitor::SipCapture::kMaxCode; ++code) {
+    observed(std::to_string(code), sip.responses(code));
+  }
+  for (int m = 0; m <= static_cast<int>(sip::Method::kUnknown); ++m) {
+    const auto method = static_cast<sip::Method>(m);
+    observed(std::string{sip::to_string(method)}, sip.requests(method));
+  }
+  EXPECT_EQ(seen, sip.total());  // every message has a type row
+  put(rows, "pbxcap_sip_errors_observed_total", {}, d(sip.errors()));
+}
+
+/// Both directions' drops, by cause; links under one name add up.
+void link_rows(RowValues& rows, const char* name, const net::Link* link) {
+  if (link == nullptr) return;
+  for (const net::NodeId end : {link->endpoint_a(), link->endpoint_b()}) {
+    const net::LinkDirectionStats& st = link->stats_from(end);
+    const auto dropped = [&](const char* reason, std::uint64_t v) {
+      put(rows, "pbxcap_link_dropped_total", {{"link", name}, {"reason", reason}}, d(v));
+    };
+    dropped("queue_full", st.dropped_queue_full);
+    dropped("random_loss", st.dropped_random_loss);
+    dropped("impairment", st.dropped_impairment);
+  }
+}
+
+void dispatcher_rows(RowValues& rows, const dispatch::Dispatcher& disp, std::size_t backends,
+                     TimePoint now) {
+  endpoint_rows(rows, disp);
+  for (std::size_t i = 0; i < backends; ++i) {
+    const dispatch::BackendStats st = disp.backend_stats(i);
+    put(rows, "pbxcap_cluster_calls_routed_total", {{"backend", st.host}}, d(st.calls_routed));
+    put(rows, "pbxcap_cluster_circuit_opens_total", {{"backend", st.host}}, d(st.circuit_opens));
+    put(rows, "pbxcap_dispatch_circuit_state", {{"backend", st.host}},
+        static_cast<double>(disp.circuit(i)));
+  }
+  put(rows, "pbxcap_cluster_dispatch_rejected_total", {}, d(disp.picks_rejected()));
+  put(rows, "pbxcap_cluster_probes_total", {}, d(disp.probes_sent()));
+  put(rows, "pbxcap_cluster_probe_failures_total", {}, d(disp.probe_failures()));
+  put(rows, "pbxcap_dispatch_picks_total", {}, d(disp.picks_total()));
+  put(rows, "pbxcap_dispatch_benched_backends", {}, d(disp.benched_backends(now)));
+}
+
+void span_rows(RowValues& rows, const telemetry::Telemetry& tel) {
+  if (tel.tracer() != nullptr) {
+    put(rows, "pbxcap_trace_spans_dropped_total", {}, d(tel.tracer()->dropped()));
+  }
 }
 
 /// Every row of the run's registry, read back from the model: the backends'
 /// rows absorbed from their shards add up where they share a key.
-RowValues model_rows(exp::Experiment& experiment, std::size_t backends) {
+RowValues model_rows(exp::Experiment& experiment, std::size_t backends,
+                     const monitor::PacketTrace* trace = nullptr) {
   RowValues rows;
-  caller_rows(rows, experiment.caller());
+  const dispatch::Dispatcher* disp = experiment.dispatcher();
+  caller_rows(rows, experiment.caller(), disp != nullptr);
   receiver_rows(rows, experiment.receiver());
-  for (std::size_t i = 0; i < backends; ++i) pbx_rows(rows, experiment.backend(i).pbx);
+  link_rows(rows, "client", &experiment.client_link());
+  link_rows(rows, "server", &experiment.server_link());
+  span_rows(rows, *experiment.hub().tel);
+  for (std::size_t i = 0; i < backends; ++i) {
+    const exp::Experiment::Backend& b = experiment.backend(i);
+    pbx_rows(rows, b.pbx);
+    capture_rows(rows, *b.sip);
+    link_rows(rows, "pbx", b.uplink);
+    link_rows(rows, "pbx", b.pbx_half);
+    if (&b.shard != &experiment.hub()) span_rows(rows, *b.shard.tel);
+  }
+  if (disp != nullptr) dispatcher_rows(rows, *disp, backends, experiment.hub().sim.now());
+  if (trace != nullptr) put(rows, "pbxcap_trace_events_dropped_total", {}, d(trace->dropped()));
   return rows;
 }
 
@@ -497,12 +573,14 @@ TEST(TelemetryIntegrationTest, PublishedCountersEqualModelCounts) {
     SCOPED_TRACE("testbed");
     const pbx::PbxConfig pbx = stressed_pbx("pbx.unb.br");
     telemetry::Telemetry tel;
+    monitor::PacketTrace trace{256};
     const exp::Topology topology{.scenario = &scenario,
                                  .seed = 7,
                                  .drain = kDrain,
                                  .backends = {&pbx, 1},
                                  .faults = &plan,
-                                 .telemetry = &tel};
+                                 .telemetry = &tel,
+                                 .trace = &trace};
     exp::Experiment experiment{topology};
     experiment.run();
     const pbx::AsteriskPbx& p = experiment.backend(0).pbx;
@@ -513,7 +591,11 @@ TEST(TelemetryIntegrationTest, PublishedCountersEqualModelCounts) {
     EXPECT_GT(p.acd().stats(0).queued, 0u);
     EXPECT_GT(experiment.caller().retries(), 0u);
     EXPECT_GT(experiment.caller().transactions().transaction_timeouts(), 0u);
-    EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, 1));
+    EXPECT_GT(experiment.client_link().stats_from(experiment.caller().id()).dropped_random_loss,
+              0u);
+    EXPECT_GT(experiment.backend(0).sip->errors(), 0u);
+    EXPECT_GT(trace.dropped(), 0u);
+    EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, 1, &trace));
     // The RTP readers sum ended and live legs; each host's access link saw
     // exactly its SIP and RTP (no RTCP in this scenario), sent or dropped.
     const auto offered = [](const net::Link& link, const loadgen::SippHost& host) {
@@ -548,6 +630,35 @@ TEST(TelemetryIntegrationTest, PublishedCountersEqualModelCounts) {
     EXPECT_EQ(experiment.backend(1).pbx.crashes(), 1u);
     EXPECT_GT(experiment.backend(0).pbx.invites(), 0u);
     EXPECT_GT(experiment.backend(2).pbx.invites(), 0u);
+    EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, fleet.size()));
+  }
+  {
+    SCOPED_TRACE("monolithic dispatcher cluster");
+    std::vector<pbx::PbxConfig> fleet;
+    std::vector<dispatch::BackendConfig> routes;
+    for (const char* host : {"pbx0.unb.br", "pbx1.unb.br", "pbx2.unb.br"}) {
+      fleet.push_back(stressed_pbx(host));
+      routes.push_back({host, 1});
+    }
+    const dispatch::DispatcherConfig dispatcher{.policy = dispatch::Policy::kLeastLoaded};
+    telemetry::Telemetry tel;
+    const exp::Topology topology{.scenario = &scenario,
+                                 .seed = 9,
+                                 .drain = kDrain,
+                                 .backends = fleet,
+                                 .dispatcher = &dispatcher,
+                                 .routes = routes,
+                                 .faults = &plan,
+                                 .fault_backend = 1,
+                                 .telemetry = &tel};
+    exp::Experiment experiment{topology};
+    experiment.run();
+    const dispatch::Dispatcher& disp = *experiment.dispatcher();
+    EXPECT_EQ(experiment.backend(1).pbx.crashes(), 1u);
+    EXPECT_GT(disp.circuit_opens(), 0u);
+    EXPECT_GT(disp.probe_failures(), 0u);
+    EXPECT_GT(disp.sip_messages_sent(), 0u);
+    for (std::size_t i = 0; i < fleet.size(); ++i) EXPECT_GT(disp.backend_stats(i).calls_routed, 0u);
     EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, fleet.size()));
   }
 }

@@ -164,21 +164,21 @@ Digests testbed_digests(exp::TestbedConfig config, const telemetry::Config& tcfg
 
 TEST(TopologyDigest, TestbedPerPacket) {
   expect_digests(testbed_digests(small_testbed(), {}),
-                 0x5dea8012d3f56d4cULL, 0x14ce64323829dd95ULL);
+                 0xbffe3d722fc93110ULL, 0x14ce64323829dd95ULL);
 }
 
 TEST(TopologyDigest, TestbedFluid) {
   auto config = small_testbed();
   config.fluid.enabled = true;
   expect_digests(testbed_digests(config, {}),
-                 0x940a60bb734262f1ULL, 0x69ee4bf7a0822c79ULL);
+                 0x4076930769f394adULL, 0x69ee4bf7a0822c79ULL);
 }
 
 TEST(TopologyDigest, TestbedWifi) {
   auto config = small_testbed();
   config.wifi_cell = net::WifiCellConfig{};
   expect_digests(testbed_digests(config, {}),
-                 0xbd32dbb69820eb6cULL, 0x1435c2840a1fde72ULL);
+                 0x0bffecff9cef220aULL, 0x1435c2840a1fde72ULL);
 }
 
 TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
@@ -192,7 +192,7 @@ TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
   auto config = small_testbed();
   config.faults = &plan;
   expect_digests(testbed_digests(config, full_telemetry()),
-                 0x69450cbffab042e2ULL, 0x8bc84266f476de0eULL);
+                 0x0a7eeacc4939ae08ULL, 0x8bc84266f476de0eULL);
 }
 
 /// Fluid needs point-to-point links: with a shared-medium Wi-Fi cell the
@@ -245,19 +245,19 @@ exp::ClusterConfig trunked_g729(exp::ClusterConfig config) {
 
 TEST(TopologyDigest, ClusterDns) {
   expect_digests(cluster_digests(small_cluster(), {}),
-                 0xb59563d867f6ecb6ULL, 0xd058896b1f08e215ULL);
+                 0x1257130d93eb63ccULL, 0xd058896b1f08e215ULL);
 }
 
 TEST(TopologyDigest, ClusterDispatcherCrash) {
   expect_digests(cluster_digests(dispatcher_crash(small_cluster()), full_telemetry()),
-                 0x64c995ea4b64893aULL, 0x0ed3f9b0cc49f048ULL);
+                 0x1621a8d1ec59912eULL, 0x0ed3f9b0cc49f048ULL);
 }
 
 TEST(TopologyDigest, ClusterFluidTrunkedG729) {
   auto config = trunked_g729(small_cluster());
   config.fluid.enabled = true;
   expect_digests(cluster_digests(config, {}),
-                 0x4e14763d01e494fcULL, 0x5c849683d202b97bULL);
+                 0xdfb3ae6e60a42502ULL, 0x5c849683d202b97bULL);
 }
 
 exp::ClusterConfig acd_queue(exp::ClusterConfig config) {
@@ -273,7 +273,7 @@ exp::ClusterConfig acd_queue(exp::ClusterConfig config) {
 
 TEST(TopologyDigest, ClusterAcd) {
   expect_digests(cluster_digests(acd_queue(small_cluster()), {}),
-                 0xf8f73fd0aa239c3fULL, 0xd4ded92d7265da10ULL);
+                 0xa453eabb2c46d101ULL, 0xd4ded92d7265da10ULL);
 }
 
 // ---- sharded cluster --------------------------------------------------------
@@ -290,23 +290,23 @@ void expect_sharded_digests(exp::ClusterConfig config, std::uint64_t outcome,
 }
 
 TEST(TopologyDigest, ShardedDns) {
-  expect_sharded_digests(small_cluster(), 0x5cc824f9e767032fULL, 0x799b800b3fb3b5e0ULL);
+  expect_sharded_digests(small_cluster(), 0xa2ff4c12574705e5ULL, 0x799b800b3fb3b5e0ULL);
 }
 
 TEST(TopologyDigest, ShardedFluid) {
   auto config = small_cluster();
   config.fluid.enabled = true;
-  expect_sharded_digests(config, 0x80d715396b6c2567ULL, 0x844a75c1f0589be1ULL);
+  expect_sharded_digests(config, 0xcbe0f138b11a18bdULL, 0x844a75c1f0589be1ULL);
 }
 
 TEST(TopologyDigest, ShardedDispatcherCrash) {
   expect_sharded_digests(dispatcher_crash(small_cluster()),
-                         0x271311faca27e4b7ULL, 0xe79a987e76097f18ULL);
+                         0x9b65230acd4710cdULL, 0xe79a987e76097f18ULL);
 }
 
 TEST(TopologyDigest, ShardedTrunkedG729) {
   expect_sharded_digests(trunked_g729(small_cluster()),
-                         0xc202aafd962bd1b6ULL, 0x45bb71dd23a20613ULL);
+                         0x9029908820034b40ULL, 0x45bb71dd23a20613ULL);
 }
 
 // ---- sharded vs monolithic --------------------------------------------------

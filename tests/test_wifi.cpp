@@ -9,6 +9,7 @@
 #include "net/network.hpp"
 #include "net/wifi_cell.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -140,6 +141,43 @@ TEST_F(WifiFixture, UnroutableWithoutUplink) {
   sta.transmit_to(far.id(), 100);
   simulator.run();
   EXPECT_EQ(cell.frames_dropped_no_route(), 1u);
+}
+
+TEST_F(WifiFixture, PublishesEveryFrameOutcome) {
+  SinkNode sta{"sta"};
+  SinkNode wired{"wired"};
+  SinkNode far{"far"};
+  net::WifiCellConfig config;
+  config.frame_error_rate = 0.3;
+  config.queue_limit_frames = 8;
+  net::WifiCell cell{"ap", config};
+  network.attach(sta);
+  network.attach(wired);
+  network.attach(far);
+  network.attach(cell);
+  network.connect(sta, cell, {});
+  network.connect(cell, wired, {});
+  for (int i = 0; i < 40; ++i) sta.transmit_to(wired.id(), 1500);
+  sta.transmit_to(far.id(), 100);  // no route: the cell has no uplink
+  simulator.run();
+  EXPECT_GT(cell.frames_forwarded(), 0u);
+  EXPECT_GT(cell.frames_dropped_queue(), 0u);
+  EXPECT_GT(cell.frames_dropped_radio(), 0u);
+  EXPECT_EQ(cell.frames_dropped_no_route(), 1u);
+  EXPECT_EQ(cell.frames_forwarded() + cell.frames_dropped_queue() + cell.frames_dropped_radio() +
+                cell.frames_dropped_no_route(),
+            41u);
+
+  telemetry::MetricsRegistry reg;
+  cell.publish(reg);
+  EXPECT_EQ(reg.counter("pbxcap_wifi_frames_forwarded_total").value(), cell.frames_forwarded());
+  const auto dropped = [&reg](const char* reason) {
+    return reg.counter("pbxcap_wifi_frames_dropped_total", {{"reason", reason}}).value();
+  };
+  EXPECT_EQ(dropped("queue_full"), cell.frames_dropped_queue());
+  EXPECT_EQ(dropped("radio"), cell.frames_dropped_radio());
+  EXPECT_EQ(dropped("no_route"), cell.frames_dropped_no_route());
+  EXPECT_EQ(reg.size(), 4u);
 }
 
 TEST(VoWifiEndToEnd, LightLoadKeepsQuality) {

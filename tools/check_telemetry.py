@@ -91,6 +91,7 @@ def check_prometheus(path: str) -> None:
         'pbxcap_sip_messages_observed_total{type="INVITE"}',
         'pbxcap_sip_messages_observed_total{type="BYE"}',
         'pbxcap_sip_messages_observed_total{type="200"}',
+        'pbxcap_link_dropped_total{link="pbx",reason="queue_full"}',
         "pbxcap_pbx_active_channels",
         "pbxcap_pbx_invites_total",
     ]
