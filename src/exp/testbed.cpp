@@ -20,9 +20,7 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
                           .telemetry = config.telemetry,
                           .trace = config.trace};
   Experiment experiment{topology};
-  Experiment::Backend& backend = experiment.backend(0);
-  const pbx::AsteriskPbx& pbx = backend.pbx;
-  const monitor::SipCapture& sip_capture = *backend.sip;
+  const pbx::AsteriskPbx& pbx = experiment.backend(0).pbx;
 
   telemetry::Telemetry* tel = experiment.hub().tel;
   if (tel != nullptr) {
@@ -31,7 +29,6 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
     auto& sampler = tel->sampler();
     const Duration period = tel->config().sample_period;
     const loadgen::SipCaller& caller = experiment.caller();
-    const monitor::RtpCapture& rtp_capture = *backend.rtp;
     sampler.add_gauge("active_channels",
                       [&pbx] { return static_cast<double>(pbx.channels().in_use()); });
     sampler.add_gauge("cpu_utilization", [&pbx, &simulator = experiment.hub().sim, period] {
@@ -52,9 +49,9 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
     sampler.add_rate("calls_blocked_per_s",
                      [&caller] { return static_cast<double>(caller.log().blocked()); });
     sampler.add_rate("sip_msgs_per_s",
-                     [&sip_capture] { return static_cast<double>(sip_capture.total()); });
+                     [&pbx] { return static_cast<double>(pbx.sip_census().total()); });
     sampler.add_rate("rtp_pkts_per_s",
-                     [&rtp_capture] { return static_cast<double>(rtp_capture.packets_in()); });
+                     [&pbx] { return static_cast<double>(pbx.rtp_packets_in()); });
     if (config.pbx.sip_service.enabled) {
       sampler.add_gauge("sip_queue_depth",
                         [&pbx] { return static_cast<double>(pbx.sip_backlog()); });

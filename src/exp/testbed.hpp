@@ -1,5 +1,5 @@
 // The Fig. 4 testbed, assembled: SIPp client host + SIPp server host +
-// Asterisk PBX behind one 10/100 switch, with capture taps on the PBX NIC.
+// Asterisk PBX behind one 10/100 switch; the PBX counts its NIC census.
 //
 // One run_testbed() call is one experiment: build, offer calls for the
 // placement window, drain, and return a merged ExperimentReport (the caller's

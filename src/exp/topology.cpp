@@ -144,12 +144,6 @@ void Experiment::connect_backend(std::size_t i, const net::LinkConfig& cross) {
   b.pbx.dialplan().add("recv-", receiver_->sip_host());
   b.pbx.dialplan().add("queue-", receiver_->sip_host());
   b.pbx.directory().allow_prefix("caller-");
-  // Capture taps on the PBX NIC: the Wireshark observation point, once per
-  // server.
-  b.sip.emplace(b.pbx.id());
-  b.rtp.emplace(b.pbx.id());
-  b.sip->attach(b.shard.net);
-  b.rtp->attach(b.shard.net);
 }
 
 void Experiment::wire_boundary(std::size_t i) {
@@ -258,10 +252,7 @@ void Experiment::publish() const {
   telemetry::MetricsRegistry& hub = hub_.tel->registry();
   caller_->publish(hub);
   receiver_->publish(hub);
-  for (const auto& b : backends_) {
-    b->pbx.publish(b->shard.tel->registry());
-    b->sip->publish(b->shard.tel->registry());
-  }
+  for (const auto& b : backends_) b->pbx.publish(b->shard.tel->registry());
   if (wifi_) wifi_->publish(hub);
   client_link_->publish(hub, "client");
   server_link_->publish(hub, "server");
@@ -327,16 +318,16 @@ monitor::ExperimentReport Experiment::report() const {
       report.acd.agents += static_cast<std::uint32_t>(acd.agent_count(qi));
     }
     // The Wireshark-style census at the PBX NIC.
-    const monitor::SipCapture& sip = *b->sip;
+    const pbx::SipCensus& sip = pbx.sip_census();
     report.sip_total += sip.total();
-    report.sip_invite += sip.invites();
-    report.sip_100 += sip.trying_100();
-    report.sip_180 += sip.ringing_180();
-    report.sip_200 += sip.ok_200();
-    report.sip_ack += sip.acks();
-    report.sip_bye += sip.byes();
+    report.sip_invite += sip.requests(sip::Method::kInvite);
+    report.sip_100 += sip.responses(100);
+    report.sip_180 += sip.responses(180);
+    report.sip_200 += sip.responses(200);
+    report.sip_ack += sip.requests(sip::Method::kAck);
+    report.sip_bye += sip.requests(sip::Method::kBye);
     report.sip_errors += sip.errors();
-    report.rtp_packets_at_pbx += b->rtp->packets_in();
+    report.rtp_packets_at_pbx += pbx.rtp_packets_in();
   }
 
   report.mos = log.mos_summary();
@@ -400,6 +391,18 @@ std::vector<std::string> Experiment::hop_imbalances() const {
   if (delivered != sent) {
     out.push_back(util::format("links sent %llu packets; the networks delivered %llu", u(sent),
                                u(delivered)));
+  }
+  for (const auto& b : backends_) {
+    const pbx::AsteriskPbx& pbx = b->pbx;
+    const std::uint64_t in = pbx.rtp_packets_in() + pbx.rtcp_packets_in();
+    const std::uint64_t out_of = pbx.rtp_relayed() + pbx.rtp_dropped_unknown_ssrc() +
+                                 pbx.voicemail_rtp_absorbed() + pbx.rtp_dropped_stall() +
+                                 pbx.media_dropped_dead();
+    if (in != out_of) {
+      out.push_back(util::format("%s: %llu RTP/RTCP packets arrived; %llu were relayed, dropped "
+                                 "or absorbed",
+                                 pbx.sip_host().c_str(), u(in), u(out_of)));
+    }
   }
   return out;
 }

@@ -30,7 +30,6 @@
 #include "fault/injector.hpp"
 #include "loadgen/caller.hpp"
 #include "loadgen/receiver.hpp"
-#include "monitor/capture.hpp"
 #include "monitor/report.hpp"
 #include "monitor/trace.hpp"
 #include "net/network.hpp"
@@ -99,8 +98,6 @@ class Experiment {
     pbx::AsteriskPbx pbx;
     net::Link* uplink{nullptr};    // switch side: the whole uplink, or its hub half
     net::Link* pbx_half{nullptr};  // sharded: the PBX's half
-    std::optional<monitor::SipCapture> sip;  // taps on the PBX NIC
-    std::optional<monitor::RtpCapture> rtp;
   };
 
   [[nodiscard]] Backend& backend(std::size_t i) noexcept { return *backends_[i]; }
@@ -128,8 +125,11 @@ class Experiment {
   /// Hop conservation of a finished run with no traffic left in flight: the
   /// LAN switch forwarded exactly what its egress directions sent or
   /// dropped, and the shards' networks delivered exactly what their links
-  /// sent; in both, a trunk shell counts as the packets inside it. One line
-  /// per broken identity; empty when both hold.
+  /// sent; in both, a trunk shell counts as the packets inside it. Media
+  /// conservation, which holds at any instant: each PBX's RTP and RTCP
+  /// arrivals were relayed, dropped for lack of a session, absorbed by
+  /// voicemail, or dropped in a stall or a dead window. One line per broken
+  /// identity; empty when all hold.
   [[nodiscard]] std::vector<std::string> hop_imbalances() const;
 
  private:

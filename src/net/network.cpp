@@ -77,22 +77,6 @@ void Network::set_remote_sink(NodeId node, RemoteSink sink) {
   remote_[node] = std::move(sink);
 }
 
-void Network::add_tap(NodeId node, PacketTap tap) {
-  if (!attached(node)) throw std::out_of_range{"Network::add_tap: bad id"};
-  if (node_taps_.size() <= node) node_taps_.resize(node + 1);
-  node_taps_[node].push_back(std::move(tap));
-}
-
-void Network::fire_taps(const Packet& pkt, NodeId from, NodeId to) const {
-  for (const auto& tap : taps_) tap(pkt, from, to);
-  if (from < node_taps_.size()) {
-    for (const auto& tap : node_taps_[from]) tap(pkt, from, to);
-  }
-  if (to != from && to < node_taps_.size()) {
-    for (const auto& tap : node_taps_[to]) tap(pkt, from, to);
-  }
-}
-
 void Network::deliver_remote(Packet&& pkt, NodeId from, NodeId to, TimePoint deliver_at) {
   fire_taps(pkt, from, to);
   remote_[to](std::move(pkt), from, deliver_at);
@@ -102,10 +86,10 @@ void Network::deliver(const Packet& pkt, NodeId from, NodeId to) {
   // Trunk shells are framing for one link hop, not application traffic:
   // unwrap here and re-deliver the aggregated media individually, so the
   // receiving node (endpoint, or a switch re-routing each frame by its own
-  // dst) and the kind-filtered captures see exactly the packets a
-  // non-trunked link would have delivered. Taps still observe the shell —
-  // that is what a wire sniffer on the trunked segment would record. Each
-  // frame's path latency gains the shell's hop.
+  // dst) sees exactly the packets a non-trunked link would have delivered.
+  // Taps still observe the shell — that is what a wire sniffer on the
+  // trunked segment would record. Each frame's path latency gains the
+  // shell's hop.
   if (pkt.kind == PacketKind::kTrunk) {
     if (const auto* trunk = pkt.payload_as<TrunkPayload>()) {
       fire_taps(pkt, from, to);

@@ -2,9 +2,8 @@
 //
 // One Network per simulator (one per shard of a sharded run). It wires
 // Node::send to the attached Link, delivers packets through the Simulator,
-// and exposes a tap interface so the monitor module can observe deliveries
-// (the Wireshark substitute): on the whole network, or only on the hops into
-// and out of one node.
+// and exposes a tap so the monitor module's packet trace can observe every
+// delivery.
 //
 // Node ids are one space across shards. A one-shard run numbers its nodes
 // densely from 0. A backend shard attaches each of its nodes under the id
@@ -68,9 +67,6 @@ class Network {
 
   /// Whole-network tap: fires on every hop.
   void add_tap(PacketTap tap) { taps_.push_back(std::move(tap)); }
-  /// Node tap: fires only on hops into or out of `node` (`from` or `to` is
-  /// `node`), the way a capture on that host's NIC sees the traffic.
-  void add_tap(NodeId node, PacketTap tap);
 
   /// Marks `node` as a cross-shard portal: deliveries addressed to it leave
   /// this shard through `sink` instead of the local event loop. The node
@@ -79,9 +75,9 @@ class Network {
   [[nodiscard]] bool is_remote(NodeId node) const noexcept {
     return node < remote_.size() && remote_[node] != nullptr;
   }
-  /// Cross-shard hand-off: fires the taps (so egress captures at `from` see
-  /// the hop exactly as a local delivery would show it) and invokes the
-  /// portal's sink. Called by Link in place of scheduling a local delivery.
+  /// Cross-shard hand-off: fires the taps (so they see the hop exactly as a
+  /// local delivery would show it) and invokes the portal's sink. Called by
+  /// Link in place of scheduling a local delivery.
   void deliver_remote(Packet&& pkt, NodeId from, NodeId to, TimePoint deliver_at);
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
@@ -101,7 +97,9 @@ class Network {
   }
 
  private:
-  void fire_taps(const Packet& pkt, NodeId from, NodeId to) const;
+  void fire_taps(const Packet& pkt, NodeId from, NodeId to) const {
+    for (const auto& tap : taps_) tap(pkt, from, to);
+  }
 
   sim::Simulator& simulator_;
   sim::Random rng_;
@@ -115,7 +113,6 @@ class Network {
   };
   std::vector<Homing> homing_;
   std::vector<PacketTap> taps_;
-  std::vector<std::vector<PacketTap>> node_taps_;  // indexed by NodeId; short when untapped
   std::vector<RemoteSink> remote_;  // indexed by NodeId; empty when unsharded
   std::uint64_t next_packet_id_{1};
   std::uint64_t delivered_{0};

@@ -15,6 +15,35 @@ using sip::Message;
 using sip::Method;
 using sip::Sdp;
 
+void SipCensus::count(const Message& msg) noexcept {
+  ++total_;
+  if (msg.is_request()) {
+    ++methods_[static_cast<std::size_t>(msg.method())];
+    return;
+  }
+  const int code = msg.status_code();
+  if (code >= kMinCode && code <= kMaxCode) ++codes_[static_cast<std::size_t>(code - kMinCode)];
+  if (sip::is_error(code)) ++errors_;
+}
+
+void SipCensus::publish(telemetry::MetricsRegistry& reg) const {
+  const auto observed = [&reg](std::string type, std::uint64_t n) {
+    reg.counter("pbxcap_sip_messages_observed_total", {{"type", std::move(type)}},
+                "SIP messages by method/status observed at the PBX NIC")
+        .add(n);
+  };
+  for (int code = kMinCode; code <= kMaxCode; ++code) {
+    if (responses(code) != 0) observed(std::to_string(code), responses(code));
+  }
+  using enum Method;
+  for (const Method m : {kAck, kBye, kCancel, kInfo, kInvite, kOptions, kRegister, kUnknown}) {
+    if (requests(m) != 0) observed(std::string{to_string(m)}, requests(m));
+  }
+  reg.counter("pbxcap_sip_errors_observed_total", {},
+              "Error responses (>= 400) observed at the PBX NIC")
+      .add(errors_);
+}
+
 AsteriskPbx::AsteriskPbx(PbxConfig config, sim::Simulator& simulator,
                          sip::HostResolver& resolver)
     : sip::SipEndpoint{"asterisk", config.host, simulator, resolver},
@@ -99,25 +128,40 @@ void AsteriskPbx::publish(telemetry::MetricsRegistry& reg) const {
   reg.gauge("pbxcap_cluster_peak_channels", {{"backend", sip_host()}},
             "Peak concurrent channels per backend")
       .add(static_cast<double>(channels_.peak()));
+  sip_census_.publish(reg);
 }
 
 void AsteriskPbx::send_sip(std::shared_ptr<const sip::SipPayload> payload, net::NodeId dst) {
   cpu_.on_sip_message(network() != nullptr ? network()->simulator().now() : TimePoint{});
+  if (dst != net::kInvalidNode) sip_census_.count(payload->msg);  // what the NIC sends
   sip::SipEndpoint::send_sip(std::move(payload), dst);
 }
 
 void AsteriskPbx::on_receive(const net::Packet& pkt) {
+  switch (pkt.kind) {
+    case net::PacketKind::kSip:
+      if (const auto* payload = pkt.payload_as<sip::SipPayload>()) sip_census_.count(payload->msg);
+      break;
+    case net::PacketKind::kRtp: rtp_in_ += pkt.batch; break;
+    case net::PacketKind::kRtcp: rtcp_in_ += pkt.batch; break;
+    default: break;
+  }
+  accept(pkt);
+}
+
+void AsteriskPbx::accept(const net::Packet& pkt) {
   const TimePoint now = network()->simulator().now();
+  const bool media = pkt.kind == net::PacketKind::kRtp || pkt.kind == net::PacketKind::kRtcp;
   if (now < dead_until_) {
     // Crashed: the host is off the network until restart.
-    dropped_dead_ += pkt.batch;
+    (media ? media_dropped_dead_ : sip_dropped_dead_) += pkt.batch;
     return;
   }
   if (now < stall_until_) {
     if (pkt.kind == net::PacketKind::kSip) {
       // The socket buffer holds signalling across the stall; it is all
       // processed in arrival order the instant the process unwedges.
-      auto deferred = [this, pkt] { on_receive(pkt); };
+      auto deferred = [this, pkt] { accept(pkt); };
       static_assert(sim::Callback::stores_inline<decltype(deferred)>(),
                     "stall deferral closure must stay on the allocation-free SBO path");
       const sim::CategoryScope cat_scope{network()->simulator(), sim::Category::kPbx};
@@ -127,7 +171,7 @@ void AsteriskPbx::on_receive(const net::Packet& pkt) {
     }
     return;
   }
-  if (pkt.kind == net::PacketKind::kRtp || pkt.kind == net::PacketKind::kRtcp) {
+  if (media) {
     relay_rtp(pkt);
     return;
   }
@@ -191,7 +235,7 @@ void AsteriskPbx::enqueue_sip(const net::Packet& pkt) {
       queued_invite_branches_.erase(payload->msg.top_via()->branch);
     }
     if (network()->simulator().now() < dead_until_) {
-      ++dropped_dead_;
+      ++sip_dropped_dead_;
       return;
     }
     sip::SipEndpoint::on_receive(pkt);

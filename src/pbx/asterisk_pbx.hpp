@@ -17,6 +17,7 @@
 // is what the relay uses to demultiplex streams to the opposite leg.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -68,6 +69,39 @@ struct OverloadControlConfig {
   Duration retry_after{Duration::seconds(2)};
 };
 
+/// SIP messages by method and status code, as a capture on the PBX's
+/// interface counts them for Table I: each once as it arrives and once as the
+/// PBX sends it.
+class SipCensus {
+ public:
+  static constexpr int kMinCode = 100;
+  static constexpr int kMaxCode = 699;
+
+  void count(const sip::Message& msg) noexcept;
+
+  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+  /// Error responses (>= 400), the Table I "Error Msgs" row.
+  [[nodiscard]] std::uint64_t errors() const noexcept { return errors_; }
+  [[nodiscard]] std::uint64_t requests(sip::Method m) const noexcept {
+    return methods_[static_cast<std::size_t>(m)];
+  }
+  /// `code` in [kMinCode, kMaxCode], the range the parser accepts.
+  [[nodiscard]] std::uint64_t responses(int code) const noexcept {
+    return codes_[static_cast<std::size_t>(code - kMinCode)];
+  }
+
+  /// The `observed` rows: one per message type seen, status codes ascending
+  /// ("100", "180", ...), then method names alphabetically, and the errors.
+  /// Backends' rows add up.
+  void publish(telemetry::MetricsRegistry& reg) const;
+
+ private:
+  std::array<std::uint64_t, static_cast<std::size_t>(sip::Method::kUnknown) + 1> methods_{};
+  std::array<std::uint64_t, kMaxCode - kMinCode + 1> codes_{};
+  std::uint64_t total_{0};
+  std::uint64_t errors_{0};
+};
+
 struct PbxConfig {
   std::string host{"pbx.unb.br"};
   std::uint32_t max_channels{165};  // fitted capacity of the paper's server
@@ -99,7 +133,7 @@ class AsteriskPbx final : public sip::SipEndpoint {
   /// bridged call, tracked by the leg A Call-ID) to the base endpoint's.
   void set_telemetry(telemetry::Telemetry* tel) override;
   /// Appends the ACD's rows, then the admission, relay and overload
-  /// counters and the active-channel gauge.
+  /// counters, the active-channel gauge and the NIC census.
   void publish(telemetry::MetricsRegistry& reg) const override;
 
   [[nodiscard]] ChannelPool& channels() noexcept { return channels_; }
@@ -146,9 +180,17 @@ class AsteriskPbx final : public sip::SipEndpoint {
   /// Predictive-CAC state (meaningful under kErlangPredictive).
   [[nodiscard]] const ErlangPredictiveCac& cac() const noexcept { return cac_; }
 
-  // The voicemail, stall and dead-window counters have no reader yet: they
-  // are the named outcome and drop reasons the post-run conservation check
-  // (ROADMAP item 3(a)) will balance.
+  // ---- the NIC census: what a capture on the PBX's interface sees ----
+  // Every delivered packet counts on arrival, before the PBX drops it or not.
+
+  [[nodiscard]] const SipCensus& sip_census() const noexcept { return sip_census_; }
+  /// RTP packets in (the paper's per-experiment RTP message count).
+  [[nodiscard]] std::uint64_t rtp_packets_in() const noexcept { return rtp_in_; }
+  [[nodiscard]] std::uint64_t rtcp_packets_in() const noexcept { return rtcp_in_; }
+
+  // Every RTP/RTCP arrival ends in one named outcome: relayed, dropped for
+  // lack of a session, absorbed by voicemail, or dropped in a stall or a
+  // dead window (Experiment::hop_imbalances balances them).
 
   /// Callers answered by the one-way-RTP voicemail leg (ACD overflow).
   [[nodiscard]] std::uint64_t voicemail_calls() const noexcept { return voicemail_calls_; }
@@ -178,7 +220,11 @@ class AsteriskPbx final : public sip::SipEndpoint {
   }
   [[nodiscard]] std::uint64_t crashes() const noexcept { return crashes_; }
   [[nodiscard]] std::uint64_t stalls() const noexcept { return stalls_; }
-  [[nodiscard]] std::uint64_t dropped_while_dead() const noexcept { return dropped_dead_; }
+  [[nodiscard]] std::uint64_t dropped_while_dead() const noexcept {
+    return sip_dropped_dead_ + media_dropped_dead_;
+  }
+  /// RTP/RTCP packets that reached a crashed PBX.
+  [[nodiscard]] std::uint64_t media_dropped_dead() const noexcept { return media_dropped_dead_; }
   [[nodiscard]] std::uint64_t rtp_dropped_stall() const noexcept { return rtp_dropped_stall_; }
 
  private:
@@ -236,6 +282,9 @@ class AsteriskPbx final : public sip::SipEndpoint {
   // glibc's large-bin path and runs malloc_consolidate once per call.
   static_assert(sizeof(Bridge) < 1000, "a bridge must stay under 1 KiB");
 
+  /// on_receive past the census: a SIP message deferred by a stall comes
+  /// back here, counted once.
+  void accept(const net::Packet& pkt);
   void handle_request(const sip::Message& req, sip::ServerTransaction& txn);
   void handle_invite(const sip::Message& req, sip::ServerTransaction& txn);
   void handle_register(const sip::Message& req, sip::ServerTransaction& txn);
@@ -334,8 +383,13 @@ class AsteriskPbx final : public sip::SipEndpoint {
   std::uint64_t overload_rejections_{0};
   std::uint64_t crashes_{0};
   std::uint64_t stalls_{0};
-  std::uint64_t dropped_dead_{0};
+  std::uint64_t sip_dropped_dead_{0};
+  std::uint64_t media_dropped_dead_{0};
   std::uint64_t rtp_dropped_stall_{0};
+
+  SipCensus sip_census_;
+  std::uint64_t rtp_in_{0};
+  std::uint64_t rtcp_in_{0};
 
   telemetry::SpanTracer* tracer_{nullptr};  // null when tracing is off
   std::uint32_t span_setup_name_{0};

@@ -7,7 +7,6 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -91,8 +90,6 @@ TEST_F(NetFixture, NodeOnAGapThrows) {
   for (const net::NodeId gap : {0u, 1u, 3u}) {
     EXPECT_THROW((void)network.node(gap), std::out_of_range) << "id " << gap;
   }
-  EXPECT_THROW(network.add_tap(1, [](const Packet&, net::NodeId, net::NodeId) {}),
-               std::out_of_range);
   EXPECT_THROW(network.set_remote_sink(1, [](Packet&&, net::NodeId, TimePoint) {}),
                std::out_of_range);
   EXPECT_EQ(network.attach(b), 3u);  // the dense path continues past the highest id
@@ -105,7 +102,7 @@ TEST_F(NetFixture, NodeUnderAForeignIdSendsAndReceives) {
   network.attach(b, 2);
   network.connect(a, b, {});
   std::vector<std::pair<net::NodeId, net::NodeId>> hops;
-  network.add_tap(7, [&hops](const Packet&, net::NodeId from, net::NodeId to) {
+  network.add_tap([&hops](const Packet&, net::NodeId from, net::NodeId to) {
     hops.emplace_back(from, to);
   });
   a.transmit_to(2, 100);
@@ -259,7 +256,7 @@ TEST_F(NetFixture, TapsObserveDeliveries) {
   EXPECT_EQ(network.packets_delivered(), 2u);
 }
 
-TEST_F(NetFixture, NodeTapSeesExactlyTheHopsIntoAndOutOfItsNode) {
+TEST_F(NetFixture, TapSeesLocalAndRemoteHops) {
   SinkNode a{"a"};
   SinkNode b{"b"};
   SinkNode c{"c"};
@@ -275,18 +272,11 @@ TEST_F(NetFixture, NodeTapSeesExactlyTheHopsIntoAndOutOfItsNode) {
   int remote = 0;
   network.set_remote_sink(portal.id(), [&](Packet&&, net::NodeId, TimePoint) { ++remote; });
 
-  using Hop = std::tuple<std::uint64_t, net::NodeId, net::NodeId>;
+  using Hop = std::pair<net::NodeId, net::NodeId>;
   std::vector<Hop> all;
-  network.add_tap([&](const Packet& pkt, net::NodeId from, net::NodeId to) {
-    all.emplace_back(pkt.id, from, to);
+  network.add_tap([&](const Packet&, net::NodeId from, net::NodeId to) {
+    all.emplace_back(from, to);
   });
-  const std::vector<net::NodeId> watched{a.id(), sw.id(), portal.id()};
-  std::vector<std::vector<Hop>> seen(watched.size());
-  for (std::size_t i = 0; i < watched.size(); ++i) {
-    network.add_tap(watched[i], [&seen, i](const Packet& pkt, net::NodeId from, net::NodeId to) {
-      seen[i].emplace_back(pkt.id, from, to);
-    });
-  }
 
   a.transmit_to(b.id(), 100);
   b.transmit_to(c.id(), 100);
@@ -297,20 +287,8 @@ TEST_F(NetFixture, NodeTapSeesExactlyTheHopsIntoAndOutOfItsNode) {
 
   ASSERT_EQ(all.size(), 10u);  // two hops per packet, the last one remote for two
   EXPECT_EQ(remote, 2);
-  for (std::size_t i = 0; i < watched.size(); ++i) {
-    std::vector<Hop> expected;
-    for (const Hop& hop : all) {
-      if (std::get<1>(hop) == watched[i] || std::get<2>(hop) == watched[i]) {
-        expected.push_back(hop);
-      }
-    }
-    EXPECT_EQ(seen[i], expected) << "node " << watched[i];
-  }
-  EXPECT_EQ(seen[0].size(), 3u);   // a -> sw twice, sw -> a once
-  EXPECT_EQ(seen[1].size(), 10u);  // every hop crosses the switch
-  EXPECT_EQ(seen[2].size(), 2u);
-  EXPECT_THROW(network.add_tap(net::NodeId{99}, [](const Packet&, net::NodeId, net::NodeId) {}),
-               std::out_of_range);
+  EXPECT_EQ(std::count(all.begin(), all.end(), Hop{sw.id(), portal.id()}), 2);
+  EXPECT_EQ(network.packets_delivered(), 8u);  // a remote hop is not a local delivery
 }
 
 TEST_F(NetFixture, UtilizationReflectsBusyTime) {

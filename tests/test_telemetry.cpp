@@ -450,14 +450,14 @@ void pbx_rows(RowValues& rows, const pbx::AsteriskPbx& pbx) {
 }
 
 /// The NIC census: one row per message type seen, and the errors.
-void capture_rows(RowValues& rows, const monitor::SipCapture& sip) {
+void capture_rows(RowValues& rows, const pbx::SipCensus& sip) {
   std::uint64_t seen = 0;
   const auto observed = [&](std::string type, std::uint64_t n) {
     if (n == 0) return;
     put(rows, "pbxcap_sip_messages_observed_total", {{"type", std::move(type)}}, d(n));
     seen += n;
   };
-  for (int code = monitor::SipCapture::kMinCode; code <= monitor::SipCapture::kMaxCode; ++code) {
+  for (int code = pbx::SipCensus::kMinCode; code <= pbx::SipCensus::kMaxCode; ++code) {
     observed(std::to_string(code), sip.responses(code));
   }
   for (int m = 0; m <= static_cast<int>(sip::Method::kUnknown); ++m) {
@@ -519,7 +519,7 @@ RowValues model_rows(exp::Experiment& experiment, std::size_t backends,
   for (std::size_t i = 0; i < backends; ++i) {
     const exp::Experiment::Backend& b = experiment.backend(i);
     pbx_rows(rows, b.pbx);
-    capture_rows(rows, *b.sip);
+    capture_rows(rows, b.pbx.sip_census());
     link_rows(rows, "pbx", b.uplink);
     link_rows(rows, "pbx", b.pbx_half);
     if (&b.shard != &experiment.hub()) span_rows(rows, *b.shard.tel);
@@ -593,7 +593,7 @@ TEST(TelemetryIntegrationTest, PublishedCountersEqualModelCounts) {
     EXPECT_GT(experiment.caller().transactions().transaction_timeouts(), 0u);
     EXPECT_GT(experiment.client_link().stats_from(experiment.caller().id()).dropped_random_loss,
               0u);
-    EXPECT_GT(experiment.backend(0).sip->errors(), 0u);
+    EXPECT_GT(p.sip_census().errors(), 0u);
     EXPECT_GT(trace.dropped(), 0u);
     EXPECT_EQ(registry_rows(tel.registry()), model_rows(experiment, 1, &trace));
     // The RTP readers sum ended and live legs; each host's access link saw

@@ -181,16 +181,21 @@ TEST(TopologyDigest, TestbedWifi) {
                  0x0bffecff9cef220aULL, 0x1435c2840a1fde72ULL);
 }
 
-TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
-  const auto plan = fault::FaultPlan::parse(
+/// Loss, jitter, a blackout, a stall and a crash on the small testbed.
+const fault::FaultPlan& chaos_plan() {
+  static const auto plan = fault::FaultPlan::parse(
       "@3s link client loss=0.05 jitter_mean=5ms jitter_stddev=2ms\n"
       "@6s link pbx blackout=on\n"
       "@7s link pbx blackout=off\n"
       "@9s pbx stall 500ms\n"
       "@12s pbx crash dead=3s\n"
       "@14s link client loss=0\n");
+  return plan;
+}
+
+TEST(TopologyDigest, TestbedChaosTracedAndProfiled) {
   auto config = small_testbed();
-  config.faults = &plan;
+  config.faults = &chaos_plan();
   expect_digests(testbed_digests(config, full_telemetry()),
                  0x0a7eeacc4939ae08ULL, 0x8bc84266f476de0eULL);
 }
@@ -375,21 +380,32 @@ Fleet fleet_of(const exp::ClusterConfig& config) {
   return fleet;
 }
 
-/// dispatcher_crash(small_cluster()) built the way run_cluster builds it,
-/// monolithic, with its uplinks' propagation raised to the 1 ms lookahead
-/// that the sharded placement floors them to.
-Census floored_dispatcher_crash() {
-  const exp::ClusterConfig config = dispatcher_crash(small_cluster());
+/// dispatcher_crash(small_cluster()) built the way run_cluster builds it, on
+/// either placement.
+struct CrashCluster {
+  exp::ClusterConfig config = dispatcher_crash(small_cluster());
   Fleet fleet = fleet_of(config);
-  const exp::Topology topology{.scenario = &config.scenario,
-                               .seed = config.seed,
-                               .drain = config.drain,
-                               .backends = fleet.backends,
-                               .uplink = {.propagation = config.shard.lookahead},
-                               .dispatcher = &config.dispatcher,
-                               .routes = std::move(fleet.routes),
-                               .faults = config.faults,
-                               .fault_backend = config.fault_backend};
+
+  [[nodiscard]] exp::Topology topology(bool sharded) const {
+    return {.scenario = &config.scenario,
+            .seed = config.seed,
+            .drain = config.drain,
+            .backends = fleet.backends,
+            .dispatcher = &config.dispatcher,
+            .routes = fleet.routes,
+            .faults = config.faults,
+            .fault_backend = config.fault_backend,
+            .sharded = sharded,
+            .exec = {1, config.shard.lookahead}};
+  }
+};
+
+/// The monolithic dispatcher crash with its uplinks' propagation raised to
+/// the 1 ms lookahead that the sharded placement floors them to.
+Census floored_dispatcher_crash() {
+  const CrashCluster crash;
+  exp::Topology topology = crash.topology(false);
+  topology.uplink = {.propagation = crash.config.shard.lookahead};
   exp::Experiment experiment{topology};  // keeps a reference to `topology`
   experiment.run();
   return census(experiment.report());
@@ -481,6 +497,143 @@ TEST(HopConservation, DrainedDispatcherCluster) {
                                 .dispatcher = &dispatcher,
                                 .routes = std::move(fleet.routes)}),
             std::vector<std::string>{});
+}
+
+TEST(HopConservation, MediaBalancesAtEveryPbxThroughFaults) {
+  {
+    SCOPED_TRACE("chaos testbed");
+    const exp::TestbedConfig config = small_testbed();
+    const exp::Topology topology{.scenario = &config.scenario,
+                                 .seed = config.seed,
+                                 .drain = config.drain,
+                                 .backends = {&config.pbx, 1},
+                                 .faults = &chaos_plan()};
+    exp::Experiment experiment{topology};
+    experiment.run();
+    EXPECT_EQ(experiment.hop_imbalances(), std::vector<std::string>{});
+    const pbx::AsteriskPbx& pbx = experiment.backend(0).pbx;
+    EXPECT_GT(pbx.rtp_dropped_stall(), 0u);
+    EXPECT_GT(pbx.media_dropped_dead(), 0u);
+    EXPECT_GT(pbx.rtp_dropped_unknown_ssrc(), 0u);
+  }
+  // The dispatcher's probes are still in flight at the horizon, so only the
+  // per-PBX media identity, which holds at any instant, is checked here.
+  const CrashCluster crash;
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded dispatcher crash" : "monolithic dispatcher crash");
+    const exp::Topology topology = crash.topology(sharded);
+    exp::Experiment experiment{topology};
+    experiment.run();
+    std::vector<std::string> media;
+    for (const std::string& line : experiment.hop_imbalances()) {
+      if (line.find("RTP/RTCP") != std::string::npos) media.push_back(line);
+    }
+    EXPECT_EQ(media, std::vector<std::string>{});
+    EXPECT_GT(experiment.backend(crash.config.fault_backend).pbx.media_dropped_dead(), 0u);
+  }
+  {
+    SCOPED_TRACE("rtcp");
+    exp::TestbedConfig config = small_testbed();
+    config.scenario.rtcp = true;
+    const exp::Topology topology{.scenario = &config.scenario,
+                                 .seed = config.seed,
+                                 .drain = config.drain,
+                                 .backends = {&config.pbx, 1}};
+    exp::Experiment experiment{topology};
+    experiment.run();
+    EXPECT_EQ(experiment.hop_imbalances(), std::vector<std::string>{});
+    const pbx::AsteriskPbx& pbx = experiment.backend(0).pbx;
+    EXPECT_GT(pbx.rtcp_packets_in(), 0u);
+    EXPECT_EQ(experiment.report().rtp_packets_at_pbx, pbx.rtp_packets_in());  // RTP only
+  }
+}
+
+// ---- the NIC census ---------------------------------------------------------
+
+/// One row per nonzero count, by name, so a mismatch reads clearly.
+using CensusRows = std::vector<std::pair<std::string, std::uint64_t>>;
+
+CensusRows census_rows(const pbx::SipCensus& sip, std::uint64_t rtp_in, std::uint64_t rtcp_in) {
+  CensusRows rows;
+  const auto row = [&rows](std::string name, std::uint64_t n) {
+    if (n != 0) rows.emplace_back(std::move(name), n);
+  };
+  for (int code = pbx::SipCensus::kMinCode; code <= pbx::SipCensus::kMaxCode; ++code) {
+    row(std::to_string(code), sip.responses(code));
+  }
+  for (int m = 0; m <= static_cast<int>(sip::Method::kUnknown); ++m) {
+    const auto method = static_cast<sip::Method>(m);
+    row(std::string{sip::to_string(method)}, sip.requests(method));
+  }
+  row("errors", sip.errors());
+  row("total", sip.total());
+  row("rtp_in", rtp_in);
+  row("rtcp_in", rtcp_in);
+  return rows;
+}
+
+/// A whole-network tap on each backend's shard, filtered to the hops into
+/// and out of its PBX (a capture on the PBX's NIC), counts what the PBX's
+/// own census counts, type by type.
+void expect_census_matches_nic_tap(const exp::Topology& topology) {
+  exp::Experiment experiment{topology};
+  struct Tap {
+    pbx::SipCensus sip;
+    std::uint64_t rtp_in{0};
+    std::uint64_t rtcp_in{0};
+  };
+  std::vector<Tap> taps(topology.backends.size());
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    exp::Experiment::Backend& b = experiment.backend(i);
+    b.shard.net.add_tap([&tap = taps[i], node = b.pbx.id()](const net::Packet& pkt,
+                                                             net::NodeId from, net::NodeId to) {
+      const bool in = pkt.dst == node && to == node;
+      const bool out = pkt.src == node && from == node;
+      if (pkt.kind == net::PacketKind::kSip && (in || out)) {
+        if (const auto* payload = pkt.payload_as<sip::SipPayload>()) tap.sip.count(payload->msg);
+      } else if (in && pkt.kind == net::PacketKind::kRtp) {
+        tap.rtp_in += pkt.batch;
+      } else if (in && pkt.kind == net::PacketKind::kRtcp) {
+        tap.rtcp_in += pkt.batch;
+      }
+    });
+  }
+  experiment.run();
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    const pbx::AsteriskPbx& pbx = experiment.backend(i).pbx;
+    SCOPED_TRACE(pbx.sip_host());
+    EXPECT_GT(pbx.sip_census().total(), 0u);
+    EXPECT_EQ(census_rows(pbx.sip_census(), pbx.rtp_packets_in(), pbx.rtcp_packets_in()),
+              census_rows(taps[i].sip, taps[i].rtp_in, taps[i].rtcp_in));
+  }
+}
+
+TEST(NicCensus, PbxCountsWhatACaptureOnItsNicSees) {
+  {
+    SCOPED_TRACE("per-packet testbed");
+    const exp::TestbedConfig config = small_testbed();
+    expect_census_matches_nic_tap({.scenario = &config.scenario,
+                                   .seed = config.seed,
+                                   .drain = config.drain,
+                                   .backends = {&config.pbx, 1}});
+  }
+  {
+    SCOPED_TRACE("sharded dispatcher crash");
+    const CrashCluster crash;
+    expect_census_matches_nic_tap(crash.topology(true));
+  }
+  {
+    // SIP that reaches a stalled PBX is replayed when the stall ends; the
+    // NIC saw it once.
+    SCOPED_TRACE("stalled testbed");
+    const auto stall = fault::FaultPlan::parse("@5s pbx stall 2s\n");
+    const exp::TestbedConfig config = small_testbed();
+    expect_census_matches_nic_tap({.scenario = &config.scenario,
+                                   .seed = config.seed,
+                                   .drain = config.drain,
+                                   .backends = {&config.pbx, 1},
+                                   .faults = &stall});
+  }
 }
 
 }  // namespace
